@@ -1,4 +1,4 @@
-"""Benchmark — two-level scheduler, intra-split parallelism (ISSUE 5).
+"""Benchmark — two-level scheduler, intra-split parallelism.
 
 The worst case for split-level scheduling is a study whose split count
 is smaller than the machine's core count: a **1-split, full-grid** study
@@ -6,8 +6,8 @@ is smaller than the machine's core count: a **1-split, full-grid** study
 models = 36 (method, model) cells) leaves every worker but one idle.
 This benchmark times that study at ``granularity="split"`` (the
 sequential baseline — one task, nothing to parallelize), then at
-``granularity="cell"`` and ``"fold"`` across worker counts, and asserts
-every arm produces **bit identical** raw experiments.
+``granularity="cell"`` across worker counts, and asserts every arm
+produces **bit identical** raw experiments.
 
 On a single-core machine it follows ``bench_parallel_scaling``'s
 refuse-and-annotate precedent: no speedups are reported (they would only
@@ -101,7 +101,7 @@ def run_intra_split_bench(tiny: bool = False) -> dict:
 
     # a split-level run at n_jobs=2 is the idle-machine baseline: one
     # pending task, so the executor cannot use the second worker at all
-    arms = [("split", 1), ("split", 2), ("cell", 2), ("fold", 2)]
+    arms = [("split", 1), ("split", 2), ("cell", 2)]
     if cpu_count >= 4:
         arms.append(("cell", 4))
 

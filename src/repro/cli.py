@@ -27,6 +27,7 @@ from pathlib import Path
 
 from .cleaning.base import ERROR_TYPES
 from .core import (
+    GRANULARITIES,
     CleanMLStudy,
     StudyConfig,
     SupervisorConfig,
@@ -90,12 +91,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes; results are bit-identical "
                           "for any job count")
     run.add_argument("--granularity", default="split",
-                     choices=("split", "cell", "fold"),
+                     choices=GRANULARITIES,
                      help="scheduling granularity: split (one task per "
-                          "split), cell (one sub-unit per (method, model) "
+                          "split) or cell (one sub-unit per (method, model) "
                           "cell — keeps every worker busy when --splits < "
-                          "--jobs), or fold (cells plus per-CV-fold "
-                          "sub-units); results are bit-identical for any "
+                          "--jobs); results are bit-identical for either "
                           "choice")
     run.add_argument("--checkpoint", default=None, metavar="PATH",
                      help="task-ledger file: completed splits recorded "
@@ -107,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "worker is killed and the unit retried "
                           "(default: no deadline)")
     run.add_argument("--max-retries", type=int, default=2,
-                     help="retries per failing unit before it degrades to "
-                          "its parent granularity / is quarantined "
+                     help="retries per failing unit before a cell degrades "
+                          "to its split / a split is quarantined "
                           "(default: 2; retrying never changes results)")
     run.add_argument("--quarantine", action="store_true",
                      help="complete the study with a failure manifest when "

@@ -30,22 +30,20 @@ the same tables is gone.
 
 Two-level scheduling
 --------------------
-A split task can itself decompose into sub-units when a study has
-fewer splits than the machine has cores: ``granularity="cell"``
-schedules one sub-unit per (cleaning method, model) cell of each split,
-and ``granularity="fold"`` additionally fans each cell's
-cross-validation out one fold per sub-unit (scored first, in a wave
-whose winners the second wave's cells fit directly).  Sub-units run on
-the same pool with work-stealing; each worker shares per-split state —
-detector fits, encodings, dirty-side models — through a
-:class:`~repro.core.runner.SplitWorkspace` and any state a scattered
-unit is missing is rebuilt bit-identically, because every piece is a
-pure function of the task key.  The deterministic reducer
-(:func:`~repro.core.runner.merge_cell_results`) sorts cells by
-(method, model) before accumulating — and fold scores by fold before
-averaging — so the contract above extends to every
-``(n_jobs, granularity)`` pair: byte-identical experiments, flags, and
-persisted JSON.
+A split is a grid of (cleaning method, model) cells, computed through a
+:class:`~repro.core.runner.SplitWorkspace` and reduced by
+:func:`~repro.core.runner.merge_cell_results`.  At
+``granularity="split"`` one task runs a whole split's cells in order
+(:meth:`~repro.core.runner.ErrorTypeRun.run_split`); when a study has
+fewer splits than the machine has cores, ``granularity="cell"``
+schedules every cell as its own sub-unit on the same pool with
+work-stealing.  Each worker shares per-split state — detector fits,
+encodings, dirty-side models — through its workspace, and any state a
+scattered cell is missing is rebuilt bit-identically, because every
+piece is a pure function of the task key.  The reducer sorts cells by
+(method, model) before accumulating, so the contract above extends to
+every ``(n_jobs, granularity)`` pair: byte-identical experiments,
+flags, and persisted JSON.
 
 Checkpointing
 -------------
@@ -63,9 +61,7 @@ Every drain loop runs through the :class:`~repro.core.supervisor.
 Supervisor`: per-unit wall-clock deadlines, deterministic
 capped-exponential-backoff retries, ``BrokenProcessPool`` resurrection
 (rebuild the pool, re-run the block broadcast, resubmit only in-flight
-keys), and a granularity fallback chain — a repeatedly failing fold
-sub-unit degrades to its parent cell (the cell re-validates inline;
-fold waves are an optimization, never load-bearing), a failing cell
+keys), and a granularity fallback chain — a repeatedly failing cell
 degrades to its whole split, and a split that still fails is either
 raised (:class:`~repro.core.supervisor.StudyExecutionError`, the
 default) or — with ``SupervisorConfig(quarantine=True)`` — recorded as
@@ -94,7 +90,6 @@ from ..table.store import (
     table_store_path,
 )
 from .runner import (
-    DIRTY_ROLE,
     GRANULARITIES,
     CellResult,
     ErrorTypeRun,
@@ -102,11 +97,8 @@ from .runner import (
     SplitResult,
     SplitWorkspace,
     StudyConfig,
-    cell_candidates,
-    derive_seed,
     merge_cell_results,
     merge_split_results,
-    resolve_fold_scores,
 )
 from . import faults, observability
 from .supervisor import (
@@ -122,7 +114,7 @@ from .supervisor import (
 TaskKey = tuple[str, str, int]
 
 #: (dataset name, error type, split, method index, model) — one cell
-#: sub-unit of a split task at cell/fold granularity
+#: sub-unit of a split task at cell granularity
 CellKey = tuple[str, str, int, int, str]
 
 
@@ -321,7 +313,7 @@ def _unit_errors(kind: str, key: tuple):
     A bare exception surfacing through the pool names neither the
     dataset nor the split that raised it; this wrapper re-raises as
     :class:`~repro.core.supervisor.UnitExecutionError` carrying the
-    (dataset, error type, split[, cell, fold slot]) identity plus the
+    (dataset, error type, split[, method index, model]) identity plus the
     original traceback text (tracebacks themselves do not pickle).
     Injected chaos faults pass through untouched — they already carry
     their key — as do interrupts.
@@ -368,36 +360,19 @@ def _worker_workspace(key: TaskKey) -> SplitWorkspace:
 
 
 def _execute_cell(
-    key: TaskKey,
-    method_index: int,
-    model: str,
-    tuned_dirty=None,
-    tuned_clean=None,
+    key: TaskKey, method_index: int, model: str
 ) -> tuple[TaskKey, CellResult]:
     """Worker entry point: run one (method, model) cell of a split."""
     with _unit_errors("cell", key + (method_index, model)):
-        workspace = _worker_workspace(key)
-        return key, workspace.cell(
-            method_index, model, tuned_dirty=tuned_dirty, tuned_clean=tuned_clean
-        )
-
-
-def _execute_fold(
-    key: TaskKey, role: int, model: str, slot: int
-) -> tuple[TaskKey, int, str, int, tuple | None]:
-    """Worker entry point: score one CV fold of one (role, model) search."""
-    with _unit_errors("fold", key + (role, model, slot)):
-        workspace = _worker_workspace(key)
-        return key, role, model, slot, workspace.fold_scores(role, model, slot)
+        return key, _worker_workspace(key).cell(method_index, model)
 
 
 def block_method_names(block: StudyBlock, config: StudyConfig) -> list[str]:
     """The block's cleaning-method names, in split iteration order.
 
-    The parent process needs them to enumerate cell sub-units and to
-    re-derive fold-level seeds; method construction is cheap (no
-    fitting) and deterministic, so this matches the fresh method lists
-    every split builds.
+    The parent process needs them to enumerate cell sub-units; method
+    construction is cheap (no fitting) and deterministic, so this
+    matches the fresh method lists every split builds.
     """
     if block.methods is not None:
         return [method.name for method in block.methods]
@@ -444,15 +419,14 @@ def execute_study(
         per block as its tasks start; blocks fully satisfied by the
         checkpoint are skipped.
     granularity:
-        ``"split"`` (one task per split — the default), ``"cell"`` (one
-        sub-unit per (method, model) cell of each split), or ``"fold"``
-        (cells plus one sub-unit per CV fold of each cell's search).
-        Overrides ``config.granularity`` when given.  Sub-split
-        granularities keep the whole pool busy when ``n_splits`` is
-        smaller than the worker count; every ``(n_jobs, granularity)``
-        pair produces byte-identical results because sub-unit seeds
-        derive from structural keys and the cell reducer sorts by
-        (split, method, model, fold) before accumulating.
+        ``"split"`` (one task per split — the default) or ``"cell"``
+        (one sub-unit per (method, model) cell of each split).
+        Overrides ``config.granularity`` when given.  Cell granularity
+        keeps the whole pool busy when ``n_splits`` is smaller than the
+        worker count; every ``(n_jobs, granularity)`` pair produces
+        byte-identical results because cell seeds derive from
+        structural keys and the cell reducer sorts by (split, method,
+        model) before accumulating.
     supervisor:
         Fault-tolerance knobs (:class:`SupervisorConfig`); the default
         retries each failing unit twice with deterministic backoff and
@@ -543,8 +517,7 @@ def execute_study(
         else:
             _run_sub_split(
                 blocks, config, by_block, announce, record, record_cell,
-                cells_done, jobs, level, sup_config, manifest,
-                quarantine_split,
+                cells_done, jobs, sup_config, manifest, quarantine_split,
             )
     except KeyboardInterrupt:
         # The supervisor's context manager has already cancelled pending
@@ -732,61 +705,45 @@ def _run_sub_split(
     record_cell,
     cells_done,
     jobs,
-    level,
     sup_config,
     manifest,
     quarantine_split,
 ) -> None:
     """Two-level path: decompose splits into (method, model) cell units.
 
-    Cells — and at ``level="fold"`` the CV folds inside each cell's
-    search — are scheduled across the supervised pool with work-stealing
+    Cells are scheduled across the supervised pool with work-stealing
     (the drain yields whichever worker finishes first), then each split
     is reassembled by :func:`~repro.core.runner.merge_cell_results`,
     which sorts by (method, model) so completion order never reaches the
     output; the split-level merge then sorts by split exactly as before.
-    At ``jobs == 1`` the same units run inline through the supervisor
-    (and the fold wave is skipped — in process there is nothing to fan
-    out, and the cell path produces the identical bytes).
+    At ``jobs == 1`` the same units run inline through the supervisor.
 
-    Fold scheduling runs in two waves: fold sub-units score every search
-    candidate on one fold each, the parent reduces them to each cell's
-    ``(best_params, val_score)`` with the search's own mean-and-argmax
-    (:func:`~repro.core.runner.resolve_fold_scores`), and the second
-    wave's cell units fit the winners directly instead of re-running CV.
-
-    Failure degradation runs the other way up the hierarchy: a fold
-    sub-unit that exhausts its retries silently degrades its (split,
-    role, model) search — the fold wave is an optimization, and a cell
-    fitted without a resolved winner re-validates inline, bit-identical
-    by the determinism contract.  A cell that exhausts its retries
-    degrades its whole split to one split-level unit (its queued sibling
-    cells are discarded; completed siblings stay banked in the ledger).
-    Only a split-level unit that still fails reaches
+    Failure degradation runs up the hierarchy: a cell that exhausts its
+    retries degrades its whole split to one split-level unit (its queued
+    sibling cells are discarded; completed siblings stay banked in the
+    ledger).  Only a split-level unit that still fails reaches
     ``quarantine_split``.
     """
-    method_names: dict[tuple[str, str], list[str]] = {
-        (block.dataset.name, block.error_type): block_method_names(
-            block, config
+    n_methods: dict[tuple[str, str], int] = {
+        (block.dataset.name, block.error_type): len(
+            block_method_names(block, config)
         )
         for block in blocks
     }
 
     # enumerate pending cells per split; splits whose cells are already
-    # all in the ledger reduce immediately, and blocks with no methods
-    # degrade to split-level tasks (a cell decomposition needs a grid)
+    # all in the ledger (or that have no cells at all) reduce immediately
     pending_cells: dict[TaskKey, list[tuple[int, str]]] = {}
     collected: dict[TaskKey, dict[tuple[int, str], CellResult]] = {}
-    split_level: list[TaskKey] = []
 
     def finish_split(key: TaskKey) -> None:
-        names = method_names[key[:2]]
         record(
             key,
             merge_cell_results(
                 key[1],
                 config.models,
-                len(names),
+                key[2],
+                n_methods[key[:2]],
                 list(collected[key].values()),
             ),
         )
@@ -795,15 +752,11 @@ def _run_sub_split(
         for task in by_block.get(
             (block.dataset.name, block.error_type), []
         ):
-            names = method_names[task.key[:2]]
             specs = [
                 (index, model)
-                for index in range(len(names))
+                for index in range(n_methods[task.key[:2]])
                 for model in config.models
             ]
-            if not specs:
-                split_level.append(task.key)
-                continue
             have = {
                 spec: cells_done[task.key + spec]
                 for spec in specs
@@ -817,35 +770,17 @@ def _run_sub_split(
     for block in blocks:
         announce(block)
 
-    # splits fully satisfied by resumed cells never reach the pool
     for key in list(collected):
-        if key not in pending_cells and key not in split_level:
+        if key not in pending_cells:
             finish_split(key)
 
     with _supervised(jobs, blocks, by_block, config, sup_config, manifest) as sup:
-        tuned: dict[tuple[TaskKey, int, str], tuple[dict, float]] = {}
-        if level == "fold" and jobs > 1:
-            tuned = _resolve_tuning_wave(
-                sup, config, method_names, pending_cells, manifest
-            )
-
-        for key in split_level:
-            sup.submit("split", key, _execute_registered, (key,))
         cell_total: dict[TaskKey, int] = {}
         for key, specs in pending_cells.items():
             cell_total[key] = len(collected[key]) + len(specs)
             for index, model in specs:
                 sup.submit(
-                    "cell",
-                    key + (index, model),
-                    _execute_cell,
-                    (
-                        key,
-                        index,
-                        model,
-                        tuned.get((key, DIRTY_ROLE, model)),
-                        tuned.get((key, index, model)),
-                    ),
+                    "cell", key + (index, model), _execute_cell, (key, index, model)
                 )
 
         # record in completion order (work-stealing drain); reduce each
@@ -882,64 +817,3 @@ def _run_sub_split(
                     quarantine_split(task_key, outcome)
             else:
                 quarantine_split(unit.key[:3], outcome)
-
-
-def _resolve_tuning_wave(
-    sup, config, method_names, pending_cells, manifest
-) -> dict[tuple[TaskKey, int, str], tuple[dict, float]]:
-    """Fold wave: score every needed (split, role, model) search fold-wise.
-
-    Submits one sub-unit per CV fold slot of every distinct (split,
-    role, model) the pending cells touch — the dirty side of each model
-    plus each (method, model) pair — and reduces the returned per-fold
-    candidate scores to the search winner with the search's own
-    reduction.  ``config.cv_folds`` slots are over-submitted because a
-    row-dropping repair can shrink a table below the requested fold
-    count; workers answer out-of-plan slots with ``None``.
-
-    A fold unit that exhausts its retries degrades its (split, role,
-    model) search: no winner is resolved, the consuming cells re-run
-    their own CV inline, and the output stays bit-identical — the wave
-    only ever redistributes work.
-    """
-    needed: set[tuple[TaskKey, int, str]] = set()
-    for key, specs in pending_cells.items():
-        for index, model in specs:
-            needed.add((key, DIRTY_ROLE, model))
-            needed.add((key, index, model))
-
-    slots = max(1, config.cv_folds)
-    for key, role, model in sorted(needed):
-        for slot in range(slots):
-            sup.submit(
-                "fold",
-                key + (role, model, slot),
-                _execute_fold,
-                (key, role, model, slot),
-            )
-    parts: dict[tuple[TaskKey, int, str], dict[int, tuple | None]] = {}
-    degraded: set[tuple[TaskKey, int, str]] = set()
-    for status, unit, outcome in sup.drain():
-        if status == "ok":
-            key, role, model, slot, payload = outcome
-            parts.setdefault((key, role, model), {})[slot] = payload
-        else:
-            triple = (unit.key[:3], unit.key[3], unit.key[4])
-            if triple not in degraded:
-                degraded.add(triple)
-                manifest.count("degraded_searches")
-
-    tuned: dict[tuple[TaskKey, int, str], tuple[dict, float]] = {}
-    for (key, role, model), slot_parts in parts.items():
-        if (key, role, model) in degraded:
-            continue
-        role_name = (
-            "dirty"
-            if role == DIRTY_ROLE
-            else f"clean:{method_names[key[:2]][role]}"
-        )
-        seed = derive_seed(config.seed, key[0], role_name, model, key[2])
-        tuned[(key, role, model)] = resolve_fold_scores(
-            cell_candidates(config, model, seed), slot_parts
-        )
-    return tuned

@@ -21,9 +21,12 @@ Design constraints, in priority order:
    back with its result and the parent absorbs it.  Under work-stealing
    the absorption *order* is racy, so every merge operation is
    commutative and associative over its domain: counters sum, gauges
-   take the max, spans fold ``(count, total, min, max)``.  Counter
-   values are thus exactly reproducible run-to-run for a fixed
-   configuration; only wall-clock figures vary.
+   take the max, spans fold ``(count, total, min, max)``.  The merge
+   never depends on arrival order, but what a worker *counts* can: with
+   ``n_jobs > 1`` the cache hit/miss/fill counters depend on which
+   units each worker happened to receive, so only the counters that
+   are not cache statistics are exactly reproducible run-to-run;
+   wall-clock figures always vary.
 3. **Zero overhead when off.**  The instrumented modules in the table /
    cleaning / ml layers hold a module-global ``_metrics`` hook that is
    ``None`` until :func:`install` pushes a collector into them (push
@@ -40,7 +43,7 @@ Trace levels
     database build).
 ``unit``
     additionally times every supervised unit, aggregated by unit kind
-    (``unit/split``, ``unit/cell``, ``unit/fold``) so cardinality stays
+    (``unit/split``, ``unit/cell``) so cardinality stays
     bounded no matter how many units run.
 
 The :func:`diagnostic` helper is the one sanctioned channel for human

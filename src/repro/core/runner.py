@@ -24,7 +24,11 @@ Splits are independent — every random draw is seeded by
 any cross-split state — so :meth:`ErrorTypeRun.run_split` doubles as
 the task body of the parallel executor (:mod:`repro.core.executor`),
 and :func:`merge_split_results` reassembles per-split results into the
-exact sequential output regardless of completion order.
+exact sequential output regardless of completion order.  Within a split
+the pass is a grid of (method, model) cells: a :class:`SplitWorkspace`
+computes each :class:`CellResult` and :func:`merge_cell_results`
+reduces them, whether the split runs as one unit or its cells are
+scheduled one by one.
 
 The same purity carries the fault-tolerance contract
 (:mod:`repro.core.supervisor`): because a task body reads nothing but
@@ -47,10 +51,11 @@ and this module eliminates it without changing a single bit of output:
 * every evaluation table is encoded **once per training encoder** (the
   :class:`EncodedTable` memoizes test encodings by table identity);
 * every ``(model, table)`` evaluation is scored **once** — an
-  :class:`_EvalMemo` caches the metric, so R2's best-model pairs and
-  CD's repeated ``clean_model.evaluate(clean_test)`` reuse predictions
-  R1 already computed (``evaluate`` is a pure function of the fitted
-  model and the table);
+  :class:`_EvalMemo` caches the metric, so CD's repeated
+  ``clean_model.evaluate(clean_test)`` reuses the prediction BD already
+  computed (``evaluate`` is a pure function of the fitted model and the
+  table), and R2/R3 are composed from the R1 pairs without evaluating
+  again (:func:`merge_cell_results`);
 * hyper-parameter tuning iterates **fold-major** — each CV fold's
   ``(X_train, y_train, X_val, y_val)`` slices are materialized once per
   search (:class:`~repro.ml.cv_kernel.FoldPlanData`) and per-model
@@ -104,19 +109,9 @@ import numpy as np
 from ..cleaning.base import MISSING_VALUES, CleaningMethod, DetectionCache
 from ..cleaning.registry import dirty_baseline, methods_for
 from ..datasets.base import Dataset
-from ..ml.cv_kernel import (
-    FoldData,
-    score_fold_candidates,
-    tuning_kernel_disabled,
-)
+from ..ml.cv_kernel import tuning_kernel_disabled
 from ..ml.gbt import _GradientTree
-from ..ml.model_selection import (
-    RandomSearch,
-    cross_val_score,
-    kfold_plan,
-    score_predictions,
-    search_candidates,
-)
+from ..ml.model_selection import RandomSearch, cross_val_score, score_predictions
 from ..ml.tree import DecisionTreeClassifier
 from ..ml.registry import MODEL_NAMES, make_model, search_space
 from ..table import FeatureEncoder, LabelEncoder, Table, train_test_split
@@ -127,7 +122,7 @@ from .schema import MetricPair, Scenario
 
 
 #: scheduling granularities of the two-level executor
-GRANULARITIES = ("split", "cell", "fold")
+GRANULARITIES = ("split", "cell")
 
 
 def _freeze_overrides(overrides):
@@ -194,11 +189,10 @@ class StudyConfig:
     #: worker processes for study execution (1 = in-process sequential)
     n_jobs: int = field(default=1, compare=False)
     #: scheduling granularity of the two-level executor — "split" (one
-    #: task per split), "cell" (one sub-unit per (method, model) cell of
-    #: each split), or "fold" (cells plus one sub-unit per CV fold of
-    #: each cell's search).  Like ``n_jobs`` it never affects results
-    #: (every (n_jobs, granularity) pair is bit-identical), so it is
-    #: excluded from equality and the checkpoint fingerprint.
+    #: task per split) or "cell" (one sub-unit per (method, model) cell
+    #: of each split).  Like ``n_jobs`` it never affects results (every
+    #: (n_jobs, granularity) pair is bit-identical), so it is excluded
+    #: from equality and the checkpoint fingerprint.
     granularity: str = field(default="split", compare=False)
     #: per-model constructor overrides, e.g. {"random_forest":
     #: {"n_estimators": 10}} — the lever benchmarks use to stay fast;
@@ -303,22 +297,21 @@ class SplitResult:
 class CellResult:
     """Everything one (split, method, model) cell contributes to a study.
 
-    The sub-split unit of work of the two-level executor: a cell trains
-    the dirty-side and cleaned-side models of one ``(cleaning method,
-    model)`` pair within one split and records their validation scores
-    plus the per-scenario R1 metric pair.  That is *sufficient* to
-    reassemble the whole split: the R2 pair of a method is composed of
-    R1 ingredients (the best dirty model's before-score and the best
-    clean model's after-score are exactly the floats the corresponding
-    R1 cells computed — the sequential runner's evaluation memo returns
-    the very same values), and R3 selects among the R2 pairs by the
+    The unit every split is computed from: a cell trains the dirty-side
+    and cleaned-side models of one ``(cleaning method, model)`` pair
+    within one split and records their validation scores plus the
+    per-scenario R1 metric pair.  That is *sufficient* to reassemble the
+    whole split: the R2 pair of a method is composed of R1 ingredients
+    (the best dirty model's before-score and the best clean model's
+    after-score are exactly the floats the corresponding R1 cells
+    computed), and R3 selects among the R2 pairs by the
     ``clean_val_score`` recorded here.  :func:`merge_cell_results`
     performs that reassembly deterministically.
 
     ``method_index`` is the method's position in the split's method
     iteration order — the sort key that keeps reassembled pair lists in
-    the sequential runner's order even when two methods share a
-    (detection, repair) label.  Instances are plain data (picklable and
+    method order even when two methods share a (detection, repair)
+    label.  Instances are plain data (picklable and
     JSON-serializable) so they can cross the process-pool boundary and
     live in checkpoint ledgers.
     """
@@ -492,8 +485,8 @@ class _EvalMemo:
     Keyed on ``(model, table)`` identity: ``evaluate`` is a pure
     function of the fitted model and the evaluation table, so the first
     score computed for a pair is the score every later request would
-    recompute — this is what lets R2's best-model pairs and the CD
-    scenario's repeated ``clean_model.evaluate(clean_test)`` reuse R1's
+    recompute — this is what lets the CD scenario's repeated
+    ``clean_model.evaluate(clean_test)`` reuse the BD scenario's
     predictions.  Entries keep strong references to both objects so the
     ``id()`` keys stay valid for the memo's lifetime.
     """
@@ -542,7 +535,6 @@ class TrainedModel:
         metric: str,
         positive: int | None,
         seed: int,
-        tuned: tuple[dict, float] | None = None,
     ) -> None:
         self.model_name = model_name
         self.metric = metric
@@ -559,22 +551,6 @@ class TrainedModel:
                 train, labeler, memoize=_KERNEL_ENABLED
             )
         X, y = self._encoded.X, self._encoded.y
-
-        # ``tuned`` carries a (best_params, val_score) pair the fold-level
-        # executor already resolved out of process; the final fit repeats
-        # the search's exact epilogue (clone of the seeded prototype under
-        # a search, the prototype itself without one), so the fitted model
-        # is bit-identical to the one the in-process search would keep
-        if tuned is not None:
-            params, val_score = tuned
-            prototype = config.make_model(model_name, seed)
-            if config.search_iters > 0:
-                self.model = prototype.clone(**params)
-            else:
-                self.model = prototype
-            self.model.fit(X, y)
-            self.val_score = float(val_score)
-            return
 
         # the tuning kernel rides the same switch as the rest of the
         # split kernel: threading it explicitly (rather than relying on
@@ -698,8 +674,28 @@ class ErrorTypeRun:
         split)``, so the result is a pure function of the split index and
         identical whether splits run in-process, out of order, or in
         separate worker processes.
+
+        The split runs every (method, model) cell through one
+        :class:`SplitWorkspace` — the same cells the cell-granularity
+        executor schedules one by one — and reduces them with
+        :func:`merge_cell_results`, so both granularities share a single
+        per-split code path.  Each method's state is released as soon as
+        its cells are done, which keeps peak memory at one method's
+        footprint instead of the whole split's.
         """
-        return self._run_split(split)
+        workspace = SplitWorkspace(self, split)
+        n_methods = len(workspace.methods())
+        cells = []
+        for index in range(n_methods):
+            for name in self.config.models:
+                cells.append(workspace.cell(index, name))
+            workspace.release(index)
+        # no later cell can hit the detection cache (it keys on this
+        # split's tables): record its peak and release its entries
+        workspace.dcache.clear()
+        return merge_cell_results(
+            self.error_type, self.config.models, split, n_methods, cells
+        )
 
     def accumulate(self, result: SplitResult) -> None:
         """Merge one split's pairs into the R1/R2/R3 accumulators.
@@ -739,7 +735,6 @@ class ErrorTypeRun:
         model_name: str,
         role: str,
         split: int,
-        tuned: tuple[dict, float] | None = None,
     ) -> TrainedModel:
         seed = derive_seed(self.config.seed, self.dataset.name, role, model_name, split)
         return TrainedModel(
@@ -750,7 +745,6 @@ class ErrorTypeRun:
             self.metric,
             self.positive,
             seed,
-            tuned=tuned,
         )
 
     def _encode_once(
@@ -760,109 +754,6 @@ class ErrorTypeRun:
         if _KERNEL_ENABLED:
             return EncodedTable(train, self.labeler, label_cache=label_cache)
         return train
-
-    def _run_split(self, split: int) -> SplitResult:
-        config = self.config
-        split_seed = derive_seed(config.seed, self.dataset.name, self.error_type, split)
-        raw_train, raw_test = train_test_split(
-            self.dataset.dirty, test_ratio=config.test_ratio, seed=split_seed
-        )
-
-        # one detection cache per split: detectors (and their detections
-        # of raw_train / raw_test) are shared by every method that
-        # carries an equal detector fingerprint — the dirty baseline's
-        # missing-row detection, for instance, is the same one all seven
-        # imputation repairs consume
-        dcache = DetectionCache(
-            enabled=_KERNEL_ENABLED and _DETECTION_CACHE_ENABLED
-        )
-        baseline = dirty_baseline(self.error_type)
-        _bind_detection_cache(baseline, dcache)
-        baseline.fit(raw_train)
-        dirty_train = baseline.transform(raw_train)
-
-        memo = _EvalMemo(enabled=_KERNEL_ENABLED)
-        label_cache: dict = {}
-        dirty_source = self._encode_once(dirty_train, label_cache)
-        dirty_models = {
-            name: self._train(dirty_source, name, "dirty", split)
-            for name in config.models
-        }
-        best_dirty = max(dirty_models.values(), key=lambda m: m.val_score)
-
-        r1: dict[tuple, list[MetricPair]] = {}
-        r2: dict[tuple, list[MetricPair]] = {}
-        r3: dict[tuple, list[MetricPair]] = {}
-        best_method_score: dict[Scenario, float] = {}
-        best_method_pair: dict[Scenario, MetricPair] = {}
-        best_method_name: dict[Scenario, str] = {}
-
-        for method in self._fresh_methods():
-            _bind_detection_cache(method, dcache)
-            method.fit(raw_train)
-            clean_train = method.transform(raw_train)
-            clean_test = method.transform(raw_test)
-
-            clean_source = self._encode_once(clean_train, label_cache)
-            clean_models = {
-                name: self._train(
-                    clean_source, name, f"clean:{method.name}", split
-                )
-                for name in config.models
-            }
-            best_clean = max(clean_models.values(), key=lambda m: m.val_score)
-
-            for scenario in scenarios_for(self.error_type):
-                # R1: one row per model
-                for name in config.models:
-                    pair = self._metric_pair(
-                        scenario,
-                        dirty_model=dirty_models[name],
-                        clean_model=clean_models[name],
-                        raw_test=raw_test,
-                        clean_test=clean_test,
-                        memo=memo,
-                    )
-                    key = (method.detection, method.repair, name, scenario)
-                    r1.setdefault(key, []).append(pair)
-
-                # R2: best models on each side — the memo resolves these
-                # against the predictions the R1 loop just computed
-                pair = self._metric_pair(
-                    scenario,
-                    dirty_model=best_dirty,
-                    clean_model=best_clean,
-                    raw_test=raw_test,
-                    clean_test=clean_test,
-                    memo=memo,
-                )
-                r2.setdefault((method.detection, method.repair, scenario), []).append(pair)
-
-                # R3 candidate: this method's best validated model
-                if (
-                    scenario not in best_method_score
-                    or best_clean.val_score > best_method_score[scenario]
-                ):
-                    best_method_score[scenario] = best_clean.val_score
-                    best_method_pair[scenario] = pair
-                    best_method_name[scenario] = method.name
-
-            # every memo/cache key involves a per-method object (this
-            # method's clean models or tables), so nothing evicted here
-            # could ever hit again — releasing now keeps peak memory at
-            # one method's footprint instead of the whole split's
-            memo.clear()
-            if isinstance(dirty_source, EncodedTable):
-                dirty_source.discard(clean_test)
-
-        # the split's method iteration is over: no future detect() can hit
-        # these entries (they key on this split's tables), so release the
-        # detectors and the raw tables they pin
-        dcache.clear()
-
-        for scenario, pair in best_method_pair.items():
-            r3.setdefault((scenario,), []).append(pair)
-        return SplitResult(split=split, r1=r1, r2=r2, r3=r3)
 
     def _metric_pair(
         self,
@@ -886,111 +777,33 @@ class ErrorTypeRun:
         )
 
 
-# -- sub-split work units (two-level executor) -------------------------------
-
-#: pseudo method index naming the dirty-baseline role of fold sub-units
-DIRTY_ROLE = -1
-
-
-def cell_tuning_plan(
-    config: StudyConfig, model_name: str, n_rows: int, seed: int
-) -> tuple[list[dict], tuple | None]:
-    """The (candidates, folds) one cell's validation pass draws.
-
-    Mirrors :class:`TrainedModel` exactly: under a search the candidate
-    list and fold-plan seed come from one ``default_rng(seed)``
-    (:func:`~repro.ml.model_selection.search_candidates`); without one
-    the single default candidate is validated on the plan seeded by the
-    model seed itself.  ``folds`` is ``None`` on the degenerate
-    ``n_folds < 2`` path, where scoring falls back to the
-    train-equals-validation probe.
-    """
-    if config.search_iters > 0:
-        candidates, fold_seed = search_candidates(
-            search_space(model_name), config.search_iters, seed
-        )
-    else:
-        candidates, fold_seed = [dict()], seed
-    n_folds = min(config.cv_folds, n_rows)
-    if n_folds < 2:
-        return candidates, None
-    return candidates, kfold_plan(n_rows, n_folds, fold_seed)
-
-
-def cell_candidates(
-    config: StudyConfig, model_name: str, seed: int
-) -> list[dict]:
-    """Just the candidate list of :func:`cell_tuning_plan`.
-
-    Needs no table, so the executor's parent process can derive it to
-    map a fold-level reduction's winning index back to parameters.
-    """
-    if config.search_iters > 0:
-        return search_candidates(
-            search_space(model_name), config.search_iters, seed
-        )[0]
-    return [dict()]
-
-
-def resolve_fold_scores(
-    candidates: list[dict], parts: dict[int, tuple[str, list[float]] | None]
-) -> tuple[dict, float]:
-    """(best_params, val_score) from a cell's fold sub-unit payloads.
-
-    ``parts`` maps fold slot to :meth:`SplitWorkspace.fold_scores`
-    payloads.  Probe payloads carry final scores; fold payloads are
-    reduced per candidate over ascending slots with the exact
-    ``float(np.mean(...))`` the in-process search applies
-    (:func:`~repro.ml.cv_kernel.mean_fold_scores`), and the winner is
-    picked by the search's first-strictly-better scan — so the resolved
-    pair is bit-identical to ``RandomSearch.fit`` / ``cross_val_score``
-    on the same table.
-    """
-    from ..ml.cv_kernel import mean_fold_scores
-    from ..ml.model_selection import best_candidate
-
-    payloads = {slot: part for slot, part in parts.items() if part is not None}
-    if not payloads:
-        raise ValueError("no fold payloads to resolve")
-    if any(kind == "probe" for kind, _ in payloads.values()):
-        if set(payloads) != {0}:
-            raise ValueError(
-                f"probe payload must be the only slot, got {sorted(payloads)}"
-            )
-        scores = payloads[0][1]
-    else:
-        slots = sorted(payloads)
-        if slots != list(range(len(slots))) or len(slots) < 2:
-            raise ValueError(
-                f"fold payloads are not a contiguous >=2 plan: {slots}"
-            )
-        scores = mean_fold_scores([payloads[slot][1] for slot in slots])
-    return best_candidate(candidates, scores)
-
+# -- per-split cells (every granularity) ---------------------------------
 
 class SplitWorkspace:
-    """Per-(block, split) state shared by sub-split work units.
+    """Per-(block, split) state shared by the cells of one split.
 
-    The two-level executor schedules (method, model) cells — and
-    optionally the CV folds inside them — as independent tasks.  A cell
-    needs the split's 70/30 partition, the baseline transform, detector
-    fits, shared encodings, and the dirty-side model of its model name;
-    all of those are pure functions of ``(dataset, error type, config,
-    split)``, so this workspace builds each lazily on first touch and
-    shares it with every later unit the same worker receives.  Units of
-    the same split that land on *different* workers simply rebuild the
-    same state bit-for-bit — sharing is purely an optimization, which is
-    what makes any scatter of cells across workers produce byte-identical
-    results (pinned by ``tests/test_intra_split.py``).
+    Every granularity runs a split as (method, model) cells through a
+    workspace: :meth:`ErrorTypeRun.run_split` walks all of a split's
+    cells through one workspace, and the cell-granularity executor
+    schedules them as independent tasks.  A cell needs the split's 70/30
+    partition, the baseline transform, detector fits, shared encodings,
+    and the dirty-side model of its model name; all of those are pure
+    functions of ``(dataset, error type, config, split)``, so this
+    workspace builds each lazily on first touch and shares it with every
+    later cell it serves.  Cells of the same split that land on
+    *different* workers simply rebuild the same state bit-for-bit —
+    sharing is purely an optimization, which is what makes any scatter
+    of cells across workers produce byte-identical results (pinned by
+    ``tests/test_intra_split.py``).
 
     The split-level :class:`~repro.cleaning.base.DetectionCache` and
     evaluation memo live here with per-workspace scope: within one
-    worker's batch they deduplicate exactly as the sequential runner's
-    per-split instances do, and across workers they are rebuilt
-    identically because detections and evaluations are pure.  Unlike the
-    sequential path (which evicts per method), a workspace retains its
-    split's method state until the executor drops the workspace, so peak
-    worker memory is one split's footprint.
+    worker's batch they deduplicate exactly as a whole-split run does,
+    and across workers they are rebuilt identically because detections
+    and evaluations are pure.  :meth:`release` evicts one method's state
+    once its cells are done; the split path calls it after every method
+    so its peak memory is one method's footprint, while scattered cells
+    keep a method's state until the executor drops the workspace.
 
     Rebuilds are cheap on the columnar core: ``train_test_split``
     produces zero-copy view tables over the dataset's buffers, and the
@@ -1020,16 +833,11 @@ class SplitWorkspace:
         self.memo = _EvalMemo(enabled=_KERNEL_ENABLED)
         self.label_cache: dict = {}
         self.dirty_source = run._encode_once(dirty_train, self.label_cache)
-        self._dirty_train = dirty_train
         self._methods: list[CleaningMethod] | None = None
         #: method index -> (fitted method, clean training source)
         self._method_data: dict[int, tuple] = {}
-        #: method index -> cleaned test table (lazy: fold sub-units
-        #: only consume training encodings, so the test-set transform
-        #: is deferred until a cell actually evaluates on it)
+        #: method index -> cleaned test table
         self._clean_tests: dict[int, Table] = {}
-        #: role -> EncodedTable serving fold sub-units
-        self._role_encodings: dict[int, EncodedTable] = {}
         self._dirty_models: dict[str, TrainedModel] = {}
         self._clean_models: dict[tuple[int, str], TrainedModel] = {}
 
@@ -1061,46 +869,30 @@ class SplitWorkspace:
             self._clean_tests[index] = table
         return table
 
-    def dirty_model(
-        self, name: str, tuned: tuple[dict, float] | None = None
-    ) -> TrainedModel:
+    def dirty_model(self, name: str) -> TrainedModel:
         model = self._dirty_models.get(name)
         if model is None:
-            model = self.run._train(
-                self.dirty_source, name, "dirty", self.split, tuned=tuned
-            )
+            model = self.run._train(self.dirty_source, name, "dirty", self.split)
             self._dirty_models[name] = model
         return model
 
-    def clean_model(
-        self, index: int, name: str, tuned: tuple[dict, float] | None = None
-    ) -> TrainedModel:
+    def clean_model(self, index: int, name: str) -> TrainedModel:
         key = (index, name)
         model = self._clean_models.get(key)
         if model is None:
             method, clean_source = self.method_data(index)
             model = self.run._train(
-                clean_source,
-                name,
-                f"clean:{method.name}",
-                self.split,
-                tuned=tuned,
+                clean_source, name, f"clean:{method.name}", self.split
             )
             self._clean_models[key] = model
         return model
 
-    def cell(
-        self,
-        index: int,
-        name: str,
-        tuned_dirty: tuple[dict, float] | None = None,
-        tuned_clean: tuple[dict, float] | None = None,
-    ) -> CellResult:
+    def cell(self, index: int, name: str) -> CellResult:
         """Run one (method, model) cell and return its contribution."""
         method, _ = self.method_data(index)
         clean_test = self.clean_test(index)
-        dirty = self.dirty_model(name, tuned=tuned_dirty)
-        clean = self.clean_model(index, name, tuned=tuned_clean)
+        dirty = self.dirty_model(name)
+        clean = self.clean_model(index, name)
         pairs = tuple(
             (
                 scenario,
@@ -1127,104 +919,40 @@ class SplitWorkspace:
             pairs=pairs,
         )
 
-    # -- fold sub-units -------------------------------------------------------
+    def release(self, index: int) -> None:
+        """Evict one method's state once all of its cells are done.
 
-    def role_name(self, role: int) -> str:
-        """The seed-derivation role string of a training side."""
-        if role == DIRTY_ROLE:
-            return "dirty"
-        return f"clean:{self.methods()[role].name}"
-
-    def _training_encoding(self, role: int) -> EncodedTable:
-        encoded = self._role_encodings.get(role)
-        if encoded is None:
-            source = (
-                self.dirty_source
-                if role == DIRTY_ROLE
-                else self.method_data(role)[1]
-            )
-            if isinstance(source, EncodedTable):
-                encoded = source
-            else:
-                # reference path (kernel disabled): the per-model private
-                # encoders produce these exact bits, so one shared fit
-                # serves fold scoring without changing any value
-                encoded = EncodedTable(source, self.run.labeler, memoize=False)
-            self._role_encodings[role] = encoded
-        return encoded
-
-    def fold_scores(
-        self, role: int, name: str, slot: int
-    ) -> tuple[str, list[float]] | None:
-        """Candidate scores of one CV fold of one (role, model) search.
-
-        Returns ``("fold", scores)`` for a real fold of the plan,
-        ``("probe", scores)`` when validation degenerates to the
-        train-equals-validation probe (fewer than two folds; slot 0
-        carries it), and ``None`` for slots beyond the actual fold
-        count — the executor over-submits ``config.cv_folds`` slots
-        because a row-dropping repair can shrink the plan, which only
-        the worker (after the transform) can see.
+        Every memo/cache key that involves the method's cleaned tables or
+        clean models is per-method, so nothing evicted here could ever
+        hit again; the dirty-side models, encodings, and detector fits
+        that later methods share stay.  A later cell of the method would
+        simply rebuild the identical state.
         """
-        config = self.run.config
-        encoded = self._training_encoding(role)
-        X = np.asarray(encoded.X, dtype=np.float64)
-        y = np.asarray(encoded.y, dtype=np.int64)
-        seed = derive_seed(
-            config.seed,
-            self.run.dataset.name,
-            self.role_name(role),
-            name,
-            self.split,
-        )
-        candidates, folds = cell_tuning_plan(config, name, len(y), seed)
-        prototype = config.make_model(name, seed)
-
-        def scorer(y_true, y_pred):
-            return score_predictions(
-                y_true, y_pred, self.run.metric, self.run.positive
-            )
-
-        if folds is None:
-            if slot != 0:
-                return None
-            scores = []
-            for params in candidates:
-                probe = prototype.clone(**params)
-                probe.fit(X, y)
-                scores.append(scorer(y, probe.predict(X)))
-            return ("probe", scores)
-        if slot >= len(folds):
-            return None
-        train_idx, val_idx = folds[slot]
-        fold = FoldData(X[train_idx], y[train_idx], X[val_idx], y[val_idx])
-        return (
-            "fold",
-            score_fold_candidates(
-                prototype,
-                candidates,
-                fold,
-                scorer,
-                use_workspace=_KERNEL_ENABLED,
-            ),
-        )
+        self._method_data.pop(index, None)
+        clean_test = self._clean_tests.pop(index, None)
+        for key in [key for key in self._clean_models if key[0] == index]:
+            del self._clean_models[key]
+        self.memo.clear()
+        if clean_test is not None and isinstance(self.dirty_source, EncodedTable):
+            self.dirty_source.discard(clean_test)
 
 
 def merge_cell_results(
     error_type: str,
     models: tuple[str, ...],
+    split: int,
     n_methods: int,
     cells: list[CellResult],
 ) -> SplitResult:
-    """Deterministic reassembly of one split from its cell results.
+    """Deterministic reassembly of split ``split`` from its cell results.
 
     Cells may arrive in any order (workers complete nondeterministically);
     sorting by (method index, model order) before accumulating makes the
-    merge a pure function of the cell *set* and reproduces the exact
-    accumulator insertion order of :meth:`ErrorTypeRun._run_split` —
-    method-major, then scenario, then model — so the resulting
-    :class:`SplitResult` is bit-identical to the one the split-level task
-    computes:
+    merge a pure function of the cell *set* and fixes the accumulator
+    insertion order — method-major, then scenario, then model — so every
+    granularity reduces a split to the same :class:`SplitResult`.  A
+    split with no cleaning methods has no cells and reduces to an empty
+    result:
 
     * **R1** pairs are the cells' own pairs;
     * **R2** composes each method's pair from R1 ingredients — the best
@@ -1241,12 +969,12 @@ def merge_cell_results(
     """
     order = {name: position for position, name in enumerate(models)}
     cells = sorted(cells, key=lambda c: (c.method_index, order[c.model]))
-    splits = {cell.split for cell in cells}
-    if len(splits) != 1:
+    strays = {cell.split for cell in cells} - {split}
+    if strays:
         raise ValueError(
-            f"cell results span multiple splits: {sorted(splits)}"
+            f"cell results span multiple splits: merging split {split}, "
+            f"got cells of {sorted(strays)}"
         )
-    split = splits.pop()
 
     by_method: dict[int, dict[str, CellResult]] = {}
     for cell in cells:
@@ -1265,6 +993,8 @@ def merge_cell_results(
             f"x models {models}, got "
             f"{ {index: sorted(row) for index, row in by_method.items()} }"
         )
+    if not by_method:
+        return SplitResult(split=split, r1={}, r2={}, r3={})
 
     first_row = by_method[0]
     for row in by_method.values():

@@ -93,11 +93,11 @@ class CleanMLStudy:
 
         ``granularity`` sets the scheduling granularity (default:
         ``config.granularity``): ``"split"`` runs one task per split;
-        ``"cell"`` decomposes each split into (cleaning method, model)
-        sub-units and ``"fold"`` additionally fans each cell's CV folds
-        out — the levers that keep every worker busy when a study has
-        fewer splits than the machine has cores.  Like ``n_jobs``, the
-        choice never changes a single bit of the results.
+        ``"cell"`` schedules each split's (cleaning method, model) cells
+        as sub-units — the lever that keeps every worker busy when a
+        study has fewer splits than the machine has cores.  Like
+        ``n_jobs``, the choice never changes a single bit of the
+        results.
 
         ``checkpoint`` is an optional path of a task ledger: completed
         (dataset, error type, split) tasks recorded there are skipped,
@@ -106,7 +106,7 @@ class CleanMLStudy:
 
         ``supervisor`` configures fault tolerance
         (:class:`~repro.core.supervisor.SupervisorConfig`): per-unit
-        timeouts, deterministic retries, granularity degradation, and —
+        timeouts, deterministic retries, cell → split degradation, and —
         with ``quarantine=True`` — completion with a failure manifest
         (:attr:`failure_manifest`) instead of an aborted study when a
         unit keeps failing.  Recovery never changes results: a run that

@@ -1,7 +1,7 @@
 """Fault-tolerant execution supervisor for the study task graph.
 
-Every granularity of study work — split tasks, (method, model) cells,
-CV fold slots — flows through one :class:`Supervisor` that owns
+Every granularity of study work — split tasks and (method, model)
+cells — flows through one :class:`Supervisor` that owns
 submission and draining for the process pool.  Where the executor's
 drain loops used to call ``future.result()`` bare (one worker
 exception, hang, or dead process killed the whole study), the
@@ -30,9 +30,9 @@ supervisor provides:
   succeed on resubmission, a real poison unit still exhausts retries);
 * **failure events, not exceptions** — a unit that exhausts
   ``max_retries`` surfaces as a ``("failed", unit, UnitFailure)`` drain
-  event.  The executor decides what that means: degrade a fold to its
-  cell, a cell to its split, quarantine the split into the ledger's
-  failure manifest, or abort the study.
+  event.  The executor decides what that means: degrade a cell to its
+  split, quarantine the split into the ledger's failure manifest, or
+  abort the study.
 
 The same supervisor runs degenerate single-process studies
 (``jobs == 1``): units execute inline in the parent with the same
@@ -61,7 +61,7 @@ class UnitExecutionError(RuntimeError):
     """A task body failed; carries the unit's structural key.
 
     Raised by the worker-side wrapper around every task body so a
-    failure names its (dataset, error type, split[, cell, fold slot])
+    failure names its (dataset, error type, split[, method index, model])
     instead of surfacing as an anonymous traceback from the pool.
     ``__reduce__`` keeps the rich constructor picklable across the
     process boundary.
@@ -93,12 +93,11 @@ class SupervisorConfig:
     ``max_retries`` times with delay ``min(cap, base * 2**attempt)``
     scaled by a jitter factor in ``[0.5, 1.0]`` derived from the unit's
     structural key — deterministic, and irrelevant to results.
-    ``degrade`` enables the granularity fallback chain (failing fold →
-    its cell re-validates inline; failing cell → the whole split re-runs
-    as one unit); ``quarantine`` lets a split that still fails be
-    recorded in the ledger's failure manifest instead of aborting the
-    study.  ``fault_plan`` installs a chaos schedule in every worker
-    (and the parent, for torn ledger appends).
+    ``degrade`` enables the granularity fallback (a failing cell → the
+    whole split re-runs as one unit); ``quarantine`` lets a split that
+    still fails be recorded in the ledger's failure manifest instead of
+    aborting the study.  ``fault_plan`` installs a chaos schedule in
+    every worker (and the parent, for torn ledger appends).
     """
 
     timeout: float | None = None
@@ -226,11 +225,10 @@ class Supervisor:
     sup.drain(): ...``.  Drain events are ``("ok", unit, result)`` or
     ``("failed", unit, UnitFailure)``; the supervisor never raises for
     unit failures, only for programming errors and interrupts.  The
-    pool survives across successive ``drain()`` calls (the fold wave
-    and the cell wave share workers and their broadcast state) and is
-    cancelled hard — ``cancel_futures=True`` plus process termination —
-    when the ``with`` block exits on an exception such as
-    ``KeyboardInterrupt``.
+    pool survives across successive ``drain()`` calls (workers keep
+    their broadcast state) and is cancelled hard —
+    ``cancel_futures=True`` plus process termination — when the
+    ``with`` block exits on an exception such as ``KeyboardInterrupt``.
     """
 
     def __init__(

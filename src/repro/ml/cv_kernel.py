@@ -255,56 +255,6 @@ class FoldPlanData:
             )
 
 
-def score_fold_candidates(
-    model, candidates, fold: FoldData, score, use_workspace: bool = True
-) -> list[float]:
-    """Every candidate's score on one fold, in candidate order.
-
-    The single-fold body of :func:`evaluate_candidates`, exposed so the
-    two-level executor can dispatch one (model, method, fold) sub-unit
-    per worker: a fold's candidate scores are a pure function of
-    ``(model, candidates, fold slices)``, so scoring fold 3 in one
-    process and fold 4 in another produces exactly the floats the
-    in-process fold-major loop would.  ``use_workspace=False`` skips the
-    per-model workspace (bit-identical by the workspace contract; the
-    reference shape when the tuning kernel is disabled).  The fold's
-    workspaces are released before returning.
-    """
-    clones = [model.clone(**params) for params in candidates]
-    workspace = fold.workspace_for(model) if use_workspace else None
-    if workspace is not None:
-        workspace.prepare(clones)
-    if workspace is not None and _metrics is not None:
-        # every candidate scored through the workspace is one reuse of
-        # the fold's candidate-invariant precomputation
-        _metrics.count("tuning.fold_workspace.candidate_predicts", len(clones))
-    scores: list[float] = []
-    for candidate in clones:
-        if workspace is not None:
-            predictions = workspace.predict_val(candidate)
-        else:
-            candidate.fit(fold.X_train, fold.y_train)
-            predictions = candidate.predict(fold.X_val)
-        scores.append(score(fold.y_val, predictions))
-    fold.release_workspaces()
-    fold.release_data()
-    return scores
-
-
-def mean_fold_scores(per_fold: list[list[float]]) -> list[float]:
-    """Per-candidate means over ascending-fold score lists.
-
-    The exact reduction :func:`evaluate_candidates` applies — one
-    ``float(np.mean(...))`` per candidate over its fold scores in fold
-    order — shared with the executor's fold-level reducer so the two can
-    never diverge by a summation order.
-    """
-    return [
-        float(np.mean([scores[i] for scores in per_fold]))
-        for i in range(len(per_fold[0]))
-    ]
-
-
 def evaluate_candidates(model, candidates, plan: FoldPlanData, score) -> list[float]:
     """Mean validation score of every candidate, iterated fold-major.
 
@@ -322,8 +272,30 @@ def evaluate_candidates(model, candidates, plan: FoldPlanData, score) -> list[fl
     scored, so peak memory holds one fold's precomputation (e.g. one
     KNN distance matrix), not the whole plan's.
     """
-    per_fold = [
-        score_fold_candidates(model, candidates, fold, score)
-        for fold in plan.folds
+    per_fold: list[list[float]] = []
+    for fold in plan.folds:
+        clones = [model.clone(**params) for params in candidates]
+        workspace = fold.workspace_for(model)
+        if workspace is not None:
+            workspace.prepare(clones)
+            if _metrics is not None:
+                # every candidate scored through the workspace is one
+                # reuse of the fold's candidate-invariant precomputation
+                _metrics.count(
+                    "tuning.fold_workspace.candidate_predicts", len(clones)
+                )
+        scores: list[float] = []
+        for candidate in clones:
+            if workspace is not None:
+                predictions = workspace.predict_val(candidate)
+            else:
+                candidate.fit(fold.X_train, fold.y_train)
+                predictions = candidate.predict(fold.X_val)
+            scores.append(score(fold.y_val, predictions))
+        fold.release_workspaces()
+        fold.release_data()
+        per_fold.append(scores)
+    return [
+        float(np.mean([scores[i] for scores in per_fold]))
+        for i in range(len(candidates))
     ]
-    return mean_fold_scores(per_fold)

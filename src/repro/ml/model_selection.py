@@ -147,42 +147,6 @@ def sample_params(space: dict, rng: np.random.Generator) -> dict:
     return params
 
 
-def search_candidates(
-    space: dict | None, n_iter: int, seed: int | None
-) -> tuple[list[dict], int]:
-    """The candidate list and fold-plan seed a :class:`RandomSearch` draws.
-
-    Factored out of :meth:`RandomSearch.fit` so the two-level executor's
-    fold sub-units — which re-derive the search structure out of process
-    — can never drift from the in-process search: one ``default_rng(seed)``
-    yields the default-parameters candidate plus ``n_iter`` samples, and
-    the next 31-bit draw seeds the shared k-fold plan.  (The fold seed is
-    drawn even when the caller ends up on the degenerate ``n_folds < 2``
-    path; the generator is local, so the extra draw is unobservable.)
-    """
-    rng = np.random.default_rng(seed)
-    candidates = [dict()]
-    if space and n_iter > 0:
-        candidates += [sample_params(space, rng) for _ in range(n_iter)]
-    return candidates, int(rng.integers(0, 2**31 - 1))
-
-
-def best_candidate(candidates: list[dict], scores: list[float]) -> tuple[dict, float]:
-    """First-strictly-better scan in candidate order — the search's pick.
-
-    Shared by :meth:`RandomSearch.fit` and the executor's fold-level
-    reducer so both resolve ties identically (the earliest candidate
-    keeps the crown).
-    """
-    best_score = -np.inf
-    best_params: dict = {}
-    for params, score in zip(candidates, scores):
-        if score > best_score:
-            best_score = score
-            best_params = params
-    return best_params, float(best_score)
-
-
 class RandomSearch:
     """Random hyper-parameter search with k-fold validation.
 
@@ -239,7 +203,17 @@ class RandomSearch:
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        candidates, fold_seed = search_candidates(self.space, self.n_iter, self.seed)
+        # one generator yields the default-parameters candidate plus
+        # ``n_iter`` samples, and its next 31-bit draw seeds the shared
+        # fold plan (drawn even on the degenerate ``n_folds < 2`` path;
+        # the generator is local, so the extra draw is unobservable)
+        rng = np.random.default_rng(self.seed)
+        candidates = [dict()]
+        if self.space and self.n_iter > 0:
+            candidates += [
+                sample_params(self.space, rng) for _ in range(self.n_iter)
+            ]
+        fold_seed = int(rng.integers(0, 2**31 - 1))
 
         n_folds = min(self.n_folds, len(y))
         folds = None
@@ -274,7 +248,14 @@ class RandomSearch:
                 for params in candidates
             ]
 
-        self.best_params_, self.best_score_ = best_candidate(candidates, scores)
+        # first strictly better score wins: ties keep the earliest candidate
+        best_score = -np.inf
+        best_params: dict = {}
+        for params, candidate_score in zip(candidates, scores):
+            if candidate_score > best_score:
+                best_score = candidate_score
+                best_params = params
+        self.best_params_, self.best_score_ = best_params, float(best_score)
 
         self.best_model_ = self.model.clone(**self.best_params_)
         self.best_model_.fit(X, y)

@@ -31,10 +31,9 @@ class TestParser:
         assert build_parser().parse_args(
             ["run", "EEG", "outliers"]
         ).granularity == "split"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "EEG", "outliers", "--granularity", "block"]
-            )
+        for name in ("block", "fold"):  # the fold granularity was removed
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "EEG", "outliers", "--granularity", name])
 
 
 class TestCommands:

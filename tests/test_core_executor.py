@@ -465,15 +465,15 @@ class TestCellCheckpoints:
         assert again.raw_experiments == reference
 
     def test_cell_ledger_resumes_at_other_granularities(self, tmp_path):
-        """Cells banked at cell granularity serve a fold-level resume, and
-        split entries serve a split-level one."""
+        """A partial cell ledger resumes at either granularity (a split
+        resume re-runs the unfinished split whole)."""
         reference = self.reference_experiments()
         ledger = tmp_path / "ledger.jsonl"
         study = self.make_cell_study()
         study.run(n_jobs=1, granularity="cell", checkpoint=ledger)
         lines = ledger.read_text().splitlines(keepends=True)
-        ledger.write_text("".join(lines[:5]))  # four cells, no split entry
-        for granularity in ("fold", "split"):
+        for granularity in ("cell", "split"):
+            ledger.write_text("".join(lines[:5]))  # four cells, no split entry
             resumed = self.make_cell_study()
             resumed.run(n_jobs=1, granularity=granularity, checkpoint=ledger)
             assert resumed.raw_experiments == reference

@@ -1,20 +1,31 @@
-"""Determinism stress suite for the two-level scheduler (ISSUE 5).
+"""Determinism stress suite for the two-level scheduler.
 
 The executor's contract extends to sub-split scheduling: every
 ``(n_jobs, granularity)`` pair must produce **byte-identical** persisted
-JSON — cell and fold sub-units derive their seeds from structural keys
-(split index, method name, model name), never execution order, and the
-cell reducer sorts by (split, method, model, fold) before accumulating.
-These tests pin that contract across the full matrix, pin the sub-unit
-seed enumeration against collisions (mirroring the split-level pin),
-and prove the granularity-aware caches — the per-workspace
-``DetectionCache`` and evaluation memo — cannot change results whether
-a split's cells run batched in one worker or scattered across many.
+JSON — cell sub-units derive their seeds from structural keys (split
+index, method name, model name), never execution order, and the cell
+reducer sorts by (split, method, model) before accumulating.  These
+tests pin that contract across the full matrix, pin the sub-unit seed
+enumeration against collisions (mirroring the split-level pin), prove
+the granularity-aware caches — the per-workspace ``DetectionCache`` and
+evaluation memo — cannot change results whether a split's cells run
+batched in one worker or scattered across many, and pin that the
+whole-split path releases each method's state before the next.
 """
+
+import dataclasses
+import hashlib
 
 import pytest
 
-from repro.cleaning import MISSING_VALUES, OUTLIERS, ImputationCleaning, OutlierCleaning
+from repro.cleaning import (
+    DUPLICATES,
+    MISSING_VALUES,
+    OUTLIERS,
+    ImputationCleaning,
+    KeyCollisionCleaning,
+    OutlierCleaning,
+)
 from repro.core import (
     CleanMLStudy,
     ErrorTypeRun,
@@ -23,11 +34,11 @@ from repro.core import (
     merge_cell_results,
     save_experiments,
 )
-from repro.core.runner import DIRTY_ROLE, derive_seed
+from repro.core.runner import derive_seed
 from repro.datasets import load_dataset
 
 N_JOBS = (1, 2, 4)
-GRANULARITIES = ("split", "cell", "fold")
+GRANULARITIES = ("split", "cell")
 
 FAST = StudyConfig(
     n_splits=2,
@@ -45,19 +56,44 @@ SEARCHED = StudyConfig(
 )
 
 
-def make_study(config=FAST):
-    """Two small blocks: a two-method outlier grid and an imputation."""
+#: two small blocks: a two-method outlier grid and an imputation
+BLOCKS = (
+    ("Sensor", OUTLIERS, [OutlierCleaning("SD"), OutlierCleaning("IQR")]),
+    ("Titanic", MISSING_VALUES, [ImputationCleaning("mean", "mode")]),
+)
+
+#: arm -> (config, blocks, sha256 of the persisted JSON).  The digests
+#: were recorded with the dedicated whole-split runner that preceded
+#: ``run_split``'s rebuild on ``SplitWorkspace``, so a change that moves a
+#: byte fails even when split and cell drift together.  Beyond the plain
+#: blocks the arms cover methods sharing a (detection, repair) label,
+#: BD-only missing values, row-dropping duplicates, searched cells, and a
+#: block with no methods at all.
+GOLDEN = {
+    "plain": (FAST, BLOCKS,
+              "511e3b68e8ffae77ed2503168c1c0c0dcbb8eb6123e5c97b357ca1529183352e"),
+    "shared_label": (FAST, [("Sensor", OUTLIERS, [
+        OutlierCleaning("IF", "mean", random_state=1),
+        OutlierCleaning("SD", "median"),
+        OutlierCleaning("IF", "mean", random_state=2),
+    ])], "6c71f642996d76e5370430667ce1ea3fb44d949160787585ae3c7ac0f0c06d44"),
+    "missing_values": (FAST, [("Titanic", MISSING_VALUES, [
+        ImputationCleaning("mean", "mode"),
+        ImputationCleaning("median", "dummy"),
+    ])], "061591a14b9e6fbfbdfe090da301c2a508a5b47d7f768d2a415179510c7ff805"),
+    "duplicates": (FAST, [("Restaurant", DUPLICATES, [KeyCollisionCleaning()])],
+                   "1fc453b169f60a83c4d87fa508ffc10556bad77a677c8448dee17074747e7474"),
+    "searched": (SEARCHED, BLOCKS,
+                 "9aa2ccf0a1745eb496be937065e42af996487a908b14df99b56e2229afedd9c6"),
+    "no_methods": (FAST, [("Sensor", OUTLIERS, [])],
+                   "6da37b4ee745aa16eab64e2376c7173835b50bf572bbaadab610d47b45001fdd"),
+}
+
+
+def make_study(config=FAST, blocks=BLOCKS):
     study = CleanMLStudy(config)
-    study.add(
-        load_dataset("Sensor", seed=0, n_rows=140),
-        OUTLIERS,
-        methods=[OutlierCleaning("SD", "mean"), OutlierCleaning("IQR", "mean")],
-    )
-    study.add(
-        load_dataset("Titanic", seed=0, n_rows=140),
-        MISSING_VALUES,
-        methods=[ImputationCleaning("mean", "mode")],
-    )
+    for name, error_type, methods in blocks:
+        study.add(load_dataset(name, seed=0, n_rows=140), error_type, methods=methods)
     return study
 
 
@@ -90,25 +126,20 @@ class TestDeterminismMatrix:
         label = f"{granularity}-{n_jobs}"
         assert persisted_bytes(study, tmp_path, label) == reference[0]
 
-    def test_searched_study_fold_granularity(self):
-        """The fold wave (real candidates, two-wave scheduling) is invisible."""
-        split = make_study(SEARCHED)
-        split.run(n_jobs=1, granularity="split")
-        for granularity in ("cell", "fold"):
-            sub = make_study(SEARCHED)
-            sub.run(n_jobs=2, granularity=granularity)
-            assert sub.raw_experiments == split.raw_experiments
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    @pytest.mark.parametrize("n_jobs", (1, 2))
+    @pytest.mark.parametrize("arm", sorted(GOLDEN))
+    def test_persisted_json_matches_golden_digest(
+        self, arm, n_jobs, granularity, tmp_path
+    ):
+        config, blocks, digest = GOLDEN[arm]
+        study = make_study(config, blocks)
+        study.run(n_jobs=n_jobs, granularity=granularity)
+        produced = persisted_bytes(study, tmp_path, arm)
+        assert hashlib.sha256(produced).hexdigest() == digest
 
     def test_config_granularity_is_honored(self, reference):
-        study = make_study(
-            StudyConfig(
-                n_splits=2,
-                cv_folds=2,
-                models=("logistic_regression", "naive_bayes"),
-                seed=7,
-                granularity="cell",
-            )
-        )
+        study = make_study(dataclasses.replace(FAST, granularity="cell"))
         study.run(n_jobs=2)
         assert study.raw_experiments == reference[1]
 
@@ -119,21 +150,21 @@ class TestDeterminismMatrix:
         assert cell.fingerprint() == split.fingerprint()
 
     def test_invalid_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            StudyConfig(granularity="block")
-        with pytest.raises(ValueError):
-            make_study().run(n_jobs=1, granularity="model")
+        for name in ("block", "fold"):  # the fold granularity was removed
+            with pytest.raises(ValueError, match=r"\('split', 'cell'\)"):
+                StudyConfig(granularity=name)
+            with pytest.raises(ValueError, match=r"\('split', 'cell'\)"):
+                make_study().run(n_jobs=1, granularity=name)
 
 
 class TestSubUnitSeeds:
     """Sub-unit seed inputs are collision-free over the full paper grid.
 
     Mirrors the split-level pin in ``test_core_executor.py``: a cell
-    sub-unit draws from the (seed, dataset, role, model, split) space and
-    a fold sub-unit from the same space (fold slices come from the one
-    plan the cell's search derives), so the enumeration covers every
-    derive_seed input any sub-unit can form — plus the split-seed inputs
-    — and asserts the 31-bit seeds are distinct.
+    sub-unit draws from the (seed, dataset, role, model, split) space, so
+    the enumeration covers every derive_seed input any cell can form —
+    plus the split-seed inputs — and asserts the 31-bit seeds are
+    distinct.
     """
 
     def test_sub_unit_seed_inputs_collide_nowhere(self):
@@ -161,7 +192,7 @@ class TestSubUnitSeeds:
                 methods = methods_for(
                     error_type, include_advanced=True, random_state=seed
                 )
-                # the role strings cells and fold sub-units derive with
+                # the role strings cells derive model seeds with
                 roles = ["dirty"] + [f"clean:{m.name}" for m in methods]
                 for split in range(n_splits):
                     inputs.add((seed, name, error_type, split))
@@ -172,18 +203,6 @@ class TestSubUnitSeeds:
         assert len(inputs) > 20_000
         seeds = {derive_seed(*parts) for parts in inputs}
         assert len(seeds) == len(inputs)
-
-    def test_workspace_role_names_match_enumeration(self):
-        """The workspace derives exactly the enumerated role strings."""
-        study = make_study()
-        block = study._queue[0]
-        run = ErrorTypeRun(
-            block.dataset, block.error_type, FAST, methods=list(block.methods)
-        )
-        workspace = SplitWorkspace(run, split=0)
-        assert workspace.role_name(DIRTY_ROLE) == "dirty"
-        assert workspace.role_name(0) == f"clean:{block.methods[0].name}"
-        assert workspace.role_name(1) == f"clean:{block.methods[1].name}"
 
 
 def run_block_cells(workspace_for, run, config, n_methods):
@@ -236,29 +255,15 @@ class TestCacheSemantics:
         run_block_cells(lambda index, model: shared, run, FAST, n_methods)
 
         fresh_hits = []
-        results = []
         for index in range(n_methods):
             for model in FAST.models:
                 workspace = SplitWorkspace(run, split=0)
-                results.append(workspace.cell(index, model))
+                workspace.cell(index, model)
                 fresh_hits.append(workspace.dcache.hits)
         # the batched workspace shares detector fits across its whole
-        # method iteration; each scattered workspace starts cold
+        # method iteration; each scattered workspace starts cold (the
+        # outputs agree: test_scattered_cells_match_batched_cells)
         assert shared.dcache.hits > max(fresh_hits)
-        rebuilt = SplitWorkspace(run, split=0)
-        assert results == run_block_cells(
-            lambda index, model: rebuilt, run, FAST, n_methods
-        )
-
-    def test_cells_reduce_to_the_split_result(self):
-        """merge_cell_results(cells) == run_split, bit for bit."""
-        run, n_methods = self.build_run()
-        workspace = SplitWorkspace(run, split=1)
-        cells = run_block_cells(
-            lambda index, model: workspace, run, FAST, n_methods
-        )
-        reduced = merge_cell_results(OUTLIERS, FAST.models, n_methods, cells)
-        assert reduced == run.run_split(1)
 
     def test_reducer_rejects_incomplete_and_duplicate_cells(self):
         run, n_methods = self.build_run()
@@ -267,46 +272,61 @@ class TestCacheSemantics:
             lambda index, model: workspace, run, FAST, n_methods
         )
         with pytest.raises(ValueError, match="missing cells"):
-            merge_cell_results(OUTLIERS, FAST.models, n_methods, cells[:-1])
+            merge_cell_results(OUTLIERS, FAST.models, 0, n_methods, cells[:-1])
         with pytest.raises(ValueError, match="duplicate cell"):
             merge_cell_results(
-                OUTLIERS, FAST.models, n_methods, cells + [cells[0]]
+                OUTLIERS, FAST.models, 0, n_methods, cells + [cells[0]]
             )
         other = SplitWorkspace(run, split=1)
         stray = other.cell(0, FAST.models[0])
         with pytest.raises(ValueError, match="span multiple splits"):
             merge_cell_results(
-                OUTLIERS, FAST.models, n_methods, cells + [stray]
+                OUTLIERS, FAST.models, 0, n_methods, cells + [stray]
+            )
+        with pytest.raises(ValueError, match="span multiple splits"):
+            merge_cell_results(OUTLIERS, FAST.models, 1, n_methods, cells)
+
+    def test_reducer_reduces_an_empty_split_to_an_empty_result(self):
+        result = merge_cell_results(OUTLIERS, FAST.models, 3, 0, [])
+        assert (result.split, result.r1, result.r2, result.r3) == (3, {}, {}, {})
+
+
+class TestSplitEviction:
+    """``run_split`` releases each method's state before the next one's.
+
+    That eviction keeps a split's peak memory at one method's footprint:
+    no method data, cleaned test table, or clean model of a finished
+    method survives, nor its cleaned test table in the dirty encoding's
+    evaluation cache.
+    """
+
+    def test_workspace_never_holds_two_methods(self, monkeypatch):
+        block = make_study()._queue[0]  # Sensor x outliers, two methods
+        run = ErrorTypeRun(
+            block.dataset, block.error_type, FAST, methods=list(block.methods)
+        )
+        finished = []
+        original_release = SplitWorkspace.release
+
+        def live_methods(workspace):
+            return (
+                set(workspace._method_data)
+                | set(workspace._clean_tests)
+                | {index for index, _ in workspace._clean_models}
             )
 
-    def test_fold_scores_match_in_process_validation(self):
-        """Fold sub-unit payloads reduce to the cell's exact val score."""
-        from repro.core.runner import (
-            cell_candidates,
-            resolve_fold_scores,
-        )
+        def release(self, index):
+            # a method's state only grows while its cells run, so the
+            # moment before its release is the workspace's peak
+            assert live_methods(self) == {index}
+            finished.append(self._clean_tests[index])
+            original_release(self, index)
+            assert live_methods(self) == set() and self.memo._entries == {}
+            source = self.dirty_source
+            for cache in (source._eval_cache, source._label_cache):
+                for table, _ in cache.values():
+                    assert all(table is not done for done in finished)
 
-        run, n_methods = self.build_run()
-        workspace = SplitWorkspace(run, split=0)
-        for role in (DIRTY_ROLE, 0):
-            for model in FAST.models:
-                parts = {
-                    slot: workspace.fold_scores(role, model, slot)
-                    for slot in range(FAST.cv_folds)
-                }
-                seed = derive_seed(
-                    FAST.seed,
-                    run.dataset.name,
-                    workspace.role_name(role),
-                    model,
-                    0,
-                )
-                params, val = resolve_fold_scores(
-                    cell_candidates(FAST, model, seed), parts
-                )
-                assert params == {}
-                if role == DIRTY_ROLE:
-                    trained = workspace.dirty_model(model)
-                else:
-                    trained = workspace.clean_model(role, model)
-                assert val == trained.val_score
+        monkeypatch.setattr(SplitWorkspace, "release", release)
+        run.run_split(0)
+        assert len(finished) == len(block.methods)

@@ -3,7 +3,7 @@
 The contract under test has three legs.  **Side-effect freedom**: the
 persisted study JSON is byte-identical with observability on (full
 ``unit`` tracing) or off, across the ``(n_jobs 1/2) x
-(split/cell/fold)`` matrix.  **Deterministic merge**: per-worker metric
+(split/cell)`` matrix.  **Deterministic merge**: per-worker metric
 deltas absorb commutatively, so repeated runs of one configuration
 produce identical counters no matter the work-stealing order.
 **Complete recovery ledger**: every supervisor recovery path — retries,
@@ -91,7 +91,7 @@ def reference(tmp_path_factory):
 class TestByteIdentity:
     """Collection never perturbs results, at any scheduling shape."""
 
-    @pytest.mark.parametrize("granularity", ["split", "cell", "fold"])
+    @pytest.mark.parametrize("granularity", ["split", "cell"])
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_observed_run_is_byte_identical(
         self, tmp_path, reference, granularity, n_jobs
@@ -123,10 +123,10 @@ class TestMergeDeterminism:
 
     def test_repeated_pool_runs_have_identical_counters(self, tmp_path):
         _, _, first = run_study(
-            tmp_path / "a.json", n_jobs=2, granularity="fold", obs=OBSERVE_ALL
+            tmp_path / "a.json", n_jobs=2, granularity="cell", obs=OBSERVE_ALL
         )
         _, _, second = run_study(
-            tmp_path / "b.json", n_jobs=2, granularity="fold", obs=OBSERVE_ALL
+            tmp_path / "b.json", n_jobs=2, granularity="cell", obs=OBSERVE_ALL
         )
         assert first.counters == second.counters
         assert first.gauges == second.gauges

@@ -10,7 +10,7 @@ value-identical to its resident path under the same rng seed.  The
 parity class pins the system contract: persisted study JSON from a run
 on memory-mapped (``Dataset.spilled``) datasets is byte-identical to
 the eager ``table_streaming_disabled()`` reference across the full
-``(n_jobs 1/2) x (split/cell/fold)`` matrix.
+``(n_jobs 1/2) x (split/cell)`` matrix.
 """
 
 import pickle
@@ -308,7 +308,7 @@ class TestOutOfCoreStudyParity:
     bytes.
     """
 
-    @pytest.mark.parametrize("granularity", ("split", "cell", "fold"))
+    @pytest.mark.parametrize("granularity", ("split", "cell"))
     @pytest.mark.parametrize("n_jobs", (1, 2))
     def test_mapped_matches_eager(
         self, n_jobs, granularity, eager_reference, tmp_path

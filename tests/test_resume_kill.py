@@ -78,6 +78,18 @@ def reference(tmp_path_factory):
     return out.read_bytes()
 
 
+def kill_group(process: subprocess.Popen) -> None:
+    """SIGKILL the driver together with its pool workers.
+
+    Killing only the driver would orphan its workers, which block on
+    the dead pool's queue for the rest of the machine's uptime.
+    """
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group has already exited
+
+
 def ledger_lines(path: Path) -> int:
     try:
         return path.read_text().count("\n")
@@ -90,7 +102,7 @@ def ledger_lines(path: Path) -> int:
     [
         ("split", 1, 2),  # header + 1 completed split
         ("cell", 1, 3),   # header + 2 completed cell sub-units
-        ("fold", 2, 2),   # pool mode, so the fold wave actually runs
+        ("cell", 2, 3),   # pool mode, so cells scatter across workers
     ],
 )
 def test_sigkill_then_resume_is_byte_identical(
@@ -106,6 +118,7 @@ def test_sigkill_then_resume_is_byte_identical(
             "PYTHONPATH": str(REPO_ROOT / "src"),
         },
         cwd=REPO_ROOT,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 120.0
@@ -118,11 +131,11 @@ def test_sigkill_then_resume_is_byte_identical(
         else:
             pytest.fail("driver made no checkpoint progress within 120s")
         killed_mid_run = process.poll() is None
-        process.send_signal(signal.SIGKILL)
+        kill_group(process)
         process.wait(timeout=30)
     finally:
         if process.poll() is None:
-            process.kill()
+            kill_group(process)
             process.wait(timeout=30)
 
     if killed_mid_run:

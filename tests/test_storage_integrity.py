@@ -11,7 +11,7 @@ injected ``ENOSPC``).  The recovery classes pin the ladder at the unit
 level (clean → rebuilt → degraded → unrecoverable, generation-skew
 cache re-opening) and the I/O-fault draw discipline.  The chaos class
 pins the system contract: under every injected disk fault × (n_jobs
-1/2) × (split/cell/fold), persisted study JSON is byte-identical to the
+1/2) × (split/cell), persisted study JSON is byte-identical to the
 fault-free eager reference, with corruption healed through the
 supervisor (rebuild/degrade) or quarantined as failure-manifest
 entries.
@@ -486,7 +486,7 @@ CHAOS_ARMS = {
 class TestChaosStorageMatrix:
     """Byte-identical persisted JSON under every disk fault, full matrix."""
 
-    @pytest.mark.parametrize("granularity", ("split", "cell", "fold"))
+    @pytest.mark.parametrize("granularity", ("split", "cell"))
     @pytest.mark.parametrize("n_jobs", (1, 2))
     @pytest.mark.parametrize("fault", sorted(CHAOS_ARMS))
     def test_faulted_run_matches_reference(

@@ -77,7 +77,7 @@ def reference(tmp_path_factory):
 class TestChaosMatrix:
     """Every granularity x job count completes bit-identically under chaos."""
 
-    @pytest.mark.parametrize("granularity", ["split", "cell", "fold"])
+    @pytest.mark.parametrize("granularity", ["split", "cell"])
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_chaos_run_is_byte_identical(
         self, tmp_path, reference, granularity, n_jobs
@@ -183,7 +183,7 @@ class TestPoolRecovery:
 
 
 class TestDegradation:
-    """The granularity fallback chain: fold -> cell -> split."""
+    """The granularity fallback: a failing cell degrades to its split."""
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_poisoned_cell_degrades_to_split(self, tmp_path, reference, n_jobs):
@@ -200,26 +200,6 @@ class TestDegradation:
         assert produced == reference["fast"]
         assert manifest.stats["degraded_cells"] == 1
         assert not manifest.failures  # the split-level re-run succeeded
-
-    def test_poisoned_fold_degrades_to_cell(self, tmp_path, reference):
-        # the fold wave only exists at granularity="fold" with a pool;
-        # poisoning one search slot (role -1 = the dirty side) forces its
-        # (split, role, model) triple back onto the cell's inline
-        # validation path
-        poison = (("fold", "Sensor", "outliers", 0, -1,
-                   "logistic_regression", 0),)
-        produced, manifest = run_study(
-            tmp_path / "out.json",
-            n_jobs=2,
-            granularity="fold",
-            supervisor=SupervisorConfig(
-                max_retries=1, backoff_base=0.0,
-                fault_plan=FaultPlan(poison=poison),
-            ),
-        )
-        assert produced == reference["fast"]
-        assert manifest.stats["degraded_searches"] >= 1
-        assert not manifest.failures
 
 
 class TestQuarantine:

@@ -8,7 +8,7 @@ tables, all-missing columns, views of views, ``with_column`` on a view)
 behaves exactly like the eager reference path.  The parity class then
 pins the system-level contract: persisted study JSON is byte-identical
 with ``table_views_disabled()`` on vs off across the full
-``(n_jobs 1/2) x (split/cell/fold)`` execution matrix.
+``(n_jobs 1/2) x (split/cell)`` execution matrix.
 """
 
 import numpy as np
@@ -287,7 +287,7 @@ class TestViewsStudyParity:
     bytes.
     """
 
-    @pytest.mark.parametrize("granularity", ("split", "cell", "fold"))
+    @pytest.mark.parametrize("granularity", ("split", "cell"))
     @pytest.mark.parametrize("n_jobs", (1, 2))
     def test_views_off_matches_views_on(
         self, n_jobs, granularity, views_on_reference, tmp_path
