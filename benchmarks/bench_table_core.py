@@ -11,8 +11,9 @@ underlying buffer.
 
 This benchmark builds a synthetically scaled Airbnb-like table (500k
 rows full, 20k ``--tiny``), runs the split → fold → encode pipeline on
-the view path and — via ``table_views_disabled()`` — on the eager
-reference path, and reports:
+the view path and on the eager reference path — every row selection
+through the copy-on-``take`` oracle in ``tests/oracles/table.py`` — and
+reports:
 
 * ``encode_bits_identical`` — every fold's encoded matrix hashes to the
   same bytes on both paths (the correctness gate CI enforces);
@@ -31,18 +32,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.table import (
-    FeatureEncoder,
-    Table,
-    make_schema,
-    table_views_disabled,
-)
+from repro.table import FeatureEncoder, Table, make_schema
+
+try:
+    from tests.oracles import table_take_reference
+except ImportError:  # running as a script: python benchmarks/bench_table_core.py
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from tests.oracles import table_take_reference
 
 N_ROWS = 500_000
 TINY_ROWS = 20_000
@@ -126,7 +129,9 @@ def make_slices(n_rows: int, seed: int = 1):
     return rounds
 
 
-def run_pipeline(table: Table, rounds, digests: list[str] | None = None) -> float:
+def run_pipeline(
+    table: Table, rounds, digests: list[str] | None = None, take=Table.take
+) -> float:
     """Wall seconds of the split → fold → take+encode pipeline.
 
     Encoder fitting is untimed (one fit serves a whole study block);
@@ -135,15 +140,16 @@ def run_pipeline(table: Table, rounds, digests: list[str] | None = None) -> floa
     per-buffer category-code cache on the first fold.  When ``digests``
     is given the encoded bits are hashed into it; that verification
     sweep is run as a separate untimed pass so the identity gate never
-    inflates either path's throughput denominator.
+    inflates either path's throughput denominator.  ``take`` selects
+    rows: the zero-copy ``Table.take`` or the eager oracle.
     """
     encoder = FeatureEncoder().fit(table.features_table())
     start = time.perf_counter()
     for train_idx, folds in rounds:
-        train = table.take(train_idx)
+        train = take(table, train_idx)
         features = train.features_table()
         for fold_idx in folds:
-            fold_train = features.take(fold_idx)
+            fold_train = take(features, fold_idx)
             X = encoder.transform(fold_train)
             if digests is not None:
                 digests.append(hashlib.sha256(X.tobytes()).hexdigest())
@@ -180,16 +186,20 @@ def run_table_core_bench(tiny: bool = False) -> dict:
     run_pipeline(table, rounds, digests=view_digests)
     no_copies = check_no_copies(table, rounds)
     view_seconds = run_pipeline(table, rounds)
-    with table_views_disabled():
-        reference_table = build_table(n_rows)
-        reference_digests: list[str] = []
-        run_pipeline(reference_table, rounds, digests=reference_digests)
-        reference_seconds = run_pipeline(reference_table, rounds)
+    reference_table = build_table(n_rows)
+    reference_digests: list[str] = []
+    run_pipeline(
+        reference_table, rounds, digests=reference_digests, take=table_take_reference
+    )
+    reference_seconds = run_pipeline(
+        reference_table, rounds, take=table_take_reference
+    )
 
     encoded_rows = n_encodes * fold_rows
     n_features = 4 + len(_VOCABS)
     report = {
         "benchmark": "table_core",
+        "cpu_count": os.cpu_count() or 1,
         "study": (
             f"Airbnb-like synthetic, {n_rows} rows x {n_features} features, "
             f"{N_ROUNDS} splits x {N_FOLDS} folds = {n_encodes} "

@@ -2,22 +2,25 @@
 
 Times a **search-heavy** study (``search_iters=5``, 5-fold CV, KNN +
 naive Bayes + decision tree — the §IV-A protocol at full tuning
-strength) on a single core, once on the candidate-major reference path
-(``kernel_disabled()``) and once through the fold-major kernel, and
-asserts the runs produce **bit identical** ``RawExperiment``s — as must
-a kernel run at ``n_jobs=2`` and a reference run at ``n_jobs=2`` (the
-acceptance criterion that ``kernel_disabled()`` reproduces identical
-output at both job counts).
+strength) through the fold-major kernel and checks that it writes
+**bit identical** persisted JSON to the candidate-major reference path:
+the sha256 of the kernel run must equal the digest recorded while that
+path still ran in-tree, where it wrote the same bytes as the kernel at
+``n_jobs`` 1 and 2.  A kernel run at ``n_jobs=2`` must match both the
+``n_jobs=1`` run and that digest.  The whole-study reference timing can
+no longer be measured; the report cites it from the committed
+``BENCH_tuning_kernel.json`` it first appeared in.
 
 The headline number is the **tuning-path throughput**: a micro-benchmark
 times ``RandomSearch.fit`` itself per model on the study's encoded
-training table, fold-major versus candidate-major, asserting identical
-``best_params_`` / ``best_score_``.  KNN dominates the gain (one
-distance matrix per fold instead of one per candidate), naive Bayes
-amortizes its class statistics, the decision tree shares root argsorts —
-together they are the "candidates+1 x folds full fits" redundancy the
-kernel exists to remove.  Everything lands in
-``BENCH_tuning_kernel.json`` at the repository root.
+training table, fold-major versus the candidate-major oracle
+(``tests/oracles/tuning.py``, which shares the production tree split
+search), asserting identical ``best_params_`` / ``best_score_``.  KNN
+dominates the gain (one distance matrix per fold instead of one per
+candidate), naive Bayes amortizes its class statistics, the decision
+tree shares root argsorts — together they are the "candidates+1 x
+folds full fits" redundancy the kernel exists to remove.  Everything
+lands in ``BENCH_tuning_kernel.json`` at the repository root.
 
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
 pytest; ``--tiny`` shrinks splits/rows/search for the CI smoke, which
@@ -28,15 +31,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from repro.cleaning import OUTLIERS, OutlierCleaning
-from repro.core import CleanMLStudy, StudyConfig, kernel_disabled
+from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
 from repro.ml import RandomSearch, make_model, search_space
 from repro.table import FeatureEncoder, LabelEncoder
+
+try:
+    from .common import persisted_sha256
+except ImportError:  # running as a script: python benchmarks/bench_tuning_kernel.py
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks.common import persisted_sha256
+from tests.oracles import random_search_reference
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
 
@@ -66,6 +77,24 @@ METHODS = (
 
 OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_tuning_kernel.json"
 
+#: sha256 of the persisted study JSON (full and ``--tiny`` shapes),
+#: recorded at the last commit that still carried the reference path,
+#: after checking that the reference path and the kernel wrote the same
+#: bytes at n_jobs 1 and 2
+REFERENCE_DIGESTS = {
+    "full": "fe5cf822a29d7ea7abc3411d57ba115d1f7e2e8f2bc50f134d6cd757a129ce6f",
+    "tiny": "edc69d22141b49cf15b9826eb126b52f379951b4e69ddea339ce6b375469c0d9",
+}
+
+#: the last measured whole-study reference timing (full shape; its
+#: naive arm also ran the per-feature reference split search)
+CITED_REFERENCE = {
+    "source": "BENCH_tuning_kernel.json at commit 70bb400 (n_jobs=1; core count not recorded)",
+    "naive_seconds": 40.205,
+    "kernel_seconds": 9.026,
+    "speedup": 4.45,
+}
+
 
 def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     study = CleanMLStudy(config)
@@ -78,12 +107,12 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
 
 
 def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
-    """Micro-benchmark: ``RandomSearch.fit`` per model, both paths.
+    """Micro-benchmark: ``RandomSearch.fit`` per model vs the oracle.
 
     Uses the study's own encoders on the study dataset's dirty table, so
     the matrix shape (wide one-hot vocabulary included) is exactly what
-    the study's tuning loop sees.  Asserts fold-major and
-    candidate-major searches agree on ``best_params_``/``best_score_``.
+    the study's tuning loop sees.  Asserts the fold-major search and the
+    candidate-major oracle agree on ``best_params_``/``best_score_``.
     """
     dataset = load_dataset("Airbnb", seed=0, n_rows=n_rows)
     table = dataset.dirty
@@ -92,14 +121,13 @@ def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
         table.column(table.schema.label).unique()
     ).transform(table.labels)
 
-    def build_search(name: str, fold_major: bool) -> RandomSearch:
+    def build_search(name: str) -> RandomSearch:
         return RandomSearch(
             make_model(name, seed=3),
             search_space(name),
             n_iter=config.search_iters,
             n_folds=config.cv_folds,
             seed=42,
-            fold_major=fold_major,
         )
 
     per_model: dict[str, dict] = {}
@@ -108,16 +136,12 @@ def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
     for name in SEARCH_MODELS:
         naive_seconds = kernel_seconds = float("inf")
         for _ in range(repeats):
-            # the naive arm is the full pre-kernel tuning path:
-            # candidate-major cloning AND the per-feature reference
-            # split search (kernel_disabled flips both)
-            with kernel_disabled():
-                start = time.perf_counter()
-                naive = build_search(name, fold_major=False).fit(X, y)
-                naive_seconds = min(naive_seconds, time.perf_counter() - start)
+            start = time.perf_counter()
+            naive = random_search_reference(build_search(name), X, y)
+            naive_seconds = min(naive_seconds, time.perf_counter() - start)
 
             start = time.perf_counter()
-            kernel = build_search(name, fold_major=True).fit(X, y)
+            kernel = build_search(name).fit(X, y)
             kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
         identical = identical and (
             naive.best_params_ == kernel.best_params_
@@ -155,16 +179,9 @@ def run_tuning_bench(tiny: bool = False) -> dict:
     # warm caches (imports, dataset generation code paths) off the clock
     build_study(config, n_rows).run()
 
-    # best-of-N wall times, interleaved so bursty interference spreads
-    # across both paths instead of landing on one side wholesale
-    naive_seconds = kernel_seconds = float("inf")
+    # best-of-N wall times: anything above the min is interference
+    kernel_seconds = float("inf")
     for _ in range(repeats):
-        with kernel_disabled():
-            naive = build_study(config, n_rows)
-            start = time.perf_counter()
-            naive.run(n_jobs=1)
-            naive_seconds = min(naive_seconds, time.perf_counter() - start)
-
         kernel = build_study(config, n_rows)
         start = time.perf_counter()
         kernel.run(n_jobs=1)
@@ -172,35 +189,28 @@ def run_tuning_bench(tiny: bool = False) -> dict:
 
     parallel = build_study(config, n_rows)
     parallel.run(n_jobs=2)
-    with kernel_disabled():
-        naive_parallel = build_study(config, n_rows)
-        naive_parallel.run(n_jobs=2)
+    digest = persisted_sha256(kernel)
+    parallel_digest = persisted_sha256(parallel)
+    reference_digest = REFERENCE_DIGESTS["tiny" if tiny else "full"]
 
     return {
         "benchmark": "tuning_kernel",
+        "cpu_count": os.cpu_count() or 1,
         "study": (
             f"Airbnb x outliers, {n_rows} rows, {config.n_splits} splits, "
             f"models {'+'.join(config.models)}, {len(METHODS)} methods, "
             f"search_iters {config.search_iters}, cv_folds {config.cv_folds}"
         ),
         "n_tasks": n_tasks,
-        "naive_seconds": round(naive_seconds, 3),
         "kernel_seconds": round(kernel_seconds, 3),
-        "speedup": round(naive_seconds / kernel_seconds, 2),
-        "tasks_per_second": {
-            "naive": round(n_tasks / naive_seconds, 2),
-            "kernel": round(n_tasks / kernel_seconds, 2),
-        },
+        "tasks_per_second": {"kernel": round(n_tasks / kernel_seconds, 2)},
+        "cited_reference": CITED_REFERENCE,
         "tuning_search": time_tuning(config, n_rows, repeats=max(repeats, 2)),
-        "results_bit_identical": bool(
-            naive.raw_experiments == kernel.raw_experiments
-        ),
-        "parallel_bit_identical": bool(
-            parallel.raw_experiments == kernel.raw_experiments
-        ),
-        "reference_parallel_bit_identical": bool(
-            naive_parallel.raw_experiments == naive.raw_experiments
-        ),
+        "reference_digest": reference_digest,
+        "results_bit_identical": digest == reference_digest,
+        "parallel_bit_identical": parallel_digest == digest,
+        # the reference path's own n_jobs=2 run wrote the recorded bytes
+        "reference_parallel_bit_identical": parallel_digest == reference_digest,
     }
 
 
@@ -208,6 +218,7 @@ def publish_report(report: dict) -> None:
     OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     tuning = report["tuning_search"]
+    cited = report["cited_reference"]
     per_model = "  ".join(
         f"{name}: {entry['speedup']:.2f}x"
         for name, entry in tuning["per_model"].items()
@@ -216,15 +227,15 @@ def publish_report(report: dict) -> None:
         "\n".join(
             [
                 "Fold-major tuning kernel on " + report["study"],
-                f"  study naive:  {report['naive_seconds']:>7.3f}s  "
-                f"({report['tasks_per_second']['naive']:.2f} tasks/s)",
                 f"  study kernel: {report['kernel_seconds']:>7.3f}s  "
-                f"({report['tasks_per_second']['kernel']:.2f} tasks/s)",
-                f"  study speedup: {report['speedup']:.2f}x  "
-                f"(bit-identical: {report['results_bit_identical']}, "
+                f"({report['tasks_per_second']['kernel']:.2f} tasks/s, "
+                f"{report['cpu_count']} cores)",
+                f"  reference bytes: {report['results_bit_identical']}, "
                 f"kernel n_jobs=2: {report['parallel_bit_identical']}, "
-                f"reference n_jobs=2: "
-                f"{report['reference_parallel_bit_identical']})",
+                f"n_jobs=2 vs reference: "
+                f"{report['reference_parallel_bit_identical']}",
+                f"  cited study speedup: {cited['speedup']:.2f}x "
+                f"({cited['source']})",
                 f"  tuning path: {tuning['speedup']:.2f}x on "
                 f"{tuning['matrix']} ({per_model}; "
                 f"bit-identical: {tuning['tuning_bit_identical']})",
@@ -237,16 +248,16 @@ def publish_report(report: dict) -> None:
 def check_report(report: dict) -> None:
     """The invariants CI enforces — identity, never raw speed."""
     assert report["results_bit_identical"], (
-        "fold-major kernel run diverged from the reference path"
+        "fold-major kernel run diverged from the reference path's recorded digest"
     )
     assert report["parallel_bit_identical"], (
         "n_jobs=2 kernel run diverged from n_jobs=1"
     )
     assert report["reference_parallel_bit_identical"], (
-        "kernel_disabled() n_jobs=2 run diverged from n_jobs=1"
+        "n_jobs=2 kernel run diverged from the reference path's recorded digest"
     )
     assert report["tuning_search"]["tuning_bit_identical"], (
-        "fold-major RandomSearch diverged from the candidate-major search"
+        "fold-major RandomSearch diverged from the candidate-major oracle"
     )
 
 

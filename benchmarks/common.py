@@ -17,9 +17,11 @@ Each benchmark prints its paper-style table and writes it to
 
 from __future__ import annotations
 
+import hashlib
+import tempfile
 from pathlib import Path
 
-from repro.core import StudyConfig
+from repro.core import StudyConfig, save_experiments
 
 BENCH_ROWS = 200
 
@@ -117,3 +119,16 @@ def measure_peak_rss(fn):
     if exit_status != 0 or not payload:
         raise RuntimeError(f"measured child failed (status {exit_status})")
     return pickle.loads(payload)
+
+
+def persisted_sha256(study) -> str:
+    """sha256 of a finished study's persisted JSON (``save_experiments`` bytes).
+
+    The kernel benchmarks compare it against digests recorded while the
+    pre-kernel reference path still ran in-tree: a match means the
+    kernel writes the bytes the reference path wrote.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "study.json"
+        save_experiments(study.raw_experiments, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()

@@ -213,15 +213,11 @@ class DetectionCache:
     so ``id()`` keys cannot be recycled by the allocator while cached.
     The runner creates one cache per split and clears it when the
     split's method iteration ends, so peak memory is bounded by one
-    split's detections.
-
-    With ``enabled=False`` every call passes straight through to the
-    private detector — the naive reference path benchmarks time and
-    tests compare against.
+    split's detections.  "No cache" is expressed by binding none:
+    an unbound method fits and applies its private detector.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._detectors: dict[tuple, tuple[Table, Detector]] = {}
         self._detections: dict[tuple, tuple[Detector, Table, DetectionResult]] = {}
         #: (cache hits, cache misses) over fit + detect — benchmark telemetry
@@ -230,9 +226,6 @@ class DetectionCache:
 
     def fit(self, detector: Detector, train: Table) -> Detector:
         """A detector equivalent to ``detector.fit(train)``, shared when possible."""
-        if not self.enabled:
-            detector.fit(train)
-            return detector
         fingerprint = detector.fingerprint()
         if fingerprint is None:
             detector.fit(train)
@@ -260,7 +253,7 @@ class DetectionCache:
 
     def detect(self, detector: Detector, table: Table) -> DetectionResult:
         """``detector.detect(table)``, computed once per (fitted detector, table)."""
-        if not self.enabled or detector.fingerprint() is None:
+        if detector.fingerprint() is None:
             return detector.detect(table)
         key = (id(detector), id(table))
         entry = self._detections.get(key)

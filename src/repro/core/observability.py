@@ -23,10 +23,11 @@ Design constraints, in priority order:
    commutative and associative over its domain: counters sum, gauges
    take the max, spans fold ``(count, total, min, max)``.  The merge
    never depends on arrival order, but what a worker *counts* can: with
-   ``n_jobs > 1`` the cache hit/miss/fill counters depend on which
-   units each worker happened to receive, so only the counters that
-   are not cache statistics are exactly reproducible run-to-run;
-   wall-clock figures always vary.
+   ``n_jobs > 1`` many counters depend on which units each worker
+   happened to receive.  :data:`METRIC_CLASSES` declares, for every
+   counter and gauge, whether it is schedule-invariant (the same in
+   every run of a study) or schedule-dependent; wall-clock figures
+   always vary.
 3. **Zero overhead when off.**  The instrumented modules in the table /
    cleaning / ml layers hold a module-global ``_metrics`` hook that is
    ``None`` until :func:`install` pushes a collector into them (push
@@ -82,6 +83,68 @@ _HOOKED_MODULES = (
     "repro.table.encode",
     "repro.table.store",
 )
+
+
+#: class of a counter that every run of a study at one granularity
+#: reports identically, whatever the job count or work-stealing order
+SCHEDULE_INVARIANT = "schedule-invariant"
+#: class of a counter whose value depends on which worker ran which unit
+SCHEDULE_DEPENDENT = "schedule-dependent"
+
+#: Every counter and gauge name a run report can carry, with its class.
+#: Classes were assigned by measurement: repeated ``n_jobs=2`` runs at
+#: split and cell granularity of plain, searched and memory-mapped
+#: studies and of the supervisor and disk-fault chaos plans, on a 2-core
+#: machine.  A name is invariant only if every measured run at one
+#: granularity gave one value and the count is fixed by the study's
+#: units, not by which process or workspace did the work.  At
+#: ``n_jobs=1`` every counter repeats exactly.
+METRIC_CLASSES = {
+    # per-workspace caches: a cell scattered to another worker rebuilds
+    # the split's workspace, which refits detectors, re-encodes tables
+    # and retrains dirty-side models
+    "cleaning.detection_cache.hits": SCHEDULE_DEPENDENT,
+    "cleaning.detection_cache.misses": SCHEDULE_DEPENDENT,
+    "cleaning.detection_cache.peak_entries": SCHEDULE_DEPENDENT,
+    "cleaning.detect_chunk_gathers": SCHEDULE_DEPENDENT,
+    "cleaning.fit_chunk_gathers": SCHEDULE_DEPENDENT,
+    "cleaning.fit_full_gathers": SCHEDULE_DEPENDENT,
+    "cleaning.fit_streamed_columns": SCHEDULE_DEPENDENT,
+    "encode.code_cache.hits": SCHEDULE_DEPENDENT,
+    "encode.code_cache.misses": SCHEDULE_DEPENDENT,
+    "encode.matrix_cells": SCHEDULE_DEPENDENT,
+    "encode.matrix_fills": SCHEDULE_DEPENDENT,
+    "runner.eval_cache.hits": SCHEDULE_DEPENDENT,
+    "runner.eval_cache.misses": SCHEDULE_DEPENDENT,
+    "runner.eval_memo.peak_entries": SCHEDULE_DEPENDENT,
+    "runner.label_cache.hits": SCHEDULE_DEPENDENT,
+    "runner.label_cache.misses": SCHEDULE_DEPENDENT,
+    "tuning.fold_workspace.builds": SCHEDULE_DEPENDENT,
+    "tuning.fold_workspace.candidate_predicts": SCHEDULE_DEPENDENT,
+    "tuning.fold_workspace.reuses": SCHEDULE_DEPENDENT,
+    # every evaluation-memo key is one cell's (model, table) pair
+    "runner.eval_memo.hits": SCHEDULE_INVARIANT,
+    "runner.eval_memo.misses": SCHEDULE_INVARIANT,
+    # store digests are verified once per process
+    "store.bytes_verified": SCHEDULE_DEPENDENT,
+    "store.digest_failures": SCHEDULE_DEPENDENT,
+    "store.digest_memo_hits": SCHEDULE_DEPENDENT,
+    "store.digest_verifications": SCHEDULE_DEPENDENT,
+    # supervisor ledger, counted in the parent: one event per poisoned
+    # unit, hung attempt or healed store generation; retries and
+    # recovery calls also count siblings that read a corrupt store
+    # before it was healed, and one pool kill takes down every crashing
+    # unit in flight
+    "supervisor.degraded_cells": SCHEDULE_INVARIANT,
+    "supervisor.quarantined": SCHEDULE_INVARIANT,
+    "supervisor.recovery_errors": SCHEDULE_DEPENDENT,
+    "supervisor.resurrections": SCHEDULE_DEPENDENT,
+    "supervisor.retries": SCHEDULE_DEPENDENT,
+    "supervisor.store_degradations": SCHEDULE_INVARIANT,
+    "supervisor.store_rebuilds": SCHEDULE_INVARIANT,
+    "supervisor.store_unrecoverable": SCHEDULE_DEPENDENT,
+    "supervisor.timeouts": SCHEDULE_INVARIANT,
+}
 
 
 @dataclass(frozen=True)

@@ -79,20 +79,17 @@ and this module eliminates it without changing a single bit of output:
   determinism (an unseeded isolation forest) return a ``None``
   fingerprint and opt out.
 
-The pre-kernel path — per-model encoder fits, no memo, private
-per-method detector fits, per-row reference transforms — stays
-available through :func:`kernel_disabled` so benchmarks and tests can
-verify the kernel is a pure optimization; :func:`detection_cache_disabled`
-narrows the switch to the detection cache alone.
+The kernel is the only execution path.  Its pre-kernel reference
+implementations — the per-row encoder transform, the per-feature tree
+split searches, the candidate-major tuning loop — live in
+``tests/oracles/`` and are pinned bit-for-bit against the production
+path there, and the persisted bytes of whole studies are pinned by
+sha256 digests recorded when the reference path still ran in-tree.
 
-One deliberate exception lives outside this switch:
-:class:`~repro.ml.model_selection.RandomSearch` now validates every
+:class:`~repro.ml.model_selection.RandomSearch` validates every
 candidate on a single shared fold plan (an algorithmic improvement to
 the search, not a cache), so ``search_iters > 0`` studies score
-candidates differently than before this kernel landed.  Both the
-kernel and the reference path use the new search, so the bit-identity
-contract between them — and across ``n_jobs`` — holds for every
-configuration, searched or not.
+candidates differently than releases that predate the kernel.
 """
 
 from __future__ import annotations
@@ -101,7 +98,6 @@ import copy
 import json
 import zlib
 from collections.abc import Mapping
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,14 +105,9 @@ import numpy as np
 from ..cleaning.base import MISSING_VALUES, CleaningMethod, DetectionCache
 from ..cleaning.registry import dirty_baseline, methods_for
 from ..datasets.base import Dataset
-from ..ml.cv_kernel import tuning_kernel_disabled
-from ..ml.gbt import _GradientTree
 from ..ml.model_selection import RandomSearch, cross_val_score, score_predictions
-from ..ml.tree import DecisionTreeClassifier
 from ..ml.registry import MODEL_NAMES, make_model, search_space
 from ..table import FeatureEncoder, LabelEncoder, Table, train_test_split
-from ..table.column import table_views_disabled
-from ..table.store import table_streaming_disabled
 from ..table.ops import minority_class
 from .schema import MetricPair, Scenario
 
@@ -328,76 +319,6 @@ class CellResult:
     pairs: tuple
 
 
-#: process-wide switch for the split-execution kernel; flip only through
-#: :func:`kernel_disabled`
-_KERNEL_ENABLED = True
-
-#: process-wide switch for the per-split detection cache; flip only
-#: through :func:`detection_cache_disabled` (the cache also honors the
-#: kernel switch, so :func:`kernel_disabled` implies it)
-_DETECTION_CACHE_ENABLED = True
-
-
-@contextmanager
-def kernel_disabled():
-    """Run on the pre-kernel reference path for the duration of the block.
-
-    Disables encoding sharing, the evaluation memo (every model fits
-    its own :class:`~repro.table.FeatureEncoder` and every evaluation
-    re-encodes and re-predicts), the detection cache (every cleaning
-    method fits and applies a private detector), and the fold-major
-    tuning kernel (every search candidate is cloned and fitted
-    candidate-major with no shared fold slices or workspaces), routes
-    encoder transforms and the CART split search through their
-    per-row / per-feature reference implementations, and switches the
-    table core back to eager copy-on-``take``
-    (:func:`~repro.table.column.table_views_disabled`) and the table
-    I/O stack back to eager resident loading
-    (:func:`~repro.table.store.table_streaming_disabled`).  Benchmarks
-    time this path as the "before" state
-    and tests assert it produces bit-identical results, which is the
-    kernel's correctness contract.
-
-    Whether workers of an enclosed parallel run see the switch depends
-    on the multiprocessing start method (inherited under fork, not
-    under spawn) — keep timed reference runs at ``n_jobs=1``.
-    """
-    global _KERNEL_ENABLED
-    previous_kernel = _KERNEL_ENABLED
-    previous_vectorized = FeatureEncoder.vectorized
-    previous_split = DecisionTreeClassifier.vectorized_split
-    previous_gbt_split = _GradientTree.vectorized_split
-    _KERNEL_ENABLED = False
-    FeatureEncoder.vectorized = False
-    DecisionTreeClassifier.vectorized_split = False
-    _GradientTree.vectorized_split = False
-    try:
-        with tuning_kernel_disabled(), table_views_disabled(), table_streaming_disabled():
-            yield
-    finally:
-        _KERNEL_ENABLED = previous_kernel
-        FeatureEncoder.vectorized = previous_vectorized
-        DecisionTreeClassifier.vectorized_split = previous_split
-        _GradientTree.vectorized_split = previous_gbt_split
-
-
-@contextmanager
-def detection_cache_disabled():
-    """Disable only the per-split detection cache for the block.
-
-    Narrower than :func:`kernel_disabled`: encoding sharing and the
-    evaluation memo stay on, so benchmarks can isolate exactly what
-    detector sharing buys on top of the PR 2 kernel.
-    """
-    global _DETECTION_CACHE_ENABLED
-    previous = _DETECTION_CACHE_ENABLED
-    _DETECTION_CACHE_ENABLED = False
-    try:
-        yield
-    finally:
-        _DETECTION_CACHE_ENABLED = previous
-
-
 #: metrics hook, push-installed by :func:`repro.core.observability.install`
 #: (``None`` keeps the instrumented cache paths at one global load + test)
 _metrics = None
@@ -421,23 +342,14 @@ class EncodedTable:
         self,
         train: Table,
         labeler: LabelEncoder,
-        memoize: bool = True,
         label_cache: dict | None = None,
     ) -> None:
         self.table = train
         self.labeler = labeler
-        if memoize:
-            features = train.features_table()
-            self.encoder = FeatureEncoder().fit(features)
-            self.X = self.encoder.transform(features)
-        else:
-            # the pre-kernel runner built the features table once for
-            # fit and once for transform; keep that shape on the
-            # reference path so it times (and behaves) as it used to
-            self.encoder = FeatureEncoder().fit(train.features_table())
-            self.X = self.encoder.transform(train.features_table())
+        features = train.features_table()
+        self.encoder = FeatureEncoder().fit(features)
+        self.X = self.encoder.transform(features)
         self.y = labeler.transform(train.labels)
-        self._memoize = memoize
         self._eval_cache: dict[int, tuple[Table, np.ndarray]] = {}
         # label encodings don't depend on the feature encoder, so
         # encoders of the same split can share one table -> y cache
@@ -458,11 +370,6 @@ class EncodedTable:
 
     def encode(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
         """``(X, y)`` of an evaluation table under the train-fitted encoder."""
-        if not self._memoize:
-            return (
-                self.encoder.transform(table.features_table()),
-                self.labeler.transform(table.labels),
-            )
         entry = self._eval_cache.get(id(table))
         if entry is None or entry[0] is not table:
             entry = (table, self.encoder.transform(table.features_table()))
@@ -491,13 +398,10 @@ class _EvalMemo:
     ``id()`` keys stay valid for the memo's lifetime.
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._entries: dict[tuple[int, int], tuple] = {}
 
     def evaluate(self, model: "TrainedModel", table: Table) -> float:
-        if not self.enabled:
-            return model.evaluate(table)
         key = (id(model), id(table))
         entry = self._entries.get(key)
         if entry is None or entry[0] is not model or entry[1] is not table:
@@ -521,9 +425,9 @@ class TrainedModel:
 
     Encoding is leakage-free by construction: the feature encoder is
     fitted on the training table and reused for every evaluation table.
-    ``train`` may be a plain :class:`Table` (a private encoder is
-    fitted, as before the kernel) or an :class:`EncodedTable` shared
-    with the other models of the same training table.
+    ``train`` may be a plain :class:`Table` (a private encoding is
+    built) or an :class:`EncodedTable` shared with the other models of
+    the same training table.
     """
 
     def __init__(
@@ -547,16 +451,9 @@ class TrainedModel:
                 )
             self._encoded = train
         else:
-            self._encoded = EncodedTable(
-                train, labeler, memoize=_KERNEL_ENABLED
-            )
+            self._encoded = EncodedTable(train, labeler)
         X, y = self._encoded.X, self._encoded.y
 
-        # the tuning kernel rides the same switch as the rest of the
-        # split kernel: threading it explicitly (rather than relying on
-        # the ml-layer default alone) keeps one split's execution path
-        # consistent even if the process-wide switches are toggled
-        # between model fits
         if config.search_iters > 0:
             search = RandomSearch(
                 config.make_model(model_name, seed),
@@ -566,7 +463,6 @@ class TrainedModel:
                 metric=metric,
                 positive=positive,
                 seed=seed,
-                fold_major=_KERNEL_ENABLED,
             ).fit(X, y)
             self.model = search.best_model_
             self.val_score = float(search.best_score_)
@@ -581,7 +477,6 @@ class TrainedModel:
                     metric=metric,
                     positive=positive,
                     seed=seed,
-                    fold_major=_KERNEL_ENABLED,
                 )
             )
             self.model.fit(X, y)
@@ -731,7 +626,7 @@ class ErrorTypeRun:
 
     def _train(
         self,
-        train: Table | EncodedTable,
+        train: EncodedTable,
         model_name: str,
         role: str,
         split: int,
@@ -746,14 +641,6 @@ class ErrorTypeRun:
             self.positive,
             seed,
         )
-
-    def _encode_once(
-        self, train: Table, label_cache: dict
-    ) -> Table | EncodedTable:
-        """One shared encoding per training table (kernel), else the table."""
-        if _KERNEL_ENABLED:
-            return EncodedTable(train, self.labeler, label_cache=label_cache)
-        return train
 
     def _metric_pair(
         self,
@@ -809,8 +696,7 @@ class SplitWorkspace:
     produces zero-copy view tables over the dataset's buffers, and the
     shared encodings slice straight from those buffers — a worker that
     re-derives a split pays index arithmetic, not a second copy of the
-    dataset (eager copies return under
-    :func:`~repro.table.column.table_views_disabled`).
+    dataset.
     """
 
     def __init__(self, run: ErrorTypeRun, split: int) -> None:
@@ -823,16 +709,16 @@ class SplitWorkspace:
         self.raw_train, self.raw_test = train_test_split(
             run.dataset.dirty, test_ratio=config.test_ratio, seed=split_seed
         )
-        self.dcache = DetectionCache(
-            enabled=_KERNEL_ENABLED and _DETECTION_CACHE_ENABLED
-        )
+        self.dcache = DetectionCache()
         baseline = dirty_baseline(run.error_type)
         _bind_detection_cache(baseline, self.dcache)
         baseline.fit(self.raw_train)
         dirty_train = baseline.transform(self.raw_train)
-        self.memo = _EvalMemo(enabled=_KERNEL_ENABLED)
+        self.memo = _EvalMemo()
         self.label_cache: dict = {}
-        self.dirty_source = run._encode_once(dirty_train, self.label_cache)
+        self.dirty_source = EncodedTable(
+            dirty_train, run.labeler, label_cache=self.label_cache
+        )
         self._methods: list[CleaningMethod] | None = None
         #: method index -> (fitted method, clean training source)
         self._method_data: dict[int, tuple] = {}
@@ -855,7 +741,9 @@ class SplitWorkspace:
             _bind_detection_cache(method, self.dcache)
             method.fit(self.raw_train)
             clean_train = method.transform(self.raw_train)
-            clean_source = self.run._encode_once(clean_train, self.label_cache)
+            clean_source = EncodedTable(
+                clean_train, self.run.labeler, label_cache=self.label_cache
+            )
             data = (method, clean_source)
             self._method_data[index] = data
         return data

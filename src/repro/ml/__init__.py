@@ -6,8 +6,6 @@ from .cv_kernel import (
     FoldPlanData,
     FoldWorkspace,
     evaluate_candidates,
-    tuning_kernel_disabled,
-    tuning_kernel_enabled,
 )
 from .forest import RandomForestClassifier
 from .gbt import XGBoostClassifier
@@ -70,6 +68,4 @@ __all__ = [
     "score_predictions",
     "search_space",
     "softmax",
-    "tuning_kernel_disabled",
-    "tuning_kernel_enabled",
 ]

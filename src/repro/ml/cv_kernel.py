@@ -24,49 +24,18 @@ workspace must return exactly the predictions
 ``model.clone().fit(X_train, y_train).predict(X_val)`` would produce —
 same floating-point operations on the same bits, never a numerical
 shortcut — so scores, ``best_params_`` and everything downstream are
-bit-identical to the candidate-major reference path, which stays
-reachable through :func:`tuning_kernel_disabled` (and is implied by
-:func:`repro.core.runner.kernel_disabled`).
+bit-identical to the candidate-major loop, which lives on as a test
+oracle in ``tests/oracles/tuning.py``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 
 import numpy as np
 
-from ..table.column import table_views_enabled
-
-#: process-wide switch for the fold-major tuning kernel; flip only
-#: through :func:`tuning_kernel_disabled`
-_TUNING_KERNEL_ENABLED = True
-
 #: metrics hook, push-installed by :func:`repro.core.observability.install`
 _metrics = None
-
-
-def tuning_kernel_enabled() -> bool:
-    """Whether the fold-major kernel is the default tuning path."""
-    return _TUNING_KERNEL_ENABLED
-
-
-@contextmanager
-def tuning_kernel_disabled():
-    """Run tuning on the candidate-major reference path for the block.
-
-    ``cross_val_score`` and ``RandomSearch`` fall back to cloning and
-    fitting per (candidate, fold) with no shared slices or workspaces —
-    the pre-kernel shape benchmarks time as the "before" state and the
-    parity suite holds the kernel to, bit for bit.
-    """
-    global _TUNING_KERNEL_ENABLED
-    previous = _TUNING_KERNEL_ENABLED
-    _TUNING_KERNEL_ENABLED = False
-    try:
-        yield
-    finally:
-        _TUNING_KERNEL_ENABLED = previous
 
 
 class FoldWorkspace(ABC):
@@ -103,17 +72,13 @@ class FoldWorkspace(ABC):
 class FoldData:
     """One fold's slices plus its per-model workspaces.
 
-    The slice arrays are marked read-only: they are shared by every
-    candidate (and pinned inside fitted models, e.g. KNN's training
-    matrix), so an accidental in-place mutation would silently corrupt
-    every later candidate's scores.
-
-    Two construction modes.  The eager constructor takes pre-sliced
-    arrays (the pre-view shape, still used when table views are
-    disabled).  :meth:`from_indices` instead keeps a reference to the
-    full ``(X, y)`` pair plus the fold's index arrays — the view-table
-    analogue for encoded matrices — and gathers each slice on first
-    access.  A gather is a pure function of ``(X, y, indices)``, so a
+    The fold keeps a reference to the full ``(X, y)`` pair plus the
+    fold's index arrays — the view-table analogue for encoded matrices —
+    and gathers each slice on first access.  The slice arrays are marked
+    read-only: they are shared by every candidate (and pinned inside
+    fitted models, e.g. KNN's training matrix), so an accidental
+    in-place mutation would silently corrupt every later candidate's
+    scores.  A gather is a pure function of ``(X, y, indices)``, so a
     released-and-rematerialized slice holds exactly the same bits, which
     is what lets :meth:`release_data` return a scored fold's memory.
     """
@@ -132,38 +97,17 @@ class FoldData:
 
     def __init__(
         self,
-        X_train: np.ndarray,
-        y_train: np.ndarray,
-        X_val: np.ndarray,
-        y_val: np.ndarray,
-    ) -> None:
-        self._X = self._y = None
-        self._train_idx = self._val_idx = None
-        self._X_train = X_train
-        self._y_train = y_train
-        self._X_val = X_val
-        self._y_val = y_val
-        for array in (X_train, y_train, X_val, y_val):
-            array.setflags(write=False)
-        self._workspaces: dict[type, FoldWorkspace | None] = {}
-
-    @classmethod
-    def from_indices(
-        cls,
         X: np.ndarray,
         y: np.ndarray,
         train_idx: np.ndarray,
         val_idx: np.ndarray,
-    ) -> "FoldData":
-        """Lazy fold over the full matrices — slices gather on demand."""
-        fold = cls.__new__(cls)
-        fold._X = X
-        fold._y = y
-        fold._train_idx = train_idx
-        fold._val_idx = val_idx
-        fold._X_train = fold._y_train = fold._X_val = fold._y_val = None
-        fold._workspaces = {}
-        return fold
+    ) -> None:
+        self._X = X
+        self._y = y
+        self._train_idx = train_idx
+        self._val_idx = val_idx
+        self._X_train = self._y_train = self._X_val = self._y_val = None
+        self._workspaces: dict[type, FoldWorkspace | None] = {}
 
     def _slice(self, attr: str, source: np.ndarray, idx: np.ndarray) -> np.ndarray:
         out = getattr(self, attr)
@@ -190,16 +134,13 @@ class FoldData:
         return self._slice("_y_val", self._y, self._val_idx)
 
     def release_data(self) -> None:
-        """Drop materialized slices (lazy folds only).
+        """Drop materialized slices.
 
         After a fold is scored its slices are dead weight; a later
         access simply re-gathers the identical bits from ``(X, y)``.
-        Eagerly-constructed folds keep their arrays — there is nothing
-        to re-gather them from.
         """
-        if self._train_idx is not None:
-            self._X_train = self._y_train = None
-            self._X_val = self._y_val = None
+        self._X_train = self._y_train = None
+        self._X_val = self._y_val = None
 
     def workspace_for(self, model) -> FoldWorkspace | None:
         """This fold's workspace for ``model``'s family (None = opt-out).
@@ -229,30 +170,21 @@ class FoldPlanData:
     The candidate-major loop re-applied the fancy-index slicing for
     every (candidate, fold) pair; the values are a pure function of
     ``(X, y, fold indices)``, so one materialization per fold serves
-    all candidates.  With table views enabled the folds are additionally
-    *lazy* (:meth:`FoldData.from_indices`): the plan holds one shared
-    ``(X, y)`` pair and each fold's index arrays, and a fold's slices
-    exist only between first access and :meth:`FoldData.release_data` —
-    peak memory is one fold's slices, not k folds' worth.  ``folds`` is
-    a sequence of ``(train_idx, val_idx)`` pairs, e.g. from
+    all candidates.  The folds are *lazy* (:class:`FoldData`): the plan
+    holds one shared ``(X, y)`` pair and each fold's index arrays, and a
+    fold's slices exist only between first access and
+    :meth:`FoldData.release_data` — peak memory is one fold's slices,
+    not k folds' worth.  ``folds`` is a sequence of ``(train_idx,
+    val_idx)`` pairs, e.g. from
     :func:`repro.ml.model_selection.kfold_plan`.
     """
 
     def __init__(self, X: np.ndarray, y: np.ndarray, folds) -> None:
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
-        if table_views_enabled():
-            # lazy folds: k folds share one (X, y) instead of holding
-            # ~2x the matrix each; slices gather on first access
-            self.folds = tuple(
-                FoldData.from_indices(X, y, train_idx, val_idx)
-                for train_idx, val_idx in folds
-            )
-        else:
-            self.folds = tuple(
-                FoldData(X[train_idx], y[train_idx], X[val_idx], y[val_idx])
-                for train_idx, val_idx in folds
-            )
+        self.folds = tuple(
+            FoldData(X, y, train_idx, val_idx) for train_idx, val_idx in folds
+        )
 
 
 def evaluate_candidates(model, candidates, plan: FoldPlanData, score) -> list[float]:

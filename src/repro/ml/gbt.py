@@ -79,7 +79,7 @@ class _GradientTree:
         if depth >= self.max_depth or len(X) < 2:
             return node
 
-        split = self._best_split(
+        split = self._best_split_vectorized(
             X,
             grad,
             hess,
@@ -97,12 +97,7 @@ class _GradientTree:
         node.right = self._build(X[~mask], grad[~mask], hess[~mask], depth + 1)
         return node
 
-    #: process-wide switch for the feature-vectorized split search;
-    #: ``repro.core.runner.kernel_disabled`` flips it alongside
-    #: ``DecisionTreeClassifier.vectorized_split``
-    vectorized_split = True
-
-    def _best_split(
+    def _best_split_vectorized(
         self,
         X: np.ndarray,
         grad: np.ndarray,
@@ -113,88 +108,18 @@ class _GradientTree:
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by regularized gain, or ``None``.
 
-        Dispatches to the feature-vectorized search; the per-feature
-        loop survives as :meth:`_best_split_reference`, the executable
-        spec the vectorized path is pinned against bit for bit (the
-        same discipline as the CART builder's ``_best_split``).
-        """
-        if self.vectorized_split:
-            return self._best_split_vectorized(
-                X, grad, hess, grad_sum, hess_sum, sort_cache
-            )
-        return self._best_split_reference(
-            X, grad, hess, grad_sum, hess_sum, sort_cache
-        )
-
-    def _best_split_reference(
-        self,
-        X: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        grad_sum: float,
-        hess_sum: float,
-        sort_cache: dict | None = None,
-    ) -> tuple[int, float] | None:
-        parent_score = grad_sum**2 / (hess_sum + self.reg_lambda + _EPS)
-        best_gain = _EPS
-        best: tuple[int, float] | None = None
-        for feature in range(X.shape[1]):
-            order = DecisionTreeClassifier._feature_order(X, feature, sort_cache)
-            sorted_x = X[order, feature]
-            cum_grad = np.cumsum(grad[order])
-            cum_hess = np.cumsum(hess[order])
-
-            boundary = np.nonzero(sorted_x[1:] > sorted_x[:-1] + _EPS)[0] + 1
-            if len(boundary) == 0:
-                continue
-
-            left_grad = cum_grad[boundary - 1]
-            left_hess = cum_hess[boundary - 1]
-            right_grad = grad_sum - left_grad
-            right_hess = hess_sum - left_hess
-
-            ok = (left_hess >= self.min_child_weight) & (
-                right_hess >= self.min_child_weight
-            )
-            if not np.any(ok):
-                continue
-
-            gains = 0.5 * (
-                left_grad**2 / (left_hess + self.reg_lambda + _EPS)
-                + right_grad**2 / (right_hess + self.reg_lambda + _EPS)
-                - parent_score
-            ) - self.gamma
-            gains[~ok] = -np.inf
-
-            pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                position = boundary[pick]
-                best = (feature, float(0.5 * (sorted_x[position - 1] + sorted_x[position])))
-        return best
-
-    def _best_split_vectorized(
-        self,
-        X: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        grad_sum: float,
-        hess_sum: float,
-        sort_cache: dict | None = None,
-    ) -> tuple[int, float] | None:
-        """One broadcast pass over every candidate feature at once.
-
-        The same transformation the CART builder's
-        ``_best_split_vectorized`` applies: the reference loop pays a
-        handful of small numpy calls per feature per node, and on the
-        wide one-hot matrices the study encodes that Python overhead —
-        not the sorting — dominates tree building.  Every arithmetic
-        step applies the reference's elementwise gain formula per
-        column, the cumulative (gradient, hessian) sums stay sequential
-        per lane, positions are scanned ascending within a feature and
-        features ascending across the matrix, so the chosen split is
-        bit-identical to :meth:`_best_split_reference` — pinned per node
-        by ``tests/test_tuning_kernel.py``.
+        One broadcast pass over every candidate feature at once — the
+        same transformation the CART builder's
+        ``_best_split_vectorized`` applies: the per-feature reference
+        loop (``tests/oracles/trees.py``) pays a handful of small numpy
+        calls per feature per node, and on the wide one-hot matrices the
+        study encodes that Python overhead — not the sorting — dominates
+        tree building.  Every arithmetic step applies the reference's
+        elementwise gain formula per column, the cumulative (gradient,
+        hessian) sums stay sequential per lane, positions are scanned
+        ascending within a feature and features ascending across the
+        matrix, so the chosen split is bit-identical to the oracle —
+        pinned per node by ``tests/test_tuning_kernel.py``.
 
         Features are processed in chunks sized to keep the
         ``(rows, features)`` temporaries near the shared block budget;

@@ -19,27 +19,18 @@ from .base import Classifier, check_fit_inputs
 from .cv_kernel import FoldWorkspace
 
 
-def _vote_reference(
-    vote_weights: np.ndarray, neighbor_labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """Per-class Python vote loop — the executable spec for :func:`_vote`."""
-    proba = np.zeros((len(neighbor_labels), n_classes))
-    for cls in range(n_classes):
-        proba[:, cls] = np.sum(vote_weights * (neighbor_labels == cls), axis=1)
-    return proba
-
-
 def _vote(
     vote_weights: np.ndarray, neighbor_labels: np.ndarray, n_classes: int
 ) -> np.ndarray:
-    """Single-pass vectorized vote, bit-identical to :func:`_vote_reference`.
+    """Per-class vote totals in one vectorized pass.
 
-    The obvious scatter-add — ``np.add.at(proba, (row, label), weight)``
-    — accumulates strictly left-to-right, while the reference's
-    ``np.sum`` reduces its contiguous axis pairwise in blocks of 8; for
-    ``k >= 8`` with inverse-distance weights the two orders disagree in
-    the last ulp, so the scatter is *not* bit-identical (measured, not
-    hypothetical).  The class-major masked product below reduces a
+    Bit-identical to the per-class Python loop kept as the test oracle
+    (``tests/oracles/knn.py``).  The obvious scatter-add —
+    ``np.add.at(proba, (row, label), weight)`` — accumulates strictly
+    left-to-right, while the reference's ``np.sum`` reduces its
+    contiguous axis pairwise in blocks of 8; for ``k >= 8`` with
+    inverse-distance weights the two orders disagree in the last ulp,
+    so the scatter is *not* bit-identical (measured, not hypothetical).  The class-major masked product below reduces a
     contiguous ``(n_classes, n_rows, k)`` block over its last axis —
     the same values in the same pairwise order as the reference's
     per-class ``(n_rows, k)`` reduction — with the Python class loop

@@ -4,14 +4,12 @@ The CleanML protocol (§IV-A step 3) performs "hyper-parameter tunings
 using standard random search and 5-fold cross validation".  The search
 budget is configurable so laptop-scale study runs stay tractable.
 
-Tuning runs **fold-major** by default: the shared fold plan is
-materialized once (:class:`~repro.ml.cv_kernel.FoldPlanData`), and per-model
+Tuning runs **fold-major**: the shared fold plan is materialized once
+(:class:`~repro.ml.cv_kernel.FoldPlanData`), and per-model
 :class:`~repro.ml.cv_kernel.FoldWorkspace`s hoist candidate-invariant
 work — KNN's distance matrix, naive Bayes' class statistics, CART root
 argsorts — out of the candidate loop, bit-identical to the
-candidate-major reference path that
-:func:`~repro.ml.cv_kernel.tuning_kernel_disabled` (or the runner's
-``kernel_disabled``) switches back in.
+candidate-major loop kept as a test oracle (``tests/oracles/tuning.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from ..table.split import kfold_indices
 from .base import Classifier
-from .cv_kernel import FoldPlanData, evaluate_candidates, tuning_kernel_enabled
+from .cv_kernel import FoldPlanData, evaluate_candidates
 from .metrics import accuracy, f1_score
 
 
@@ -77,7 +75,6 @@ def cross_val_score(
     positive: int | None = None,
     seed: int | None = None,
     folds: tuple | list | None = None,
-    fold_major: bool | None = None,
 ) -> float:
     """Mean validation score over k folds (model refitted per fold).
 
@@ -89,12 +86,10 @@ def cross_val_score(
     folds are derived from ``seed`` through the memoized plan, which is
     identical to drawing them from a fresh ``default_rng(seed)``.
 
-    ``fold_major`` routes scoring through the fold-major kernel (shared
-    fold slices and, with multiple candidates in :class:`RandomSearch`,
-    shared workspaces); ``None`` defers to the process-wide switch.
-    Both paths produce bit-identical scores.  The model passed in is
-    never fitted — every fold (and the degenerate ``n_folds < 2``
-    train-equals-validation fallback) scores a fresh clone.
+    Scoring runs through the fold-major kernel (shared fold slices and
+    the model's fold workspace).  The model passed in is never fitted —
+    every fold (and the degenerate ``n_folds < 2`` train-equals-validation
+    fallback) scores a fresh clone.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -105,25 +100,12 @@ def cross_val_score(
             probe.fit(X, y)
             return score_predictions(y, probe.predict(X), metric, positive)
         folds = kfold_plan(len(y), n_folds, seed)
-    if fold_major is None:
-        fold_major = tuning_kernel_enabled()
-    if fold_major:
-        plan = FoldPlanData(X, y, folds)
-        return evaluate_candidates(
-            model,
-            [{}],
-            plan,
-            lambda y_true, y_pred: score_predictions(
-                y_true, y_pred, metric, positive
-            ),
-        )[0]
-    scores = []
-    for train_idx, val_idx in folds:
-        fold_model = model.clone()
-        fold_model.fit(X[train_idx], y[train_idx])
-        predictions = fold_model.predict(X[val_idx])
-        scores.append(score_predictions(y[val_idx], predictions, metric, positive))
-    return float(np.mean(scores))
+    return evaluate_candidates(
+        model,
+        [{}],
+        FoldPlanData(X, y, folds),
+        lambda y_true, y_pred: score_predictions(y_true, y_pred, metric, positive),
+    )[0]
 
 
 def sample_params(space: dict, rng: np.random.Generator) -> dict:
@@ -153,12 +135,6 @@ class RandomSearch:
     ``n_iter=0`` means "use the model's default parameters" — the cheap
     mode benchmarks use.  The default configuration is always evaluated,
     so the search can only improve on it.
-
-    ``fold_major`` — ``True`` forces the fold-major tuning kernel,
-    ``False`` the candidate-major reference path, ``None`` (default)
-    defers to the process-wide switch.  The runner threads its kernel
-    switch through here so ``kernel_disabled()`` studies stay on the
-    reference path end to end.
     """
 
     def __init__(
@@ -170,7 +146,6 @@ class RandomSearch:
         metric: str = "accuracy",
         positive: int | None = None,
         seed: int | None = None,
-        fold_major: bool | None = None,
     ) -> None:
         self.model = model
         self.space = space or {}
@@ -179,7 +154,6 @@ class RandomSearch:
         self.metric = metric
         self.positive = positive
         self.seed = seed
-        self.fold_major = fold_major
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomSearch":
         """Search, then refit the best configuration on all of (X, y).
@@ -188,18 +162,15 @@ class RandomSearch:
         once per search: scores stay comparable across candidates (no
         candidate wins by lucking into easier folds) and the fold
         indices are derived once instead of once per candidate.  This
-        deliberately replaced the older per-candidate fold draws —
-        searched scores differ from pre-kernel releases by design, and
-        the change applies on every execution path (it is an
-        algorithmic improvement, not a cache, so ``kernel_disabled``
-        does not revert it).
+        deliberately replaced the older per-candidate fold draws, so
+        searched scores differ from pre-kernel releases by design.
 
         Candidate scoring itself iterates **fold-major** through the
         shared :class:`~repro.ml.cv_kernel.FoldPlanData` so per-model
         workspaces amortize candidate-invariant work; the resulting
         scores — and hence ``best_params_`` / ``best_score_``, picked
         by the same first-strictly-better scan in candidate order —
-        are bit-identical to the candidate-major reference path.
+        are bit-identical to the candidate-major loop.
         """
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
@@ -216,34 +187,26 @@ class RandomSearch:
         fold_seed = int(rng.integers(0, 2**31 - 1))
 
         n_folds = min(self.n_folds, len(y))
-        folds = None
         if n_folds >= 2:
-            folds = kfold_plan(len(y), n_folds, fold_seed)
-
-        fold_major = self.fold_major
-        if fold_major is None:
-            fold_major = tuning_kernel_enabled()
-
-        if folds is not None and fold_major:
             scores = evaluate_candidates(
                 self.model,
                 candidates,
-                FoldPlanData(X, y, folds),
+                FoldPlanData(X, y, kfold_plan(len(y), n_folds, fold_seed)),
                 lambda y_true, y_pred: score_predictions(
                     y_true, y_pred, self.metric, self.positive
                 ),
             )
         else:
+            # degenerate plan: each candidate trains and validates on
+            # all of (X, y)
             scores = [
                 cross_val_score(
                     self.model.clone(**params),
                     X,
                     y,
-                    n_folds=self.n_folds,
+                    n_folds=n_folds,
                     metric=self.metric,
                     positive=self.positive,
-                    folds=folds,
-                    fold_major=fold_major,
                 )
                 for params in candidates
             ]

@@ -135,7 +135,7 @@ class DecisionTreeClassifier(Classifier):
         ):
             return node
 
-        split = self._best_split(
+        split = self._best_split_vectorized(
             X, wy, sort_cache=self._root_sort_cache if depth == 0 else None
         )
         if split is None:
@@ -149,85 +149,22 @@ class DecisionTreeClassifier(Classifier):
         node.right = self._build(X[~left_mask], wy[~left_mask], depth + 1)
         return node
 
-    #: process-wide switch for the feature-vectorized split search;
-    #: ``repro.core.runner.kernel_disabled`` flips it to time/verify the
-    #: per-feature reference loop (the pre-kernel implementation)
-    vectorized_split = True
-
-    def _best_split(
+    def _best_split_vectorized(
         self, X: np.ndarray, wy: np.ndarray, sort_cache: dict | None = None
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by weighted Gini gain, or ``None``.
 
-        Dispatches to the feature-vectorized search; the per-feature
-        loop survives as :meth:`_best_split_reference`, the executable
-        spec the vectorized path is pinned against bit for bit (same
-        discipline as the encoder's ``_transform_reference``).
-        """
-        if self.vectorized_split:
-            return self._best_split_vectorized(X, wy, sort_cache)
-        return self._best_split_reference(X, wy, sort_cache)
-
-    def _best_split_reference(
-        self, X: np.ndarray, wy: np.ndarray, sort_cache: dict | None = None
-    ) -> tuple[int, float] | None:
-        n_samples, n_features = X.shape
-        candidates = self._candidate_features(n_features)
-
-        counts = wy.sum(axis=0)
-        total_weight = counts.sum()
-        parent_impurity = _gini(counts)
-
-        best_gain = _EPS
-        best: tuple[int, float] | None = None
-        for feature in candidates:
-            order = self._feature_order(X, feature, sort_cache)
-            sorted_x = X[order, feature]
-            cum_wy = np.cumsum(wy[order], axis=0)
-
-            # split between positions i-1 and i requires a value change
-            boundary = np.nonzero(sorted_x[1:] > sorted_x[:-1] + _EPS)[0] + 1
-            if len(boundary) == 0:
-                continue
-            leaf = self.min_samples_leaf
-            boundary = boundary[(boundary >= leaf) & (boundary <= n_samples - leaf)]
-            if len(boundary) == 0:
-                continue
-
-            left_counts = cum_wy[boundary - 1]
-            right_counts = counts[None, :] - left_counts
-            left_weight = left_counts.sum(axis=1)
-            right_weight = right_counts.sum(axis=1)
-            left_gini = _gini_rows(left_counts, left_weight)
-            right_gini = _gini_rows(right_counts, right_weight)
-            weighted = (left_weight * left_gini + right_weight * right_gini) / max(
-                total_weight, _EPS
-            )
-            gains = parent_impurity - weighted
-
-            pick = int(np.argmax(gains))
-            if gains[pick] > best_gain:
-                best_gain = float(gains[pick])
-                position = boundary[pick]
-                threshold = 0.5 * (sorted_x[position - 1] + sorted_x[position])
-                best = (feature, float(threshold))
-        return best
-
-    def _best_split_vectorized(
-        self, X: np.ndarray, wy: np.ndarray, sort_cache: dict | None = None
-    ) -> tuple[int, float] | None:
-        """One broadcast pass over every candidate feature at once.
-
-        The reference loop pays ~8 small numpy calls per feature per
-        node — on wide one-hot matrices that Python overhead, not the
-        sorting, dominates tree building.  This path evaluates
-        candidate columns together on an ``(n_samples - 1, features)``
-        gain matrix; every arithmetic step applies the reference's
-        elementwise formula per column, cumsums stay sequential per
-        lane, and the (first-maximum) ``argmax`` selection reproduces
-        the reference's "strictly greater beats earlier feature" scan —
-        so the chosen split is bit-identical, which
-        ``tests/test_tuning_kernel.py`` pins against the reference on
+        One broadcast pass over every candidate feature at once.  The
+        per-feature reference loop (``tests/oracles/trees.py``) pays ~8
+        small numpy calls per feature per node — on wide one-hot
+        matrices that Python overhead, not the sorting, dominates tree
+        building.  This path evaluates candidate columns together on an
+        ``(n_samples - 1, features)`` gain matrix; every arithmetic step
+        applies the reference's elementwise formula per column, cumsums
+        stay sequential per lane, and the (first-maximum) ``argmax``
+        selection reproduces the reference's "strictly greater beats
+        earlier feature" scan — so the chosen split is bit-identical,
+        which ``tests/test_tuning_kernel.py`` pins against the oracle on
         every node of real and adversarial trees.
 
         The broadcast block is ``O(rows x features x classes)``, so
@@ -490,14 +427,9 @@ def _gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(proportions**2))
 
 
-def _gini_rows(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    safe = np.maximum(weights, _EPS)[:, None]
-    proportions = counts / safe
-    return 1.0 - np.sum(proportions**2, axis=1)
-
-
 def _gini_planes(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """:func:`_gini_rows` broadcast over a (rows, features, classes) block."""
+    """Gini impurity of each (row, feature) lane of a weighted class-count
+    block, guarding zero-weight lanes against division by zero."""
     safe = np.maximum(weights, _EPS)[:, :, None]
     proportions = counts / safe
     return 1.0 - np.sum(proportions**2, axis=2)

@@ -1,6 +1,6 @@
 """Tabular substrate: typed columns, tables, splits, encoding, CSV I/O."""
 
-from .column import Column, table_views_disabled, table_views_enabled
+from .column import Column
 from .encode import FeatureEncoder, LabelEncoder, encode_pair
 from .io import read_csv, stream_csv, write_csv
 from .store import (
@@ -16,7 +16,6 @@ from .store import (
     spill_table,
     store_info,
     store_verification,
-    store_verification_disabled,
     store_verification_mode,
     table_streaming_disabled,
     table_streaming_enabled,
@@ -74,15 +73,12 @@ __all__ = [
     "split_indices",
     "store_info",
     "store_verification",
-    "store_verification_disabled",
     "store_verification_mode",
     "stratified_split_indices",
     "stream_csv",
     "summarize",
     "table_streaming_disabled",
     "table_streaming_enabled",
-    "table_views_disabled",
-    "table_views_enabled",
     "train_test_split",
     "write_csv",
 ]

@@ -24,10 +24,9 @@ an eagerly-copied one.  Consumers that need a private mutable array use
 buffer), so hot paths like the feature encoder can slice straight from
 the buffer without ever materializing the view.
 
-The pre-view, copy-on-``take`` implementation survives as
-:meth:`Column._take_reference` — the executable reference path that
-:func:`table_views_disabled` switches back in, following the repo-wide
-kernel pattern (reference kept in-tree, bit-equality pinned by tests).
+The pre-view, copy-on-``take`` implementation lives on as a test
+oracle (``tests/oracles/table.py``), pinned value-for-value against the
+view path by the table-view tests.
 
 Out-of-core buffers (ISSUE 8)
 -----------------------------
@@ -46,42 +45,10 @@ the memmap instead of receiving the buffer bytes.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 
 import numpy as np
 
 from .schema import ColumnType
-
-#: process-wide switch for zero-copy table views; flip only through
-#: :func:`table_views_disabled`
-_VIEWS_ENABLED = True
-
-
-def table_views_enabled() -> bool:
-    """Whether ``take``/``mask`` produce zero-copy index views."""
-    return _VIEWS_ENABLED
-
-
-@contextmanager
-def table_views_disabled():
-    """Run on the copy-based reference table core for the block.
-
-    ``Column.take`` (and everything built on it: ``Table.take``/``mask``/
-    ``drop_rows``/``iter_chunks``, train/test splitting, fold slicing)
-    falls back to the pre-view behavior of eagerly copying the selected
-    rows into fresh arrays.  The view path must produce byte-identical
-    persisted study output — the parity suite and the table-core
-    benchmark hold it to that, the same contract every other kernel
-    switch in this repo enforces.
-    """
-    global _VIEWS_ENABLED
-    previous = _VIEWS_ENABLED
-    _VIEWS_ENABLED = False
-    try:
-        yield
-    finally:
-        _VIEWS_ENABLED = previous
-
 
 class _LazyBuffer:
     """A shared one-shot cell that loads a column buffer on first touch.
@@ -292,15 +259,12 @@ class Column:
     def take(self, indices) -> "Column":
         """New column containing the rows at ``indices`` (in order).
 
-        With views enabled this is zero-copy: the result shares this
-        column's buffer and only carries the (composed) index array.
+        This is zero-copy: the result shares this column's buffer and only carries the (composed) index array.
         The buffer is locked read-only the moment it becomes shared, so
         an accidental in-place write through one alias cannot corrupt
         the others.  Views of memory-mapped buffers stay on the map —
         the index array is the only resident allocation.
         """
-        if not _VIEWS_ENABLED:
-            return self._take_reference(indices)
         indices = np.asarray(indices)
         if indices.dtype == bool:
             indices = np.nonzero(indices)[0]
@@ -319,21 +283,6 @@ class Column:
         view._lazy = self._lazy
         view._source = self._source
         return view
-
-    def _take_reference(self, indices) -> "Column":
-        """The pre-view eager take — kept as the executable spec.
-
-        Materializes the selected rows into a fresh array immediately;
-        :func:`table_views_disabled` routes :meth:`take` through this,
-        and the view path must match it value-for-value.
-        """
-        clone = Column.__new__(Column)
-        clone.ctype = self.ctype
-        clone._buffer = self.values[np.asarray(indices)]
-        clone._indices = None
-        clone._lazy = None
-        clone._source = None
-        return clone
 
     def aliases(self, other: "Column") -> bool:
         """True when the two columns *provably* hold identical values.

@@ -7,11 +7,11 @@ learns standardization statistics and category vocabularies from the
 training table only, and then transforms both splits.
 
 Transforms are vectorized — one-hot blocks are filled by integer fancy
-indexing over category codes instead of a per-row Python loop — and the
-original per-row implementation is retained as
-:meth:`FeatureEncoder._transform_reference`, the executable spec the
-vectorized path must match bit-for-bit (``tests/test_split_kernel.py``
-asserts the equality across every registry dataset).
+indexing over category codes instead of a per-row Python loop.  The
+original per-row implementation lives on as a test oracle
+(``tests/oracles/encode.py``), the executable spec the vectorized path
+must match bit-for-bit (``tests/test_split_kernel.py`` asserts the
+equality across every registry dataset).
 
 The encoder is also view-aware: numeric blocks slice straight out of the
 column's shared buffer with one :meth:`~repro.table.column.Column.gather`
@@ -27,7 +27,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .column import table_views_enabled
 from .schema import ColumnType
 from .table import Table
 
@@ -94,12 +93,6 @@ class FeatureEncoder:
     itself.
     """
 
-    #: class-level switch: ``False`` routes :meth:`transform` through the
-    #: per-row reference implementation.  Flipped (with the runner's
-    #: execution caches) by :func:`repro.core.runner.kernel_disabled` so
-    #: benchmarks and tests can time and verify the pre-kernel path.
-    vectorized: bool = True
-
     def __init__(self, numeric_missing: str = "mean") -> None:
         if numeric_missing not in ("mean", "nan"):
             raise ValueError("numeric_missing must be 'mean' or 'nan'")
@@ -139,7 +132,7 @@ class FeatureEncoder:
             # transform never rebuilds it per call
             index = {v: j for j, v in enumerate(vocab)}
             self._index[name] = index
-            if table_views_enabled() and index:
+            if index:
                 # seed the per-buffer code cache while fit already has
                 # the column in hand: every zero-copy view of this
                 # table (train/test splits, folds, chunks) then encodes
@@ -170,12 +163,10 @@ class FeatureEncoder:
         intermediate per-column blocks, no ``hstack`` reassembly pass —
         which matters at scale: the old shape copied the whole matrix
         twice.  Values, dtype and layout are exactly what hstack-ing
-        :meth:`_numeric_block` / :meth:`_one_hot_block` produces (the
-        per-row reference path still does precisely that).
+        per-column blocks produces (the per-row reference oracle still
+        does precisely that).
         """
         self._require_fitted()
-        if not FeatureEncoder.vectorized:
-            return self._transform_reference(table)
         n = table.n_rows
         if _metrics is not None:
             _metrics.count("encode.matrix_fills")
@@ -197,35 +188,6 @@ class FeatureEncoder:
                 out[np.nonzero(hits)[0], offset + codes[hits]] = 1.0
             offset += width
         return out
-
-    def _numeric_block(self, table: Table, name: str, n: int) -> np.ndarray:
-        # gather() is one buffer[indices] slice for a view (the old path
-        # materialized the view *and* astype-copied it) and a plain
-        # float64 copy for a base column — identical bits either way
-        values = table.column(name).gather()
-        mean, std = self._means[name], self._stds[name]
-        if self.numeric_missing == "mean":
-            values[np.isnan(values)] = mean
-        return ((values - mean) / std).reshape(n, 1)
-
-    def _one_hot_block(self, table: Table, name: str, n: int) -> np.ndarray:
-        """One-hot a categorical column by integer fancy indexing.
-
-        Category codes come from the vocabulary index fitted on the
-        training table via one C-level ``map`` (missing and unseen
-        values code to -1 — ``None`` is never an index key because
-        categorical columns normalize values to ``str``); the block is
-        then filled in one ``block[rows, codes] = 1`` scatter instead
-        of a per-row 2-d assignment.
-        """
-        index = self._index[name]
-        block = np.zeros((n, len(self._vocab[name])), dtype=np.float64)
-        if not index:
-            return block
-        codes = self._category_codes(table.column(name), name, n)
-        hits = codes >= 0
-        block[np.nonzero(hits)[0], codes[hits]] = 1.0
-        return block
 
     def _category_codes(self, column, name: str, n: int) -> np.ndarray:
         """Vocabulary codes for a categorical column, view-aware.
@@ -256,31 +218,6 @@ class FeatureEncoder:
         elif _metrics is not None:
             _metrics.count("encode.code_cache.hits")
         return cached[1][column.view_indices]
-
-    def _transform_reference(self, table: Table) -> np.ndarray:
-        """The original per-row transform — kept as the executable spec.
-
-        The vectorized :meth:`transform` must produce bit-identical
-        output (values, dtype, and column order); the split-kernel tests
-        and benchmark assert that equality, so the fast path can never
-        silently drift from these semantics.
-        """
-        self._require_fitted()
-        n = table.n_rows
-        blocks: list[np.ndarray] = []
-        for name in self._numeric:
-            blocks.append(self._numeric_block(table, name, n))
-        for name in self._categorical:
-            vocab = self._vocab[name]
-            block = np.zeros((n, len(vocab)), dtype=np.float64)
-            index = self._index[name]
-            for i, value in enumerate(table.column(name).values):
-                if value is not None and str(value) in index:
-                    block[i, index[str(value)]] = 1.0
-            blocks.append(block)
-        if not blocks:
-            return np.zeros((n, 0), dtype=np.float64)
-        return np.hstack(blocks)
 
     def fit_transform(self, table: Table) -> np.ndarray:
         return self.fit(table).transform(table)

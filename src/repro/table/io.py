@@ -18,9 +18,9 @@ vectorized the same way: each column is formatted once, rows go out via
 
 The historical row-major reader/writer survive as
 :func:`_read_csv_reference` / :func:`_write_csv_reference` — the
-executable reference paths that
-:func:`~repro.table.store.table_streaming_disabled` switches back in,
-following the repo-wide kernel pattern.
+eager paths that :func:`~repro.table.store.table_streaming_disabled`
+switches back in, which the store recovery ladder's ``degrade`` step
+runs.
 """
 
 from __future__ import annotations

@@ -65,9 +65,9 @@ under a bumped ``generation`` — the manifest mtime changes, so the
 mtime-keyed per-process caches re-open fresh maps — or degrade to the
 eager in-memory table.
 
-Following the repo-wide kernel pattern, :func:`table_streaming_disabled`
-switches the whole streaming stack back to the eager reference
-behavior, and :func:`store_verification_disabled` keeps the unverified
+:func:`table_streaming_disabled` switches the whole streaming stack
+back to the eager reference behavior (the recovery ladder's ``degrade``
+step runs it), and ``store_verification("off")`` keeps the unverified
 load path as the executable reference for the integrity layer.  All
 modes must produce byte-identical study output — pinned by
 ``tests/test_out_of_core.py`` / ``tests/test_storage_integrity.py`` and
@@ -114,7 +114,7 @@ _STREAMING_ENABLED = True
 VERIFY_MODES = ("off", "lazy", "eager")
 
 #: process-wide digest-verification mode; flip through
-#: :func:`set_store_verification` / :func:`store_verification_disabled`
+#: :func:`set_store_verification` / :func:`store_verification`
 _VERIFY_MODE = "lazy"
 
 
@@ -131,8 +131,9 @@ def table_streaming_disabled():
     ``read_csv``/``write_csv`` fall back to the historical row-major
     implementations, and the injectors' ``spill`` parameters become
     no-ops.  The streaming path must produce byte-identical persisted
-    study output — the same contract every other kernel switch in this
-    repo enforces.
+    study output.  This is the one reference switch that stays in
+    production: the store recovery ladder's ``degrade`` step runs the
+    eager path.
     """
     global _STREAMING_ENABLED
     previous = _STREAMING_ENABLED
@@ -172,19 +173,6 @@ def store_verification(mode: str):
         yield
     finally:
         set_store_verification(previous)
-
-
-@contextmanager
-def store_verification_disabled():
-    """Run on the unverified (format-1 behaviour) reference load path.
-
-    The kernel-toggle convention: the pre-integrity code survives as
-    the executable spec, and the verified path must produce
-    byte-identical study output — pinned by
-    ``tests/test_storage_integrity.py``.
-    """
-    with store_verification("off"):
-        yield
 
 
 # -- corruption taxonomy ----------------------------------------------------

@@ -10,15 +10,13 @@ and everything built on them — train/test splitting, fold slicing,
 ``features_table``) is **zero-copy**: the result shares each column's
 buffer and carries only an index array, materializing lazily on first
 value access (see :mod:`repro.table.column` for the memory model).
-Wrap a block in :func:`~repro.table.column.table_views_disabled` to run
-on the eager copy-based reference path instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .column import Column, table_views_disabled, table_views_enabled
+from .column import Column
 from .schema import ColumnSpec, ColumnType, Schema
 
 
@@ -150,8 +148,8 @@ class Table:
     def take(self, indices) -> "Table":
         """New table with the rows at ``indices`` (order preserved).
 
-        Zero-copy while views are enabled: every column of the result
-        shares its parent's buffer and only the index array is new.
+        Zero-copy: every column of the result shares its parent's
+        buffer and only the index array is new.
         """
         indices = np.asarray(indices, dtype=int)
         return Table(
@@ -171,17 +169,11 @@ class Table:
         """New table without the rows at ``indices``.
 
         Out-of-range and negative indices are ignored, matching the
-        historical set-membership semantics (kept executable as
-        :meth:`_drop_rows_reference`).
+        historical set-membership semantics (kept executable as a test
+        oracle in ``tests/oracles/table.py``).
         """
         drop = np.array(sorted({int(i) for i in indices}), dtype=np.int64)
         keep = np.isin(np.arange(self.n_rows), drop, invert=True)
-        return self.mask(keep)
-
-    def _drop_rows_reference(self, indices) -> "Table":
-        """Pre-vectorization ``drop_rows`` — parity oracle for tests."""
-        drop = set(int(i) for i in indices)
-        keep = np.array([i not in drop for i in range(self.n_rows)], dtype=bool)
         return self.mask(keep)
 
     def iter_chunks(self, chunk_rows: int):

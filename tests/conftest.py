@@ -1,7 +1,32 @@
 """Shared fixtures and synthetic-data helpers for the test suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.core import save_experiments
+
+#: every (n_jobs, granularity) shape a golden study digest is pinned at
+GOLDEN_SHAPES = ((1, "split"), (1, "cell"), (2, "split"), (2, "cell"))
+
+
+def assert_matches_golden(build_study, digest: str, tmp_path) -> None:
+    """Run ``build_study()`` at every golden shape and hash its output.
+
+    Each run's persisted JSON must have the sha256 ``digest``.  Golden
+    digests were recorded while the pre-kernel reference path still ran
+    in-tree, after checking that the reference and kernel paths wrote
+    the same bytes at every shape, so a match pins the kernel to the
+    reference without running it.
+    """
+    for n_jobs, granularity in GOLDEN_SHAPES:
+        study = build_study()
+        study.run(n_jobs=n_jobs, granularity=granularity)
+        path = tmp_path / f"golden-{granularity}-{n_jobs}.json"
+        save_experiments(study.raw_experiments, path)
+        produced = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert produced == digest, (n_jobs, granularity)
 
 
 def make_blobs(

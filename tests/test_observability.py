@@ -4,8 +4,10 @@ The contract under test has three legs.  **Side-effect freedom**: the
 persisted study JSON is byte-identical with observability on (full
 ``unit`` tracing) or off, across the ``(n_jobs 1/2) x
 (split/cell)`` matrix.  **Deterministic merge**: per-worker metric
-deltas absorb commutatively, so repeated runs of one configuration
-produce identical counters no matter the work-stealing order.
+deltas absorb commutatively, every counter name is declared in
+``METRIC_CLASSES``, and repeated runs of one configuration produce
+identical schedule-invariant counters no matter the work-stealing order
+(and identical counters of every class at ``n_jobs=1``).
 **Complete recovery ledger**: every supervisor recovery path — retries,
 resurrections, degradation, quarantine — surfaces in the
 :class:`RunReport` with counts that exactly match the failure manifest,
@@ -18,7 +20,12 @@ bit-identical statistics, and the mapped columns stay unmaterialized.
 
 import pytest
 
-from repro.cleaning import OUTLIERS, OutlierCleaning
+from repro.cleaning import (
+    MISSING_VALUES,
+    OUTLIERS,
+    ImputationCleaning,
+    OutlierCleaning,
+)
 from repro.cleaning.missing import ImputationRepair, MissingValueDetector
 from repro.core import (
     CleanMLStudy,
@@ -29,6 +36,8 @@ from repro.core import (
 )
 from repro.core import observability
 from repro.core.observability import (
+    METRIC_CLASSES,
+    SCHEDULE_INVARIANT,
     MetricsCollector,
     ObservabilityConfig,
     RunReport,
@@ -79,6 +88,20 @@ def run_study(out_path, methods=(("SD", "mean"), ("IQR", "mean")),
     return out_path.read_bytes(), study.failure_manifest, report
 
 
+def assert_registered(report):
+    """Every counter and gauge of ``report`` has a declared class."""
+    names = set(report.counters) | set(report.gauges)
+    assert names <= set(METRIC_CLASSES), sorted(names - set(METRIC_CLASSES))
+
+
+def invariant(metrics: dict) -> dict:
+    return {
+        name: value
+        for name, value in metrics.items()
+        if METRIC_CLASSES[name] == SCHEDULE_INVARIANT
+    }
+
+
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """Observability-OFF persisted bytes for both study grids."""
@@ -108,6 +131,7 @@ class TestByteIdentity:
         # (worker deltas shipped home when n_jobs > 1)
         assert report.counters.get("encode.matrix_fills", 0) > 0
         assert "cleaning.detection_cache.misses" in report.counters
+        assert_registered(report)
 
     def test_observability_off_is_truly_off(self, tmp_path, reference):
         produced, _, report = run_study(
@@ -121,18 +145,67 @@ class TestByteIdentity:
 class TestMergeDeterminism:
     """Absorption order under work-stealing never changes the counters."""
 
+    @staticmethod
+    def repeated_reports(tmp_path, n_jobs, granularity):
+        return [
+            run_study(
+                tmp_path / f"{granularity}-{n_jobs}-{run}.json",
+                n_jobs=n_jobs,
+                granularity=granularity,
+                obs=OBSERVE_ALL,
+            )[2]
+            for run in range(2)
+        ]
+
     def test_repeated_pool_runs_have_identical_counters(self, tmp_path):
-        _, _, first = run_study(
-            tmp_path / "a.json", n_jobs=2, granularity="cell", obs=OBSERVE_ALL
+        """Schedule-invariant counters repeat exactly under work-stealing.
+
+        Schedule-dependent counters (cache statistics, and work that a
+        worker's rebuilt workspace repeats) may differ between the runs.
+        """
+        for granularity in ("split", "cell"):
+            first, second = self.repeated_reports(tmp_path, 2, granularity)
+            assert_registered(first)
+            assert invariant(first.counters) == invariant(second.counters)
+            assert invariant(first.gauges) == invariant(second.gauges)
+            assert invariant(first.counters)  # the pin is not vacuous
+            # span *counts* are deterministic; wall-clock figures are not
+            assert {k: v[0] for k, v in first.spans.items()} == \
+                   {k: v[0] for k, v in second.spans.items()}
+
+    def test_repeated_serial_runs_have_identical_counters(self, tmp_path):
+        """With one worker the schedule is fixed, so every counter repeats."""
+        for granularity in ("split", "cell"):
+            first, second = self.repeated_reports(tmp_path, 1, granularity)
+            assert first.counters == second.counters
+            assert first.gauges == second.gauges
+
+    def test_every_metric_name_is_registered(self, tmp_path):
+        """A searched, memory-mapped study reports only declared names."""
+        config = StudyConfig(
+            n_splits=2,
+            cv_folds=2,
+            search_iters=1,
+            models=("knn", "naive_bayes"),
+            seed=7,
         )
-        _, _, second = run_study(
-            tmp_path / "b.json", n_jobs=2, granularity="cell", obs=OBSERVE_ALL
+        study = CleanMLStudy(config)
+        study.add(
+            load_dataset("Titanic", seed=0, n_rows=100).spilled(
+                tmp_path / "titanic", chunk_rows=16
+            ),
+            MISSING_VALUES,
+            methods=[
+                ImputationCleaning("mean", "mode"),
+                ImputationCleaning("median", "dummy"),
+            ],
         )
-        assert first.counters == second.counters
-        assert first.gauges == second.gauges
-        # span *counts* are deterministic; wall-clock figures are not
-        assert {k: v[0] for k, v in first.spans.items()} == \
-               {k: v[0] for k, v in second.spans.items()}
+        with observing(OBSERVE_ALL):
+            study.run(n_jobs=2, granularity="cell")
+            report = build_report()
+        for layer in ("cleaning.", "encode.", "runner.", "store.", "tuning."):
+            assert any(name.startswith(layer) for name in report.counters), layer
+        assert_registered(report)
 
     def test_absorb_is_commutative(self):
         a = {"counters": {"x": 2, "y": 1}, "gauges": {"g": 5.0},
@@ -180,6 +253,7 @@ class TestRecoveryLedger:
         # 2 splits x 2 methods x 2 models = 8 cells, 2 failures each
         assert report.counters["supervisor.retries"] == 16
         assert self.supervisor_counters(report) == dict(manifest.stats)
+        assert_registered(report)
 
     def test_resurrections_counted(self, tmp_path, reference):
         plan = FaultPlan(seed=3, crash_rate=1.0)  # every unit dies once
@@ -196,6 +270,7 @@ class TestRecoveryLedger:
         assert produced == reference["slim"]
         assert report.counters["supervisor.resurrections"] >= 1
         assert self.supervisor_counters(report) == dict(manifest.stats)
+        assert_registered(report)
 
     def test_degradation_counted(self, tmp_path, reference):
         poison = (("cell", "Sensor", "outliers", 0, 0, "logistic_regression"),)
@@ -211,6 +286,7 @@ class TestRecoveryLedger:
         assert produced == reference["fast"]
         assert report.counters["supervisor.degraded_cells"] == 1
         assert self.supervisor_counters(report) == dict(manifest.stats)
+        assert_registered(report)
 
     def test_quarantine_counted(self, tmp_path):
         poison = (("split", "Sensor", "outliers", 1),)
@@ -225,6 +301,7 @@ class TestRecoveryLedger:
         )
         assert report.counters["supervisor.quarantined"] == 1
         assert self.supervisor_counters(report) == dict(manifest.stats)
+        assert_registered(report)
 
 
 class TestTraceSpans:

@@ -4,9 +4,9 @@ The kernel's contract is that it is a *pure optimization*: shared
 ``EncodedTable``s, the evaluation memo, vectorized encoder transforms,
 the memoized fold plans, and the executor's block broadcast must all be
 invisible in the output.  These tests pin that contract — the vectorized
-encoder against its per-row reference spec across every registry
-dataset, and kernel-on versus kernel-off study runs down to the last
-``MetricPair`` bit.
+encoder against its per-row oracle across every registry dataset, and
+whole studies against the sha256 of the bytes the pre-kernel reference
+path wrote (see ``GOLDEN``).
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.cleaning import (
     ImputationCleaning,
     OutlierCleaning,
 )
-from repro.core import CleanMLStudy, EncodedTable, StudyConfig, kernel_disabled
+from repro.core import CleanMLStudy, EncodedTable, StudyConfig
 from repro.core.executor import (
     _execute_registered,
     _register_blocks,
@@ -29,10 +29,31 @@ from repro.datasets import load_dataset
 from repro.datasets.registry import DATASET_NAMES
 from repro.ml import kfold_plan
 from repro.table import FeatureEncoder, LabelEncoder
+from tests.conftest import assert_matches_golden
+from tests.oracles import transform_reference
 
 FAST = StudyConfig(
     n_splits=2, cv_folds=2, models=("naive_bayes", "knn"), seed=7
 )
+
+SEARCHED = StudyConfig(
+    n_splits=2,
+    cv_folds=2,
+    search_iters=2,
+    models=("naive_bayes", "knn"),
+    seed=7,
+)
+
+#: sha256 of the persisted JSON of :func:`make_study` (``plain``) and
+#: :func:`make_searched_study` (``searched``).  Recorded while the
+#: pre-kernel reference path (per-model encoder fits, no memo, per-row
+#: transforms, candidate-major tuning) still ran in-tree, after checking
+#: that it and the kernel wrote these bytes at every (n_jobs 1/2) x
+#: (split, cell) shape.
+GOLDEN = {
+    "plain": "cee87dfd416183a43767f6be52782decf021b0636476736de33a69f802eedfdc",
+    "searched": "27c0bd964ab4d46e175d9130510ac91981237fd965953ffa9a1869978274f6b1",
+}
 
 
 def make_study(config=FAST):
@@ -47,6 +68,16 @@ def make_study(config=FAST):
         load_dataset("Titanic", seed=0, n_rows=150),
         MISSING_VALUES,
         methods=[ImputationCleaning("mean", "mode")],
+    )
+    return study
+
+
+def make_searched_study():
+    study = CleanMLStudy(SEARCHED)
+    study.add(
+        load_dataset("Sensor", seed=0, n_rows=150),
+        OUTLIERS,
+        methods=[OutlierCleaning("SD", "mean")],
     )
     return study
 
@@ -67,7 +98,7 @@ class TestVectorizedEncoderIsTheReference:
             for transform_of, table in tables.items():
                 features = table.features_table()
                 fast = encoder.transform(features)
-                reference = encoder._transform_reference(features)
+                reference = transform_reference(encoder, features)
                 assert fast.dtype == reference.dtype, (name, fit_on, transform_of)
                 assert fast.shape == (features.n_rows, encoder.n_features)
                 assert np.array_equal(fast, reference), (
@@ -79,7 +110,7 @@ class TestVectorizedEncoderIsTheReference:
         encoder = FeatureEncoder().fit(dataset.clean.features_table())
         dirty = dataset.dirty.features_table()
         fast = encoder.transform(dirty)
-        assert np.array_equal(fast, encoder._transform_reference(dirty))
+        assert np.array_equal(fast, transform_reference(encoder, dirty))
 
     def test_label_encoder_matches_per_row_loop(self):
         values = ["b", "a", "b", "c", "a"] * 7
@@ -98,58 +129,18 @@ class TestVectorizedEncoderIsTheReference:
 
 
 class TestKernelIsAPureOptimization:
-    def test_memo_never_changes_a_metric_pair(self):
-        """Kernel run == memo-free run, down to every MetricPair bit."""
-        kernel = make_study()
-        kernel.run()
-        with kernel_disabled():
-            naive = make_study()
-            naive.run()
-        assert kernel.raw_experiments == naive.raw_experiments
+    def test_memo_never_changes_a_metric_pair(self, tmp_path):
+        """Kernel runs write the bytes the memo-free reference path wrote."""
+        assert_matches_golden(make_study, GOLDEN["plain"], tmp_path)
 
-    def test_search_enabled_study_keeps_the_contract(self):
+    def test_search_enabled_study_keeps_the_contract(self, tmp_path):
         """Hyper-parameter search composes with the kernel bit-for-bit.
 
         RandomSearch's shared fold plan is an algorithmic change that
-        applies on every path, so kernel-on, kernel-off, and parallel
-        runs of a searched study must still agree exactly.
+        applied on the reference path too, so a searched study at every
+        job count and granularity must still write the reference bytes.
         """
-        config = StudyConfig(
-            n_splits=2,
-            cv_folds=2,
-            search_iters=2,
-            models=("naive_bayes", "knn"),
-            seed=7,
-        )
-
-        def run_searched(jobs=1, naive=False):
-            study = CleanMLStudy(config)
-            study.add(
-                load_dataset("Sensor", seed=0, n_rows=150),
-                OUTLIERS,
-                methods=[OutlierCleaning("SD", "mean")],
-            )
-            if naive:
-                with kernel_disabled():
-                    study.run(n_jobs=jobs)
-            else:
-                study.run(n_jobs=jobs)
-            return study.raw_experiments
-
-        kernel = run_searched()
-        assert run_searched(naive=True) == kernel
-        assert run_searched(jobs=2) == kernel
-
-    def test_kernel_disabled_restores_state_on_error(self):
-        from repro.core import runner
-
-        assert runner._KERNEL_ENABLED and FeatureEncoder.vectorized
-        with pytest.raises(RuntimeError):
-            with kernel_disabled():
-                assert not runner._KERNEL_ENABLED
-                assert not FeatureEncoder.vectorized
-                raise RuntimeError("boom")
-        assert runner._KERNEL_ENABLED and FeatureEncoder.vectorized
+        assert_matches_golden(make_searched_study, GOLDEN["searched"], tmp_path)
 
     def test_encoded_table_is_shared_and_memoized(self):
         dataset = load_dataset("Sensor", seed=0, n_rows=120)

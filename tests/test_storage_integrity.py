@@ -50,7 +50,6 @@ from repro.table import (
     spill_table,
     store_info,
     store_verification,
-    store_verification_disabled,
     table_streaming_disabled,
 )
 from repro.table import store as store_mod
@@ -172,7 +171,7 @@ class TestCorruptionTaxonomy:
     def test_bit_flip_invisible_on_reference_path(self, tmp_path, table):
         store = self._store(tmp_path, table)
         corrupt_store(store, BIT_FLIP)
-        with store_verification_disabled():
+        with store_verification("off"):
             loaded = load_columnar(store)
             loaded.column("age").values  # the unverified path cannot see it
 
@@ -554,7 +553,7 @@ class TestChaosStorageMatrix:
         assert '"failed"' in ledger_text  # format-4 failure entries banked
 
     def test_verification_off_matches_reference(self, chaos_reference, tmp_path):
-        with store_verification_disabled():
+        with store_verification("off"):
             study = make_chaos_study(spill_root=tmp_path)
             study.run(n_jobs=1, granularity="split")
         assert persisted_bytes(study, tmp_path, "unverified") == chaos_reference

@@ -5,25 +5,20 @@ memory model directly: ``take`` shares buffers instead of copying,
 views compose and materialize lazily, mutation discipline is enforced
 by read-only buffers, and every edge the study internals hit (zero-row
 tables, all-missing columns, views of views, ``with_column`` on a view)
-behaves exactly like the eager reference path.  The parity class then
-pins the system-level contract: persisted study JSON is byte-identical
-with ``table_views_disabled()`` on vs off across the full
+behaves exactly like the eager take and set-based ``drop_rows`` kept as
+oracles in ``tests/oracles/table.py``.  The parity class then pins the
+system-level contract: persisted study JSON is byte-identical with the
+eager oracle patched in for ``Column.take`` ("views off") and with the
+zero-copy views ("views on"), across the full
 ``(n_jobs 1/2) x (split/cell)`` execution matrix.
 """
-
 import numpy as np
 import pytest
 
 from repro.cleaning import MISSING_VALUES, OUTLIERS, ImputationCleaning, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig, save_experiments
-from repro.table import (
-    Column,
-    ColumnType,
-    Table,
-    make_schema,
-    table_views_disabled,
-    table_views_enabled,
-)
+from repro.table import Column, ColumnType, Table, make_schema
+from tests.oracles import drop_rows_reference, take_reference
 
 
 def numeric(values):
@@ -107,16 +102,6 @@ class TestViewMechanics:
         assert not col.aliases(numeric([1.0, 2.0]))  # equal but distinct
         assert not col.aliases(view)
 
-    def test_disabled_toggle_restores_eager_copies(self):
-        col = numeric([1.0, 2.0, 3.0])
-        with table_views_disabled():
-            assert not table_views_enabled()
-            taken = col.take([0, 2])
-            assert not taken.is_view
-            assert taken.base_buffer is not col.base_buffer
-        assert table_views_enabled()
-        assert list(taken.values) == [1.0, 3.0]
-
     def test_table_take_is_zero_copy(self, small):
         taken = small.take([3, 1])
         for name in small.schema.names:
@@ -163,8 +148,8 @@ class TestViewEdgeCases:
         col = numeric(rng.normal(0.0, 1.0, 50))
         idx = rng.choice(50, size=20, replace=False)
         view = col.take(idx)
-        with table_views_disabled():
-            eager = col.take(idx)
+        eager = take_reference(col, idx)
+        assert not eager.is_view
         assert view == eager
         assert view.mean() == eager.mean()
         assert view.std() == eager.std()
@@ -200,7 +185,7 @@ class TestDropRowsParity:
         ],
     )
     def test_matches_reference(self, small, indices):
-        assert small.drop_rows(indices) == small._drop_rows_reference(indices)
+        assert small.drop_rows(indices) == drop_rows_reference(small, indices)
 
     def test_random_parity(self):
         rng = np.random.default_rng(11)
@@ -211,7 +196,32 @@ class TestDropRowsParity:
         )
         for _ in range(10):
             indices = rng.integers(-10, 70, size=rng.integers(0, 30)).tolist()
-            assert table.drop_rows(indices) == table._drop_rows_reference(indices)
+            assert table.drop_rows(indices) == drop_rows_reference(table, indices)
+
+
+class TestTakeParity:
+    """Zero-copy take is value-identical to the eager oracle."""
+
+    def test_random_parity_with_views_of_views(self):
+        rng = np.random.default_rng(5)
+        values = rng.normal(0, 1, 40)
+        values[::6] = np.nan
+        columns = [
+            numeric(values),
+            categorical([None if i % 7 == 0 else f"c{i % 5}" for i in range(40)]),
+        ]
+        for column in columns:
+            for _ in range(10):
+                first = rng.integers(0, 40, size=rng.integers(0, 60))
+                second = rng.integers(0, max(len(first), 1), size=len(first) // 2)
+                if len(first) == 0:
+                    second = second[:0]
+                view = column.take(first).take(second)
+                eager = take_reference(take_reference(column, first), second)
+                assert view.is_view and not eager.is_view
+                assert view == eager
+                mask = rng.random(40) < 0.5
+                assert column.take(mask) == take_reference(column, mask)
 
 
 class TestZeroColumnRegression:
@@ -281,19 +291,21 @@ def views_on_reference(tmp_path_factory):
 class TestViewsStudyParity:
     """Byte-identical persisted JSON with views on vs off, full matrix.
 
-    Workers inherit the toggle under the fork start method, so the
-    n_jobs=2 arms genuinely execute the eager reference core; even under
-    spawn the assertion must hold — both paths are pinned to the same
-    bytes.
+    "Views off" patches the eager oracle in for ``Column.take``.  Workers
+    inherit the patch under the fork start method, so the n_jobs=2 arms
+    genuinely execute the eager core; even under spawn the assertion
+    must hold — both paths are pinned to the same bytes.
     """
 
     @pytest.mark.parametrize("granularity", ("split", "cell"))
     @pytest.mark.parametrize("n_jobs", (1, 2))
     def test_views_off_matches_views_on(
-        self, n_jobs, granularity, views_on_reference, tmp_path
+        self, n_jobs, granularity, views_on_reference, tmp_path, monkeypatch
     ):
-        with table_views_disabled():
-            study = make_study()
-            study.run(n_jobs=n_jobs, granularity=granularity)
+        monkeypatch.setattr(Column, "take", take_reference)
+        assert not numeric([1.0, 2.0]).take([1]).is_view
+        study = make_study()
+        study.run(n_jobs=n_jobs, granularity=granularity)
+        monkeypatch.undo()
         label = f"views-off-{granularity}-{n_jobs}"
         assert persisted_bytes(study, tmp_path, label) == views_on_reference

@@ -4,19 +4,21 @@ The kernel's contract mirrors the split/cleaning kernels': shared fold
 slices, per-model ``FoldWorkspace``s (KNN distance matrix, naive Bayes
 class statistics, CART root argsorts) and the fold-major candidate loop
 must be **invisible in the output** — identical ``best_params_`` /
-``best_score_`` / test scores against the candidate-major reference
-path for every registry model, and bit-identical predictions from every
-workspace against a from-scratch refit.  The satellites ride along:
-the degenerate ``n_folds < 2`` path no longer mutates the caller's
-model, cached fold plans are read-only, and KNN's vectorized vote is
-pinned against its per-class loop reference.
+``best_score_`` / test scores against the candidate-major oracle
+(``tests/oracles/tuning.py``) for every registry model, and
+bit-identical predictions from every workspace against a from-scratch
+refit.  The satellites ride along: the degenerate ``n_folds < 2`` path
+no longer mutates the caller's model, cached fold plans are read-only,
+KNN's vectorized vote is pinned against its per-class loop oracle, and
+the vectorized CART and XGBoost split searches are pinned against their
+per-feature oracles at every node they visit.
 """
 
 import numpy as np
 import pytest
 
 from repro.cleaning import OUTLIERS, OutlierCleaning
-from repro.core import CleanMLStudy, StudyConfig, kernel_disabled
+from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
 from repro.ml import (
     MODEL_NAMES,
@@ -33,14 +35,20 @@ from repro.ml import (
     kfold_plan,
     make_model,
     search_space,
-    tuning_kernel_disabled,
-    tuning_kernel_enabled,
 )
-from repro.ml.knn import _proba_from_distances, _vote, _vote_reference
+from repro.ml.gbt import _GradientTree
+from repro.ml.knn import _proba_from_distances, _vote
 from repro.ml.naive_bayes import _ClassStatistics
 from repro.ml.tree import RootSortWorkspace
 from repro.table import FeatureEncoder, LabelEncoder
-from tests.conftest import make_blobs, make_xor
+from tests.conftest import assert_matches_golden, make_blobs, make_xor
+from tests.oracles import (
+    cart_best_split_reference,
+    cross_val_score_reference,
+    gbt_best_split_reference,
+    random_search_reference,
+    vote_reference,
+)
 
 PARITY_DATASETS = ("Sensor", "Titanic")
 
@@ -57,7 +65,7 @@ def encoded_dataset(name: str, n_rows: int = 140):
 
 
 class TestSearchParity:
-    """Kernel-on vs kernel-off tuning, for every registry model."""
+    """Fold-major tuning vs the candidate-major oracle, for every registry model."""
 
     @pytest.mark.parametrize("dataset_name", PARITY_DATASETS)
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
@@ -67,56 +75,33 @@ class TestSearchParity:
         X_train, y_train = X[:cut], y[:cut]
         X_test, y_test = X[cut:], y[cut:]
 
-        def run_search():
+        def make_search():
             return RandomSearch(
                 make_model(model_name, seed=3),
                 search_space(model_name),
                 n_iter=2,
                 n_folds=3,
                 seed=17,
-            ).fit(X_train, y_train)
+            )
 
-        assert tuning_kernel_enabled()
-        kernel = run_search()
-        with tuning_kernel_disabled():
-            assert not tuning_kernel_enabled()
-            reference = run_search()
+        kernel = make_search().fit(X_train, y_train)
+        reference = random_search_reference(make_search(), X_train, y_train)
 
         assert kernel.best_params_ == reference.best_params_
         assert kernel.best_score_ == reference.best_score_
         assert len(y_test) > 0
-        assert np.array_equal(kernel.predict(X_test), reference.predict(X_test))
+        assert np.array_equal(
+            kernel.predict(X_test), reference.best_model_.predict(X_test)
+        )
 
     @pytest.mark.parametrize("model_name", MODEL_NAMES)
     def test_cross_val_score_parity(self, model_name):
         X, y = make_blobs(n_per_class=30, n_classes=3, seed=2)
         kernel = cross_val_score(make_model(model_name, seed=5), X, y, n_folds=4, seed=9)
-        with tuning_kernel_disabled():
-            reference = cross_val_score(
-                make_model(model_name, seed=5), X, y, n_folds=4, seed=9
-            )
+        reference = cross_val_score_reference(
+            make_model(model_name, seed=5), X, y, n_folds=4, seed=9
+        )
         assert kernel == reference
-
-    def test_explicit_fold_major_override_beats_switch(self):
-        X, y = make_blobs(seed=3)
-        with tuning_kernel_disabled():
-            forced = RandomSearch(
-                KNeighborsClassifier(),
-                search_space("knn"),
-                n_iter=2,
-                n_folds=3,
-                seed=1,
-                fold_major=True,
-            ).fit(X, y)
-        default = RandomSearch(
-            KNeighborsClassifier(),
-            search_space("knn"),
-            n_iter=2,
-            n_folds=3,
-            seed=1,
-        ).fit(X, y)
-        assert forced.best_params_ == default.best_params_
-        assert forced.best_score_ == default.best_score_
 
 
 class TestFoldWorkspaces:
@@ -305,71 +290,80 @@ def assert_same_tree(a, b):
             stack.append((left.right, right.right))
 
 
-class TestVectorizedSplitIsTheReference:
-    """The broadcast split search == the per-feature loop, bit for bit."""
+def pin_every_node(monkeypatch, tree_class, oracle):
+    """Pin ``tree_class``'s split search to ``oracle`` at every node.
 
-    def fit_pair(self, X, y, sample_weight=None, **params):
-        vectorized = DecisionTreeClassifier(**params)
-        assert DecisionTreeClassifier.vectorized_split
-        vectorized.fit(X, y, sample_weight=sample_weight)
-        reference = DecisionTreeClassifier(**params)
-        DecisionTreeClassifier.vectorized_split = False
-        try:
-            reference.fit(X, y, sample_weight=sample_weight)
-        finally:
-            DecisionTreeClassifier.vectorized_split = True
-        return vectorized, reference
+    While the patch is active, every call of the production
+    ``_best_split_vectorized`` first runs the oracle on the same node
+    and asserts both return the same split.  The oracle gets no root
+    sort cache, so cached orders are checked against fresh argsorts, and
+    the tree's feature-subsampling generator is rewound between the two
+    calls, so both draw the same candidate features.  Returns the list
+    of splits pinned so far.
+    """
+    production = tree_class._best_split_vectorized
+    pinned = []
+
+    def checked(tree, X, *stats, sort_cache=None):
+        rng = getattr(tree, "_rng", None)
+        state = None if rng is None else rng.bit_generator.state
+        expected = oracle(tree, X, *stats)
+        if rng is not None:
+            rng.bit_generator.state = state
+        split = production(tree, X, *stats, sort_cache=sort_cache)
+        assert split == expected
+        pinned.append(split)
+        return split
+
+    monkeypatch.setattr(tree_class, "_best_split_vectorized", checked)
+    return pinned
+
+
+def splits_found(pinned) -> int:
+    return sum(split is not None for split in pinned)
+
+
+class TestVectorizedSplitIsTheReference:
+    """The broadcast split search == the per-feature oracle, at every node."""
+
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        return pin_every_node(
+            monkeypatch, DecisionTreeClassifier, cart_best_split_reference
+        )
 
     @pytest.mark.parametrize("dataset_name", PARITY_DATASETS)
-    def test_registry_tables_with_one_hot_ties(self, dataset_name):
+    def test_registry_tables_with_one_hot_ties(self, dataset_name, pinned):
         X, y = encoded_dataset(dataset_name)
         for params in (
             {"max_depth": 4},
             {"max_depth": None, "min_samples_leaf": 2},
         ):
-            vectorized, reference = self.fit_pair(X, y, **params)
-            assert_same_tree(vectorized, reference)
-            assert np.array_equal(
-                vectorized.predict_proba(X), reference.predict_proba(X)
-            )
+            DecisionTreeClassifier(**params).fit(X, y)
+        assert splits_found(pinned) > 10
 
-    def test_noisy_numeric_with_sample_weights(self):
+    def test_noisy_numeric_with_sample_weights(self, pinned):
         X, y = make_xor(n=250, seed=5)
         rng = np.random.default_rng(0)
         weights = rng.random(len(y))
         weights[::7] = 0.0  # zero-weight rows exercise the safe-gini path
-        vectorized, reference = self.fit_pair(
-            X, y, sample_weight=weights, max_depth=None
-        )
-        assert_same_tree(vectorized, reference)
+        DecisionTreeClassifier(max_depth=None).fit(X, y, sample_weight=weights)
+        assert splits_found(pinned) > 10
 
-    def test_feature_subsampling_draws_identically(self):
+    def test_feature_subsampling_draws_identically(self, pinned):
         X, y = make_blobs(n_per_class=50, n_classes=3, n_features=8, seed=6)
-        vectorized, reference = self.fit_pair(
-            X, y, max_depth=6, max_features=3, random_state=11
-        )
-        assert_same_tree(vectorized, reference)
+        DecisionTreeClassifier(max_depth=6, max_features=3, random_state=11).fit(X, y)
+        assert splits_found(pinned) > 2
 
-    def test_ensembles_follow_the_switch(self):
+    def test_ensembles_pin_every_node(self, pinned):
+        # AdaBoost shares one root sort cache across its rounds, the
+        # forest subsamples features per node
         X, y = make_xor(n=150, seed=6)
-        fast = AdaBoostClassifier(n_estimators=8, random_state=3).fit(X, y)
-        forest_fast = RandomForestClassifier(n_estimators=5, random_state=3).fit(X, y)
-        DecisionTreeClassifier.vectorized_split = False
-        try:
-            slow = AdaBoostClassifier(n_estimators=8, random_state=3).fit(X, y)
-            forest_slow = RandomForestClassifier(n_estimators=5, random_state=3).fit(X, y)
-        finally:
-            DecisionTreeClassifier.vectorized_split = True
-        assert np.array_equal(fast.predict_proba(X), slow.predict_proba(X))
-        assert np.array_equal(
-            forest_fast.predict_proba(X), forest_slow.predict_proba(X)
-        )
-
-    def test_kernel_disabled_flips_the_switch(self):
-        assert DecisionTreeClassifier.vectorized_split
-        with kernel_disabled():
-            assert not DecisionTreeClassifier.vectorized_split
-        assert DecisionTreeClassifier.vectorized_split
+        AdaBoostClassifier(n_estimators=8, random_state=3).fit(X, y)
+        boosted = splits_found(pinned)
+        assert boosted >= 8
+        RandomForestClassifier(n_estimators=5, random_state=3).fit(X, y)
+        assert splits_found(pinned) > boosted + 5
 
     def test_feature_chunking_is_invisible(self, monkeypatch):
         # shrink the block budget so a wide table needs many chunks
@@ -444,7 +438,7 @@ class TestKNNVote:
             weights = 1.0 / (rng.random((n, k)) + 1e-9)
             assert np.array_equal(
                 _vote(weights, labels, n_classes),
-                _vote_reference(weights, labels, n_classes),
+                vote_reference(weights, labels, n_classes),
             )
 
     @pytest.mark.parametrize("weights", ["uniform", "distance"])
@@ -467,7 +461,7 @@ class TestKNNVote:
                 np.maximum(distances[rows, neighbor_idx], 0.0)
             )
             vote_weights = 1.0 / (neighbor_dist + 1e-9)
-        reference = _vote_reference(vote_weights, neighbor_labels, model.n_classes_)
+        reference = vote_reference(vote_weights, neighbor_labels, model.n_classes_)
         totals = reference.sum(axis=1, keepdims=True)
         reference = reference / np.where(totals == 0.0, 1.0, totals)
 
@@ -485,7 +479,7 @@ class TestKNNVote:
 
 
 class TestStudyParity:
-    """End to end: a searched study is bit-identical kernel on/off."""
+    """End to end: a searched study writes the reference path's bytes."""
 
     CONFIG = StudyConfig(
         n_splits=2,
@@ -494,6 +488,11 @@ class TestStudyParity:
         models=("knn", "naive_bayes", "decision_tree"),
         seed=7,
     )
+
+    #: sha256 of the persisted JSON, recorded while the candidate-major
+    #: reference path (with the per-feature split search) still ran
+    #: in-tree and wrote these bytes at every (n_jobs, granularity)
+    DIGEST = "f040de13ea024d2756d9196bbba807e7d55ab11aff2d33acd1e31622c6c1845e"
 
     def make_study(self):
         study = CleanMLStudy(self.CONFIG)
@@ -504,74 +503,41 @@ class TestStudyParity:
         )
         return study
 
-    def test_searched_study_bit_identical(self):
-        kernel = self.make_study()
-        kernel.run(n_jobs=1)
-        with kernel_disabled():
-            reference = self.make_study()
-            reference.run(n_jobs=1)
-        assert kernel.raw_experiments == reference.raw_experiments
+    def test_searched_study_bit_identical(self, tmp_path):
+        assert_matches_golden(self.make_study, self.DIGEST, tmp_path)
 
 
 class TestVectorizedGBTSplitIsTheReference:
-    """XGBoost's broadcast split search == its per-feature loop, bit for bit.
+    """XGBoost's broadcast split search == its per-feature oracle, per node.
 
     The same discipline as the CART builder's vectorized search: every
-    regression-tree node of every boosting round and class must carry
-    the identical (feature, threshold, leaf value), so the additive
-    scores — and hence predictions — are bit-identical.
+    regression-tree node of every boosting round and class must choose
+    the oracle's (feature, threshold), so the additive scores — and
+    hence predictions — are bit-identical.
     """
 
-    def fit_pair(self, X, y, **params):
-        from repro.ml.gbt import _GradientTree
-
-        base = {"n_estimators": 4, "max_depth": 3, "random_state": 0}
-        base.update(params)
-        vectorized = XGBoostClassifier(**base)
-        assert _GradientTree.vectorized_split
-        vectorized.fit(X, y)
-        reference = XGBoostClassifier(**base)
-        _GradientTree.vectorized_split = False
-        try:
-            reference.fit(X, y)
-        finally:
-            _GradientTree.vectorized_split = True
-        return vectorized, reference
+    @pytest.fixture
+    def pinned(self, monkeypatch):
+        return pin_every_node(monkeypatch, _GradientTree, gbt_best_split_reference)
 
     @staticmethod
-    def assert_same_gradient_trees(a, b):
-        """Node-for-node equality of every (round, class) regression tree."""
-        assert len(a.trees_) == len(b.trees_)
-        for round_a, round_b in zip(a.trees_, b.trees_):
-            assert len(round_a) == len(round_b)
-            for tree_a, tree_b in zip(round_a, round_b):
-                stack = [(tree_a._root, tree_b._root)]
-                while stack:
-                    left, right = stack.pop()
-                    assert left.feature == right.feature
-                    assert left.threshold == right.threshold
-                    assert left.value == right.value
-                    if left.feature is not None:
-                        stack.append((left.left, right.left))
-                        stack.append((left.right, right.right))
+    def fit(X, y, **params):
+        base = {"n_estimators": 4, "max_depth": 3, "random_state": 0}
+        base.update(params)
+        return XGBoostClassifier(**base).fit(X, y)
 
     @pytest.mark.parametrize("dataset_name", PARITY_DATASETS)
-    def test_registry_tables_per_node(self, dataset_name):
+    def test_registry_tables_per_node(self, dataset_name, pinned):
         X, y = encoded_dataset(dataset_name)
-        vectorized, reference = self.fit_pair(X, y)
-        self.assert_same_gradient_trees(vectorized, reference)
-        assert np.array_equal(
-            vectorized.decision_function(X), reference.decision_function(X)
-        )
+        self.fit(X, y)
+        assert splits_found(pinned) > 10
 
-    def test_regularizer_knobs_per_node(self):
+    def test_regularizer_knobs_per_node(self, pinned):
         X, y = make_blobs(n_per_class=30, n_classes=3, seed=5)
-        vectorized, reference = self.fit_pair(
-            X, y, gamma=0.05, min_child_weight=0.3, reg_lambda=0.5
-        )
-        self.assert_same_gradient_trees(vectorized, reference)
+        self.fit(X, y, gamma=0.05, min_child_weight=0.3, reg_lambda=0.5)
+        assert splits_found(pinned) > 10
 
-    def test_tied_and_constant_features_per_node(self):
+    def test_tied_and_constant_features_per_node(self, pinned):
         rng = np.random.default_rng(11)
         # one-hot-like ties, a constant column, and duplicated values —
         # the argmax tie-break territory
@@ -584,12 +550,10 @@ class TestVectorizedGBTSplitIsTheReference:
             ]
         )
         y = rng.integers(0, 2, 80)
-        vectorized, reference = self.fit_pair(X, y, max_depth=4)
-        self.assert_same_gradient_trees(vectorized, reference)
+        self.fit(X, y, max_depth=4)
+        assert splits_found(pinned) > 10
 
     def test_direct_split_parity_with_shared_root_cache(self):
-        from repro.ml.gbt import _GradientTree
-
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 5))
         X[:, 2] = np.round(X[:, 2])  # heavy ties
@@ -604,15 +568,7 @@ class TestVectorizedGBTSplitIsTheReference:
                 X, grad, hess, float(grad.sum()), float(hess.sum()), sort_cache
             )
             sort_cache = dict(cache) if cache is not None else None
-            reference = tree._best_split_reference(
-                X, grad, hess, float(grad.sum()), float(hess.sum()), sort_cache
+            reference = gbt_best_split_reference(
+                tree, X, grad, hess, float(grad.sum()), float(hess.sum()), sort_cache
             )
             assert vectorized == reference
-
-    def test_kernel_disabled_flips_the_switch(self):
-        from repro.ml.gbt import _GradientTree
-
-        assert _GradientTree.vectorized_split
-        with kernel_disabled():
-            assert not _GradientTree.vectorized_split
-        assert _GradientTree.vectorized_split
