@@ -66,9 +66,10 @@ def summarize(report_paths) -> dict:
         entry = {
             key: report[key] for key in HEADLINE_KEYS if key in report
         }
-        tuning = report.get("tuning_search")
-        if isinstance(tuning, dict) and "speedup" in tuning:
-            entry["tuning_speedup"] = tuning["speedup"]
+        for arm, key in (("tuning_search", "tuning"), ("linear_fit", "linear")):
+            section = report.get(arm)
+            if isinstance(section, dict) and "speedup" in section:
+                entry[f"{key}_speedup"] = section["speedup"]
         benchmarks[name] = entry
         report_gates: dict[str, bool] = {}
         _collect_gates(report, "", report_gates)
@@ -116,8 +117,10 @@ def main(argv=None) -> int:
         headline = f"{speedup:.2f}x" if speedup is not None else "-"
         if "tuning_speedup" in entry:
             headline += f" (tuning {entry['tuning_speedup']:.2f}x)"
+        if "linear_speedup" in entry:
+            headline += f" (LR fit {entry['linear_speedup']:.2f}x)"
         gate_count = len(summary["bit_identity_gates"].get(name, {}))
-        print(f"  {name:<{width}}  {headline:<22} {gate_count} identity gates")
+        print(f"  {name:<{width}}  {headline:<36} {gate_count} identity gates")
     verdict = "pass" if summary["all_gates_pass"] else "FAIL"
     print(f"  all bit-identity gates: {verdict}")
     if not args.check:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -42,10 +41,10 @@ from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
 
 try:
-    from .common import persisted_sha256
+    from .common import cpu_count, persisted_sha256
 except ImportError:  # running as a script: python benchmarks/bench_cleaning_kernel.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import persisted_sha256
+    from benchmarks.common import cpu_count, persisted_sha256
 
 KERNEL_CONFIG = StudyConfig(
     n_splits=4,
@@ -118,7 +117,7 @@ def run_cleaning_bench(tiny: bool = False) -> dict:
 
     return {
         "benchmark": "cleaning_kernel",
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": cpu_count(),
         "study": (
             f"Credit x outliers (12 Table 2 methods) + Restaurant x "
             f"duplicates (2 methods), {n_rows} rows, {config.n_splits} "

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import tempfile
 import time
@@ -41,6 +40,12 @@ from repro.core import (
     load_checkpoint_state,
 )
 from repro.datasets import load_dataset
+
+try:
+    from .common import cpu_count
+except ImportError:  # running as a script: python benchmarks/bench_fault_tolerance.py
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks.common import cpu_count
 
 FULL_CONFIG = StudyConfig(
     n_splits=3,
@@ -104,7 +109,6 @@ def time_arm(
 
 def run_fault_tolerance_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else FULL_CONFIG
-    cpu_count = os.cpu_count() or 1
     wall: dict[str, float] = {}
     stats: dict[str, dict] = {}
 
@@ -192,7 +196,7 @@ def run_fault_tolerance_bench(tiny: bool = False) -> dict:
             f"{len(TINY_METHODS if tiny else FULL_METHODS)} methods x "
             f"{len(config.models)} models"
         ),
-        "cpu_count": cpu_count,
+        "cpu_count": cpu_count(),
         "wall_time_seconds": {k: round(v, 3) for k, v in wall.items()},
         "recovery_stats": stats,
         "faults_recovered": recovered,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -32,6 +31,12 @@ from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import StudyBlock, StudyConfig, execute_study
 from repro.core.executor import block_method_names
 from repro.datasets import load_dataset
+
+try:
+    from .common import cpu_count
+except ImportError:  # running as a script: python benchmarks/bench_intra_split.py
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks.common import cpu_count
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
 
@@ -92,8 +97,8 @@ def time_arm(config: StudyConfig, tiny: bool, n_jobs: int, granularity: str):
 
 def run_intra_split_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else FULL_CONFIG
-    cpu_count = os.cpu_count() or 1
-    single_core = cpu_count < 2
+    cores = cpu_count()
+    single_core = cores < 2
 
     blocks = build_blocks(config, tiny)
     n_methods = len(block_method_names(blocks[0], config))
@@ -102,7 +107,7 @@ def run_intra_split_bench(tiny: bool = False) -> dict:
     # a split-level run at n_jobs=2 is the idle-machine baseline: one
     # pending task, so the executor cannot use the second worker at all
     arms = [("split", 1), ("split", 2), ("cell", 2)]
-    if cpu_count >= 4:
+    if cores >= 4:
         arms.append(("cell", 4))
 
     wall: dict[str, float] = {}
@@ -126,7 +131,7 @@ def run_intra_split_bench(tiny: bool = False) -> dict:
             f"cv_folds {config.cv_folds}"
         ),
         "n_cells": n_cells,
-        "cpu_count": cpu_count,
+        "cpu_count": cores,
         "wall_time_seconds": wall,
         "naive_seconds": wall["split@1"],
         "results_bit_identical": bool(identical),

@@ -44,6 +44,12 @@ from repro.core import CleanMLStudy, StudyConfig, SupervisorConfig, save_experim
 from repro.core.faults import FaultPlan
 from repro.core.observability import ObservabilityConfig, build_report, observing
 
+try:
+    from .common import cpu_count
+except ImportError:  # running as a script: python benchmarks/bench_observability.py
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks.common import cpu_count
+
 OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_observability.json"
 
 N_ROWS = 4000
@@ -141,6 +147,7 @@ def run_observability_bench(tiny: bool = False, report_out=None) -> dict:
     chaos_retries = chaos_report.counters.get("supervisor.retries", 0)
     return {
         "benchmark": "observability",
+        "cpu_count": cpu_count(),
         "study": (
             f"Sensor {n_rows} rows, {STUDY_CONFIG.n_splits} splits x SD/mean "
             f"x {len(STUDY_CONFIG.models)} models: dark vs unit-traced runs "

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -33,6 +32,12 @@ from pathlib import Path
 from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
+
+try:
+    from .common import cpu_count
+except ImportError:  # running as a script: python benchmarks/bench_parallel_scaling.py
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks.common import cpu_count
 
 JOB_COUNTS = (1, 2, 4)
 
@@ -62,8 +67,8 @@ def build_study(config=SCALING_CONFIG) -> CleanMLStudy:
 
 
 def run_scaling(job_counts=JOB_COUNTS) -> dict:
-    cpu_count = os.cpu_count() or 1
-    single_core = cpu_count < 2
+    cores = cpu_count()
+    single_core = cores < 2
     timings = {}
     reference = None
     for jobs in job_counts:
@@ -82,7 +87,7 @@ def run_scaling(job_counts=JOB_COUNTS) -> dict:
     report = {
         "benchmark": "parallel_scaling",
         "study": "Sensor x outliers, 8 splits, 4 models, 3 methods",
-        "cpu_count": cpu_count,
+        "cpu_count": cores,
         "kernel": "split-execution kernel (shared encoding + evaluation memo)",
         "sequential_baseline_seconds": round(sequential, 3),
         "wall_time_seconds": {str(jobs): round(t, 3) for jobs, t in timings.items()},

@@ -50,9 +50,11 @@ from repro.table import store_info, store_verification, table_streaming_disabled
 
 try:
     from .bench_out_of_core import CHUNK_ROWS, N_ROWS, TINY_ROWS, build_csv, run_pipeline
+    from .common import cpu_count
 except ImportError:  # running as a script: python benchmarks/bench_storage_integrity.py
     sys.path.insert(0, str(Path(__file__).parent))
     from bench_out_of_core import CHUNK_ROWS, N_ROWS, TINY_ROWS, build_csv, run_pipeline
+    from common import cpu_count
 
 OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_storage_integrity.json"
 
@@ -130,6 +132,7 @@ def run_storage_integrity_bench(tiny: bool = False) -> dict:
 
     return {
         "benchmark": "storage_integrity",
+        "cpu_count": cpu_count(),
         "study": (
             f"synthetic sensor log, {n_rows} rows x 7 columns: streamed "
             f"ingest -> inject -> encode (chunk={CHUNK_ROWS}) with sha256 "

@@ -19,8 +19,13 @@ search), asserting identical ``best_params_`` / ``best_score_``.  KNN
 dominates the gain (one distance matrix per fold instead of one per
 candidate), naive Bayes amortizes its class statistics, the decision
 tree shares root argsorts — together they are the "candidates+1 x
-folds full fits" redundancy the kernel exists to remove.  Everything
-lands in ``BENCH_tuning_kernel.json`` at the repository root.
+folds full fits" redundancy the kernel exists to remove.
+
+A second arm, ``linear_fit``, times the fused LogisticRegression loop
+against its allocating oracle (``tests/oracles/linear.py``) over the
+matrix's CV training folds and gates ``linear_bit_identical``: every
+fold fit's ``coef_``/``intercept_`` bytes must match.  Everything lands
+in ``BENCH_tuning_kernel.json`` at the repository root.
 
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
 pytest; ``--tiny`` shrinks splits/rows/search for the CI smoke, which
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,15 +43,21 @@ from pathlib import Path
 from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
-from repro.ml import RandomSearch, make_model, search_space
+from repro.ml import (
+    LogisticRegression,
+    RandomSearch,
+    kfold_plan,
+    make_model,
+    search_space,
+)
 from repro.table import FeatureEncoder, LabelEncoder
 
 try:
-    from .common import persisted_sha256
+    from .common import cpu_count, persisted_sha256
 except ImportError:  # running as a script: python benchmarks/bench_tuning_kernel.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import persisted_sha256
-from tests.oracles import random_search_reference
+    from benchmarks.common import cpu_count, persisted_sha256
+from tests.oracles import logistic_fit_reference, random_search_reference
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
 
@@ -69,6 +79,9 @@ TINY_CONFIG = StudyConfig(
 
 N_ROWS = 420
 TINY_ROWS = 150
+
+#: interleaved best-of-N passes of the LogisticRegression arm (full shape)
+LINEAR_REPEATS = 5
 
 METHODS = (
     ("SD", "mean"),
@@ -106,20 +119,26 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     return study
 
 
-def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
-    """Micro-benchmark: ``RandomSearch.fit`` per model vs the oracle.
+def encoded_matrix(n_rows: int):
+    """(X, y) of the study dataset's dirty table under the study's encoders.
 
-    Uses the study's own encoders on the study dataset's dirty table, so
-    the matrix shape (wide one-hot vocabulary included) is exactly what
-    the study's tuning loop sees.  Asserts the fold-major search and the
-    candidate-major oracle agree on ``best_params_``/``best_score_``.
+    The matrix shape (wide one-hot vocabulary included) is exactly what
+    the study's tuning loop sees.
     """
-    dataset = load_dataset("Airbnb", seed=0, n_rows=n_rows)
-    table = dataset.dirty
+    table = load_dataset("Airbnb", seed=0, n_rows=n_rows).dirty
     X = FeatureEncoder().fit_transform(table.features_table())
     y = LabelEncoder().fit(
         table.column(table.schema.label).unique()
     ).transform(table.labels)
+    return X, y
+
+
+def time_tuning(X, y, config: StudyConfig, repeats: int = 3) -> dict:
+    """Micro-benchmark: ``RandomSearch.fit`` per model vs the oracle.
+
+    Asserts the fold-major search and the candidate-major oracle agree
+    on ``best_params_``/``best_score_``.
+    """
 
     def build_search(name: str) -> RandomSearch:
         return RandomSearch(
@@ -170,6 +189,49 @@ def time_tuning(config: StudyConfig, n_rows: int, repeats: int = 3) -> dict:
     }
 
 
+def time_linear_fit(X, y, n_folds: int, repeats: int) -> dict:
+    """Micro-benchmark: the fused LogisticRegression loop vs its oracle.
+
+    Fits a default LogisticRegression on each CV training slice of the
+    matrix — the fits one tuning candidate runs — with the allocating
+    loop kept as the oracle (``tests/oracles/linear.py``) and with the
+    production kernel, interleaved best-of-N, and checks that every
+    fit's ``coef_``/``intercept_`` bytes are equal.
+    """
+    plan = kfold_plan(len(y), n_folds, seed=42)
+    folds = [(X[train], y[train]) for train, _ in plan]
+    naive_seconds = kernel_seconds = float("inf")
+    identical = True
+    for _ in range(repeats):
+        start = time.perf_counter()
+        naive = [
+            logistic_fit_reference(LogisticRegression(), X_fold, y_fold)
+            for X_fold, y_fold in folds
+        ]
+        naive_seconds = min(naive_seconds, time.perf_counter() - start)
+
+        start = time.perf_counter()
+        kernel = [LogisticRegression().fit(X_fold, y_fold) for X_fold, y_fold in folds]
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
+        identical = identical and all(
+            a.coef_.tobytes() == b.coef_.tobytes()
+            and a.intercept_.tobytes() == b.intercept_.tobytes()
+            for a, b in zip(naive, kernel)
+        )
+    return {
+        "matrix": f"{X.shape[0]}x{X.shape[1]} encoded (Airbnb dirty)",
+        "fits": len(folds),
+        "naive_seconds": round(naive_seconds, 4),
+        "kernel_seconds": round(kernel_seconds, 4),
+        "speedup": round(naive_seconds / kernel_seconds, 2),
+        "fits_per_second": {
+            "naive": round(len(folds) / naive_seconds, 2),
+            "kernel": round(len(folds) / kernel_seconds, 2),
+        },
+        "linear_bit_identical": bool(identical),
+    }
+
+
 def run_tuning_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else KERNEL_CONFIG
     n_rows = TINY_ROWS if tiny else N_ROWS
@@ -192,10 +254,11 @@ def run_tuning_bench(tiny: bool = False) -> dict:
     digest = persisted_sha256(kernel)
     parallel_digest = persisted_sha256(parallel)
     reference_digest = REFERENCE_DIGESTS["tiny" if tiny else "full"]
+    X, y = encoded_matrix(n_rows)
 
     return {
         "benchmark": "tuning_kernel",
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": cpu_count(),
         "study": (
             f"Airbnb x outliers, {n_rows} rows, {config.n_splits} splits, "
             f"models {'+'.join(config.models)}, {len(METHODS)} methods, "
@@ -205,7 +268,10 @@ def run_tuning_bench(tiny: bool = False) -> dict:
         "kernel_seconds": round(kernel_seconds, 3),
         "tasks_per_second": {"kernel": round(n_tasks / kernel_seconds, 2)},
         "cited_reference": CITED_REFERENCE,
-        "tuning_search": time_tuning(config, n_rows, repeats=max(repeats, 2)),
+        "tuning_search": time_tuning(X, y, config, repeats=max(repeats, 2)),
+        "linear_fit": time_linear_fit(
+            X, y, config.cv_folds, repeats=2 if tiny else LINEAR_REPEATS
+        ),
         "reference_digest": reference_digest,
         "results_bit_identical": digest == reference_digest,
         "parallel_bit_identical": parallel_digest == digest,
@@ -218,6 +284,7 @@ def publish_report(report: dict) -> None:
     OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     tuning = report["tuning_search"]
+    linear = report["linear_fit"]
     cited = report["cited_reference"]
     per_model = "  ".join(
         f"{name}: {entry['speedup']:.2f}x"
@@ -239,6 +306,9 @@ def publish_report(report: dict) -> None:
                 f"  tuning path: {tuning['speedup']:.2f}x on "
                 f"{tuning['matrix']} ({per_model}; "
                 f"bit-identical: {tuning['tuning_bit_identical']})",
+                f"  LogisticRegression fit: {linear['speedup']:.2f}x over "
+                f"{linear['fits']} fold fits on {linear['matrix']} "
+                f"(bit-identical: {linear['linear_bit_identical']})",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -258,6 +328,9 @@ def check_report(report: dict) -> None:
     )
     assert report["tuning_search"]["tuning_bit_identical"], (
         "fold-major RandomSearch diverged from the candidate-major oracle"
+    )
+    assert report["linear_fit"]["linear_bit_identical"], (
+        "the fused LogisticRegression loop diverged from its oracle"
     )
 
 

@@ -18,6 +18,7 @@ Each benchmark prints its paper-style table and writes it to
 from __future__ import annotations
 
 import hashlib
+import os
 import tempfile
 from pathlib import Path
 
@@ -62,6 +63,18 @@ def publish(name: str, text: str) -> str:
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
     return text
+
+
+def cpu_count() -> int:
+    """Cores this process may run on — the ``cpu_count`` every report records.
+
+    The scheduler affinity mask where the platform exposes one (a
+    container or ``taskset`` can grant fewer cores than the machine
+    has), otherwise ``os.cpu_count()``; never less than 1.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 def once(benchmark, fn):

@@ -113,11 +113,48 @@ def check_fit_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return X, y, n_classes
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise numerically-stable softmax."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def softmax(
+    logits: np.ndarray, out: np.ndarray | None = None, row: np.ndarray | None = None
+) -> np.ndarray:
+    """Row-wise numerically-stable softmax.
+
+    The one row-softmax kernel: every ``predict_proba`` calls it as
+    ``softmax(logits)``; :class:`~repro.ml.linear.LogisticRegression`
+    runs it in place on preallocated buffers (``out`` may be ``logits``
+    itself, ``row`` is an ``(n, 1)`` float scratch buffer).  Either way
+    the bits equal ``exp / exp.sum(axis=1, keepdims=True)`` of
+    ``exp = np.exp(logits - logits.max(axis=1, keepdims=True))``:
+
+    * the row max is a column-wise ``np.maximum`` fold, exact for any k;
+    * the row sum is the sequential column fold ``((e0 + e1) + e2)...``
+      for k < 8 — numpy's own ``axis=1`` order for so few columns — and
+      ``sum(axis=1)`` itself for k >= 8, where numpy switches to unrolled
+      pairwise summation and the fold would no longer match.
+
+    The column folds replace numpy's per-row inner loops, which dominate
+    the cost of a narrow ``(n, k)`` reduction.
+    """
+    n_classes = logits.shape[1]
+    if out is None:
+        # same memory order as the input, so a k >= 8 ``sum(axis=1)`` of
+        # an F-ordered ``logits`` runs in the order numpy's own would
+        out = np.empty_like(logits, dtype=np.float64)
+    if row is None:
+        row = np.empty((logits.shape[0], 1))
+    fold = row[:, 0]
+    np.copyto(fold, logits[:, 0])
+    for j in range(1, n_classes):
+        np.maximum(fold, logits[:, j], out=fold)
+    np.subtract(logits, row, out=out)
+    np.exp(out, out=out)
+    if n_classes < 8:
+        np.copyto(fold, out[:, 0])
+        for j in range(1, n_classes):
+            np.add(fold, out[:, j], out=fold)
+    else:
+        out.sum(axis=1, out=fold)
+    np.divide(out, row, out=out)
+    return out
 
 
 def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:

@@ -3,8 +3,9 @@
 Every optimized kernel in ``src/`` was written against a plain
 reference implementation: the per-row encoder transform, the
 per-feature CART and XGBoost split searches, the per-class KNN vote,
-the eager copy-on-``take`` column, the set-based ``drop_rows`` and the
-candidate-major cross-validation loop.  Production has one code path per
+the eager copy-on-``take`` column, the set-based ``drop_rows``, the
+candidate-major cross-validation loop, and the allocating
+LogisticRegression loop and row softmax.  Production has one code path per
 kernel; the references live here as plain functions, and the tests pin
 each production kernel to its oracle bit for bit.  The kernel
 benchmarks import them too, to time the "before" arm.
@@ -15,6 +16,7 @@ bit-equality in a test, and gate it in a benchmark.
 
 from .encode import transform_reference
 from .knn import vote_reference
+from .linear import logistic_fit_reference, softmax_reference
 from .table import drop_rows_reference, table_take_reference, take_reference
 from .trees import cart_best_split_reference, gbt_best_split_reference
 from .tuning import cross_val_score_reference, random_search_reference
@@ -24,7 +26,9 @@ __all__ = [
     "cross_val_score_reference",
     "drop_rows_reference",
     "gbt_best_split_reference",
+    "logistic_fit_reference",
     "random_search_reference",
+    "softmax_reference",
     "table_take_reference",
     "take_reference",
     "transform_reference",
