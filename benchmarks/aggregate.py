@@ -66,7 +66,11 @@ def summarize(report_paths) -> dict:
         entry = {
             key: report[key] for key in HEADLINE_KEYS if key in report
         }
-        for arm, key in (("tuning_search", "tuning"), ("linear_fit", "linear")):
+        for arm, key in (
+            ("tuning_search", "tuning"),
+            ("linear_fit", "linear"),
+            ("zeroer_features", "zeroer"),
+        ):
             section = report.get(arm)
             if isinstance(section, dict) and "speedup" in section:
                 entry[f"{key}_speedup"] = section["speedup"]
@@ -119,6 +123,8 @@ def main(argv=None) -> int:
             headline += f" (tuning {entry['tuning_speedup']:.2f}x)"
         if "linear_speedup" in entry:
             headline += f" (LR fit {entry['linear_speedup']:.2f}x)"
+        if "zeroer_speedup" in entry:
+            headline += f" (ZeroER features {entry['zeroer_speedup']:.2f}x)"
         gate_count = len(summary["bit_identity_gates"].get(name, {}))
         print(f"  {name:<{width}}  {headline:<36} {gate_count} identity gates")
     verdict = "pass" if summary["all_gates_pass"] else "FAIL"

@@ -19,13 +19,22 @@ The study composition deliberately stresses detection: the full Table 2
 outlier grid on Credit (the isolation forest is fitted for the Mean /
 Median / Mode / HoloClean repairs — 4 fits naive, 1 cached — and SD/IQR
 likewise share threshold fits), plus the duplicate grid on Restaurant
-(ZeroER's blocked pair featurization dominates; its ``fit_detect``
-byproduct hands the training detection to the cache for free).  A
-single cheap model keeps training time from masking the detection work.
+(ZeroER's pair featurization dominates — on test splits under its
+400-row blocking threshold it scores every pair, ~32k for a 259-row
+split; its ``fit_detect`` byproduct hands the training detection to the
+cache for free).  A single cheap model keeps training time from
+masking the detection work.
+
+A second arm, ``zeroer_features``, times the column-at-a-time ZeroER
+pair kernel (``candidate_pairs`` + ``PairFeaturizer.features``) against
+its per-pair oracle (``tests/oracles/zeroer.py``) on the Restaurant and
+Airbnb test splits of the repository benchmark's duplicate blocks,
+interleaved best-of-N, and gates ``zeroer_bit_identical``: the pairs
+and every feature byte must match.
 
 Run directly (``python benchmarks/bench_cleaning_kernel.py``) or under
 pytest; ``--tiny`` shrinks rows/splits for the CI smoke, which fails
-the step if ``results_bit_identical`` ever goes false.
+the step if any bit-identity gate ever goes false.
 """
 
 from __future__ import annotations
@@ -36,15 +45,18 @@ import sys
 import time
 from pathlib import Path
 
-from repro.cleaning import DUPLICATES, OUTLIERS
+from repro.cleaning import DUPLICATES, OUTLIERS, PairFeaturizer
+from repro.cleaning.zeroer import candidate_pairs
 from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
+from repro.table import train_test_split
 
 try:
     from .common import cpu_count, persisted_sha256
 except ImportError:  # running as a script: python benchmarks/bench_cleaning_kernel.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from benchmarks.common import cpu_count, persisted_sha256
+from tests.oracles import candidate_pairs_reference, pair_features_reference
 
 KERNEL_CONFIG = StudyConfig(
     n_splits=4,
@@ -62,6 +74,13 @@ TINY_CONFIG = StudyConfig(
 
 N_ROWS = 300
 TINY_ROWS = 150
+
+#: the duplicate blocks' rows in the repository benchmark's workloads
+#: (``perfbench/workloads.py``): their test splits fall under ZeroER's
+#: 400-row blocking threshold, so every pair is scored
+ZEROER_DATASETS = ("Restaurant", "Airbnb")
+ZEROER_ROWS = 800
+ZEROER_REPEATS = 5
 
 OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_cleaning_kernel.json"
 
@@ -91,6 +110,57 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     study.add(load_dataset("Credit", seed=0, n_rows=n_rows), OUTLIERS)
     study.add(load_dataset("Restaurant", seed=0, n_rows=n_rows), DUPLICATES)
     return study
+
+
+def time_zeroer_features(n_rows: int, repeats: int) -> dict:
+    """Micro-benchmark: the ZeroER pair kernel vs its per-pair oracle.
+
+    Fits a ``PairFeaturizer`` on each dataset's training split and
+    featurizes every candidate pair of its test split, once through the
+    per-pair oracles and once through the production kernel,
+    interleaved best-of-N, and checks that the pairs and the feature
+    bytes are equal.
+    """
+    splits = []
+    for name in ZEROER_DATASETS:
+        train, test = train_test_split(
+            load_dataset(name, seed=0, n_rows=n_rows).dirty, seed=0
+        )
+        splits.append((PairFeaturizer().fit(train), test))
+    naive_seconds = kernel_seconds = float("inf")
+    identical = True
+    for _ in range(repeats):
+        start = time.perf_counter()
+        naive = []
+        for featurizer, test in splits:
+            pairs = candidate_pairs_reference(test, featurizer.categorical)
+            features = pair_features_reference(featurizer, test, pairs)
+            naive.append((pairs, features))
+        naive_seconds = min(naive_seconds, time.perf_counter() - start)
+
+        start = time.perf_counter()
+        kernel = []
+        for featurizer, test in splits:
+            a, b = candidate_pairs(test, featurizer.categorical)
+            kernel.append((a, b, featurizer.features(test, a, b)))
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
+        identical = identical and all(
+            list(zip(a.tolist(), b.tolist())) == pairs
+            and X.shape == R.shape
+            and X.tobytes() == R.tobytes()
+            for (pairs, R), (a, b, X) in zip(naive, kernel)
+        )
+    return {
+        "tables": ", ".join(
+            f"{name} test split ({test.n_rows} rows)"
+            for name, (_, test) in zip(ZEROER_DATASETS, splits)
+        ),
+        "pairs": sum(len(pairs) for pairs, _ in naive),
+        "naive_seconds": round(naive_seconds, 4),
+        "kernel_seconds": round(kernel_seconds, 4),
+        "speedup": round(naive_seconds / kernel_seconds, 2),
+        "zeroer_bit_identical": bool(identical),
+    }
 
 
 def run_cleaning_bench(tiny: bool = False) -> dict:
@@ -127,6 +197,9 @@ def run_cleaning_bench(tiny: bool = False) -> dict:
         "kernel_seconds": round(kernel_seconds, 3),
         "tasks_per_second": {"kernel": round(n_tasks / kernel_seconds, 2)},
         "cited_reference": CITED_REFERENCE,
+        "zeroer_features": time_zeroer_features(
+            TINY_ROWS if tiny else ZEROER_ROWS, 1 if tiny else ZEROER_REPEATS
+        ),
         "reference_digest": reference_digest,
         "results_bit_identical": digest == reference_digest,
         "parallel_bit_identical": persisted_sha256(parallel) == digest,
@@ -137,6 +210,7 @@ def publish_report(report: dict) -> None:
     OUTPUT_PATH.parent.mkdir(exist_ok=True)
     OUTPUT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     cited = report["cited_reference"]
+    zeroer = report["zeroer_features"]
     print(
         "\n".join(
             [
@@ -149,6 +223,9 @@ def publish_report(report: dict) -> None:
                 f"  cited reference: {cited['speedup']:.2f}x vs naive, "
                 f"{cited['detection_cache_speedup']:.2f}x from the detection "
                 f"cache alone ({cited['source']})",
+                f"  ZeroER pair features: {zeroer['speedup']:.2f}x over "
+                f"{zeroer['pairs']} pairs on {zeroer['tables']} "
+                f"(bit-identical: {zeroer['zeroer_bit_identical']})",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -162,6 +239,9 @@ def check_report(report: dict) -> None:
     )
     assert report["parallel_bit_identical"], (
         "n_jobs=2 cleaning-kernel run diverged from n_jobs=1"
+    )
+    assert report["zeroer_features"]["zeroer_bit_identical"], (
+        "the ZeroER pair kernel diverged from its per-pair oracle"
     )
 
 

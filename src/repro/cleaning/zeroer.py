@@ -7,9 +7,11 @@ examples**.  This module reproduces that pipeline:
 
 1. **Blocking** — candidate pairs share at least one token in some
    categorical field (or all pairs when the table is small);
-2. **Featurization** — per categorical column: token-Jaccard and exact
-   match; per numeric column: ``exp(-|a-b| / scale)`` with the training
-   column's std as scale;
+2. **Featurization** — one column at a time over the pair index arrays.
+   Per categorical column: token-Jaccard (computed once per distinct
+   value pair) and exact match (on the column's factorized codes); per
+   numeric column: ``exp(-|a-b| / scale)`` with the training column's
+   std as scale;
 3. **EM** over a two-component diagonal Gaussian mixture, initialized
    from the overall-similarity extremes;
 4. pairs whose match-component posterior exceeds a threshold are
@@ -39,15 +41,30 @@ def tokenize(value: str | None) -> set[str]:
     return {token for token in cleaned.split() if token}
 
 
-def candidate_pairs(table: Table, columns: list[str]) -> list[tuple[int, int]]:
-    """Blocked candidate pairs (i, j) with i < j.
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """Codes of a categorical column (``None`` -> -1) and its distinct values."""
+    index: dict = {}
+    codes = np.fromiter(
+        (
+            -1 if value is None else index.setdefault(value, len(index))
+            for value in values
+        ),
+        dtype=np.intp,
+        count=len(values),
+    )
+    return codes, list(index)
 
-    Small tables are enumerated exhaustively; larger ones use token
-    blocking over the given categorical columns.
+
+def candidate_pairs(table: Table, columns: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Blocked candidate pairs as index arrays ``(a, b)`` with ``a < b``.
+
+    Small tables are enumerated exhaustively, in row-major order; larger
+    ones use token blocking over the given categorical columns, and the
+    pairs come out in lexicographic order.
     """
     n = table.n_rows
     if n <= _SMALL_TABLE:
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
+        return np.triu_indices(n, 1)
     buckets: dict[str, list[int]] = {}
     for i in range(n):
         tokens: set[str] = set()
@@ -62,7 +79,31 @@ def candidate_pairs(table: Table, columns: list[str]) -> list[tuple[int, int]]:
         for a_pos, a in enumerate(members):
             for b in members[a_pos + 1 :]:
                 pairs.add((a, b))
-    return sorted(pairs)
+    ordered = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2)
+    return ordered[:, 0], ordered[:, 1]
+
+
+def _jaccard(ca: np.ndarray, cb: np.ndarray, token_sets: list[set[str]]) -> np.ndarray:
+    """Token Jaccard of each code pair, computed once per distinct pair."""
+    token_sets = [set()] + token_sets  # shifted by one: code -1 (None) has no tokens
+    width = len(token_sets)
+    distinct, inverse = np.unique((ca + 1) * width + (cb + 1), return_inverse=True)
+    first, second = np.divmod(distinct, width)
+    shared = np.fromiter(
+        (
+            len(token_sets[i] & token_sets[j])
+            for i, j in zip(first.tolist(), second.tolist())
+        ),
+        dtype=np.intp,
+        count=len(distinct),
+    )
+    sizes = np.fromiter(map(len, token_sets), dtype=np.intp, count=width)
+    union = sizes[first] + sizes[second] - shared
+    # small ints convert to float64 exactly, so this division rounds like
+    # Python's int / int; an empty union scores 0.0
+    similarity = np.zeros(len(distinct))
+    np.divide(shared, union, out=similarity, where=union > 0)
+    return similarity[inverse]
 
 
 class PairFeaturizer:
@@ -92,38 +133,24 @@ class PairFeaturizer:
         self.n_features = 2 * len(self.categorical) + len(self.numeric)
         return self
 
-    def features(self, table: Table, pairs: list[tuple[int, int]]) -> np.ndarray:
-        """Similarity feature matrix, one row per candidate pair."""
-        out = np.zeros((len(pairs), self.n_features))
-        token_cache: dict[tuple[str, int], set[str]] = {}
-
-        def tokens(name: str, row: int) -> set[str]:
-            key = (name, row)
-            if key not in token_cache:
-                token_cache[key] = tokenize(table.column(name).values[row])
-            return token_cache[key]
-
-        for p, (a, b) in enumerate(pairs):
-            col = 0
-            for name in self.categorical:
-                weight = self.weights[name]
-                ta, tb = tokens(name, a), tokens(name, b)
-                union = len(ta | tb)
-                jaccard = len(ta & tb) / union if union else 0.0
-                out[p, col] = weight * jaccard
-                va = table.column(name).values[a]
-                vb = table.column(name).values[b]
-                exact = 1.0 if (va is not None and va == vb) else 0.0
-                out[p, col + 1] = weight * exact
-                col += 2
-            for name in self.numeric:
-                va = table.column(name).values[a]
-                vb = table.column(name).values[b]
-                if np.isnan(va) or np.isnan(vb):
-                    out[p, col] = 0.0
-                else:
-                    out[p, col] = np.exp(-abs(va - vb) / self.scales[name])
-                col += 1
+    def features(self, table: Table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Similarity feature matrix, one row per candidate pair ``(a[p], b[p])``."""
+        out = np.zeros((len(a), self.n_features))
+        col = 0
+        for name in self.categorical:
+            weight = self.weights[name]
+            codes, distinct = _factorize(table.column(name).values)
+            ca, cb = codes[a], codes[b]
+            out[:, col] = weight * _jaccard(ca, cb, [tokenize(v) for v in distinct])
+            out[:, col + 1] = weight * ((ca == cb) & (ca >= 0))
+            col += 2
+        for name in self.numeric:
+            values = table.column(name).values
+            va, vb = values[a], values[b]
+            similarity = np.exp(-np.abs(va - vb) / self.scales[name])
+            similarity[np.isnan(va) | np.isnan(vb)] = 0.0
+            out[:, col] = similarity
+            col += 1
         return out
 
 
@@ -294,8 +321,8 @@ class ZeroERDetector(Detector):
         pairs = candidate_pairs(train, self._featurizer.categorical)
         X = None
         self._mixture: TwoComponentGaussianMixture | None = None
-        if len(pairs) >= 4:
-            X = self._featurizer.features(train, pairs)
+        if len(pairs[0]) >= 4:
+            X = self._featurizer.features(train, *pairs)
             # ZeroER's regularized regime: a small seeded match component
             # with frozen shape, so EM cannot drift into "similar-ish"
             # pair populations (the paper's false-positive tendency shows
@@ -307,10 +334,11 @@ class ZeroERDetector(Detector):
 
     def _score(self, pairs, X) -> list[tuple[int, int]]:
         """Pairs whose match posterior clears the threshold."""
-        if self._mixture is None or not pairs:
+        a, b = pairs
+        if self._mixture is None or len(a) == 0:
             return []
-        posterior = self._mixture.match_posterior(X)
-        return [pair for pair, p in zip(pairs, posterior) if p > self.threshold]
+        match = self._mixture.match_posterior(X) > self.threshold
+        return list(zip(a[match].tolist(), b[match].tolist()))
 
     def matched_pairs(self, table: Table) -> list[tuple[int, int]]:
         """Pairs the fitted model declares duplicates."""
@@ -318,9 +346,9 @@ class ZeroERDetector(Detector):
         if self._mixture is None:
             return []
         pairs = candidate_pairs(table, self._featurizer.categorical)
-        if not pairs:
+        if len(pairs[0]) == 0:
             return []
-        X = self._featurizer.features(table, pairs)
+        X = self._featurizer.features(table, *pairs)
         return self._score(pairs, X)
 
     def detect(self, table: Table) -> DetectionResult:

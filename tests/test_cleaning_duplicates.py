@@ -93,12 +93,12 @@ class TestTokenize:
 
 class TestCandidatePairs:
     def test_small_table_enumerates_all(self, restaurants):
-        pairs = candidate_pairs(restaurants, ["name", "city"])
-        assert len(pairs) == 10  # C(5, 2)
+        a, b = candidate_pairs(restaurants, ["name", "city"])
+        assert len(a) == len(b) == 10  # C(5, 2)
 
     def test_pairs_are_ordered(self, restaurants):
-        for a, b in candidate_pairs(restaurants, ["name"]):
-            assert a < b
+        a, b = candidate_pairs(restaurants, ["name"])
+        assert (a < b).all()
 
 
 class TestMixture:
@@ -178,7 +178,7 @@ class TestZeroER:
 class TestPairFeaturizer:
     def test_identical_rows_score_high(self, restaurants):
         featurizer = PairFeaturizer().fit(restaurants)
-        features = featurizer.features(restaurants, [(0, 1), (0, 3)])
+        features = featurizer.features(restaurants, np.array([0, 0]), np.array([1, 3]))
         assert features[0].mean() > features[1].mean()
 
     def test_feature_width(self, restaurants):

@@ -21,11 +21,13 @@ bit-identical statistics, and the mapped columns stay unmaterialized.
 import pytest
 
 from repro.cleaning import (
+    DUPLICATES,
     MISSING_VALUES,
     OUTLIERS,
     ImputationCleaning,
     OutlierCleaning,
 )
+from repro.cleaning.base import DetectionCache
 from repro.cleaning.missing import ImputationRepair, MissingValueDetector
 from repro.core import (
     CleanMLStudy,
@@ -35,6 +37,7 @@ from repro.core import (
     save_experiments,
 )
 from repro.core import observability
+from repro.core.runner import _EvalMemo
 from repro.core.observability import (
     METRIC_CLASSES,
     SCHEDULE_INVARIANT,
@@ -225,6 +228,49 @@ class TestMergeDeterminism:
         assert collector.snapshot() == {
             "counters": {}, "gauges": {}, "spans": {}
         }
+
+
+class TestCacheAccounting:
+    """Cache counters account for every request: hits + misses == requests."""
+
+    def test_hits_plus_misses_equal_requests(self, monkeypatch):
+        requests = {"detection": 0, "evaluation": 0}
+
+        def spy(cls, name, kind):
+            original = getattr(cls, name)
+
+            def counted(self, *args, **kwargs):
+                requests[kind] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        spy(DetectionCache, "fit", "detection")
+        spy(DetectionCache, "detect", "detection")
+        spy(_EvalMemo, "evaluate", "evaluation")
+        config = StudyConfig(
+            n_splits=2,
+            cv_folds=2,
+            search_iters=1,
+            models=("knn", "naive_bayes"),
+            seed=7,
+        )
+        study = CleanMLStudy(config)
+        study.add(load_dataset("Sensor", seed=0, n_rows=100), OUTLIERS)
+        study.add(load_dataset("Restaurant", seed=0, n_rows=120), DUPLICATES)
+        with observing(ObservabilityConfig(enabled=True)):
+            study.run(n_jobs=1)
+            counters = build_report().counters
+
+        assert requests["detection"] > 0 and requests["evaluation"] > 0
+        for prefix, kind in (
+            ("cleaning.detection_cache", "detection"),
+            ("runner.eval_memo", "evaluation"),
+        ):
+            hits = counters.get(f"{prefix}.hits", 0)
+            misses = counters.get(f"{prefix}.misses", 0)
+            assert hits > 0 and misses > 0, prefix  # both branches ran
+            assert hits + misses == requests[kind], prefix
 
 
 class TestRecoveryLedger:
