@@ -24,11 +24,12 @@ chunk-wise so the builder itself stays flat), then reports:
   the ratio is refused and annotated rather than invented;
 * ``pipeline_bits_identical`` — the streaming pipeline's injected
   values and encoded feature matrix hash chunk-for-chunk to the same
-  bytes as the eager pipeline under ``table_streaming_disabled()``;
+  bytes as the eager pipeline (the row-major reader oracle from
+  ``tests/oracles/io.py``, then resident injectors with ``spill=None``);
 * ``study_bytes_identical`` — a study run on a memory-mapped
   (``Dataset.spilled``) dataset at ``n_jobs=2 / granularity=cell``
-  (workers re-open the maps) persists byte-identical JSON to the eager
-  ``table_streaming_disabled()`` run, recorded with its sha256.
+  (workers re-open the maps) persists byte-identical JSON to the
+  ``n_jobs=1`` run on the resident dataset, recorded with its sha256.
 
 Run directly (``python benchmarks/bench_out_of_core.py``) or under
 pytest; ``--tiny`` shrinks rows for the CI smoke (identity gates only).
@@ -52,14 +53,14 @@ from repro.cleaning import MISSING_VALUES, OUTLIERS, ImputationCleaning, Outlier
 from repro.core import CleanMLStudy, StudyConfig, save_experiments
 from repro.datasets import load_dataset
 from repro.datasets.inject import inject_missing, inject_outliers
-from repro.table import FeatureEncoder, read_csv, table_streaming_disabled
-from repro.table.io import _read_csv_reference
+from repro.table import FeatureEncoder, read_csv
 
 try:
     from .common import cpu_count, measure_peak_rss
 except ImportError:  # running as a script: python benchmarks/bench_out_of_core.py
-    sys.path.insert(0, str(Path(__file__).parent))
-    from common import cpu_count, measure_peak_rss
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from benchmarks.common import cpu_count, measure_peak_rss
+from tests.oracles import read_csv_reference
 
 N_ROWS = 1_200_000
 TINY_ROWS = 30_000
@@ -114,14 +115,16 @@ def run_pipeline(csv_path: Path, work: Path, streaming: bool) -> list[str]:
     """ingest → inject missing → inject outliers → encode, hashed per chunk.
 
     On the streaming path every stage spills to a columnar store and
-    hands back a memory-mapped table; on the eager path (wrapped in
-    ``table_streaming_disabled()`` by the caller) the ``spill``
-    arguments are no-ops and every stage is fully resident.  Chunk
-    boundaries for the digest sweep are fixed so both paths hash the
-    same byte stream.
+    hands back a memory-mapped table; on the eager path the row-major
+    reader oracle ingests the file and every stage is fully resident.
+    Chunk boundaries for the digest sweep are fixed so both paths hash
+    the same byte stream.
     """
     spill = (lambda name: work / name) if streaming else (lambda name: None)
-    table = read_csv(csv_path, chunk_rows=CHUNK_ROWS, spill=spill("ingest"))
+    if streaming:
+        table = read_csv(csv_path, chunk_rows=CHUNK_ROWS, spill=spill("ingest"))
+    else:
+        table = read_csv_reference(csv_path)
     table = inject_missing(
         table, ["pressure", "segment"], 0.05, np.random.default_rng(1234),
         spill=spill("missing"), chunk_rows=CHUNK_ROWS,
@@ -176,18 +179,15 @@ def run_out_of_core_bench(tiny: bool = False) -> dict:
                 lambda: run_pipeline(csv_path, work / "rss-stream", streaming=True)
             )
 
-            def eager_arm():
-                with table_streaming_disabled():
-                    return run_pipeline(csv_path, work / "rss-eager", streaming=False)
-
-            eager_digests, eager_rss = measure_peak_rss(eager_arm)
+            eager_digests, eager_rss = measure_peak_rss(
+                lambda: run_pipeline(csv_path, work / "rss-eager", streaming=False)
+            )
             rss_ratio = round(
                 max(stream_rss - base_rss, 1) / max(eager_rss - base_rss, 1), 3
             )
         else:  # pragma: no cover - platform without fork/getrusage
             stream_digests = run_pipeline(csv_path, work / "rss-stream", True)
-            with table_streaming_disabled():
-                eager_digests = run_pipeline(csv_path, work / "rss-eager", False)
+            eager_digests = run_pipeline(csv_path, work / "rss-eager", False)
             stream_rss = eager_rss = rss_ratio = None
 
         # ingestion throughput: streamed column-major parse vs the
@@ -199,16 +199,15 @@ def run_out_of_core_bench(tiny: bool = False) -> dict:
         del streamed
         gc.collect()
         start = time.perf_counter()
-        reference = _read_csv_reference(csv_path)
+        reference = read_csv_reference(csv_path)
         reference_seconds = time.perf_counter() - start
         del reference
         gc.collect()
         ingest_speedup = round(reference_seconds / stream_seconds, 2)
 
         # study byte-identity: memory-mapped dataset, workers re-opening
-        # the maps (n_jobs=2, cell granularity), vs the eager reference
-        with table_streaming_disabled():
-            eager_sha = run_study(work, mapped=True, n_jobs=1, granularity="split")
+        # the maps (n_jobs=2, cell granularity), vs the resident dataset
+        eager_sha = run_study(work, mapped=False, n_jobs=1, granularity="split")
         mapped_sha = run_study(work, mapped=True, n_jobs=2, granularity="cell")
 
     report = {
@@ -275,7 +274,7 @@ def check_report(report: dict) -> None:
         "streaming ingest/inject/encode diverged from the eager reference"
     )
     assert report["study_bytes_identical"], (
-        "study on memory-mapped dataset diverged from table_streaming_disabled()"
+        "study on memory-mapped dataset diverged from the resident dataset's"
     )
     if report["n_rows"] >= N_ROWS:
         assert report["ingest_speedup"] >= 1.5, (

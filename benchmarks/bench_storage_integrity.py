@@ -7,10 +7,11 @@ each digest once per process on first materialization — so the full
 ingest → inject → encode pipeline over the ≥1M-row sensor log should
 cost within 5% of the same pipeline with verification off.  **Recovery
 is invisible**: a study whose spilled store is corrupted mid-flight
-(a flipped payload bit, or a torn column whose rebuild keeps hitting
+(a flipped payload bit, or a torn column whose first rebuild hits an
 injected ``ENOSPC``) heals through the supervisor's recovery ladder —
-rebuild under a new generation, or degrade to the registered resident
-table — and persists JSON byte-identical to the fault-free eager run.
+retry, then rebuild under a new generation — and persists JSON
+byte-identical to the fault-free run on the resident dataset.  A store
+whose rebuild keeps hitting ``ENOSPC`` is quarantined instead.
 
 Reported:
 
@@ -21,10 +22,12 @@ Reported:
 * ``verify_bits_identical`` — both arms hash chunk-for-chunk to the
   same encoded bytes (verification must never perturb data);
 * ``faultfree_bytes_identical`` / ``rebuild_bytes_identical`` /
-  ``degrade_bytes_identical`` — the mapped fault-free, bit-flip-healed
-  and ENOSPC-degraded studies each persist the eager reference's exact
-  bytes, recorded with its sha256, plus the recovery counters proving
-  the ladder actually fired.
+  ``enospc_rebuild_bytes_identical`` — the mapped fault-free,
+  bit-flip-healed and transient-ENOSPC-healed studies each persist the
+  resident reference's exact bytes, recorded with its sha256, plus the
+  recovery counters proving the ladder actually fired;
+* ``enospc_persistent_quarantined`` — with every rebuild write failing,
+  the study quarantines its units instead of persisting anything.
 
 Run directly (``python benchmarks/bench_storage_integrity.py``) or
 under pytest; ``--tiny`` shrinks rows for the CI smoke (identity and
@@ -46,7 +49,7 @@ from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig, SupervisorConfig, save_experiments
 from repro.core.faults import BIT_FLIP, TORN_COLUMN, FaultPlan, corrupt_store
 from repro.datasets import load_dataset
-from repro.table import store_info, store_verification, table_streaming_disabled
+from repro.table import store_info, store_verification
 
 try:
     from .bench_out_of_core import CHUNK_ROWS, N_ROWS, TINY_ROWS, build_csv, run_pipeline
@@ -78,9 +81,9 @@ def timed_pipeline(csv_path: Path, work: Path, mode: str) -> tuple[list[str], fl
     return digests, seconds
 
 
-def run_study(work: Path, label: str, *, corruption=None, plan=None,
-              mapped: bool = True) -> tuple[str, dict]:
-    """(sha256 of persisted JSON, recovery counters) for one study arm."""
+def faulted_study(work: Path, label: str, *, corruption=None, plan=None,
+                  mapped: bool = True, quarantine: bool = False) -> CleanMLStudy:
+    """One study arm, run with ``corruption`` applied after the spill."""
     study = CleanMLStudy(STUDY_CONFIG)
     sensor = load_dataset("Sensor", seed=0, n_rows=120)
     if mapped:
@@ -88,9 +91,16 @@ def run_study(work: Path, label: str, *, corruption=None, plan=None,
     study.add(sensor, OUTLIERS, methods=[OutlierCleaning("SD", "mean")])
     if corruption is not None:
         corrupt_store(work / f"{label}-sensor" / "dirty", corruption)
-    supervisor = SupervisorConfig(max_retries=6, backoff_base=0.0, fault_plan=plan)
+    supervisor = SupervisorConfig(
+        max_retries=6, backoff_base=0.0, fault_plan=plan, quarantine=quarantine
+    )
     study.run(n_jobs=1, granularity="split", supervisor=supervisor)
-    stats = dict(study.failure_manifest.stats)
+    return study
+
+
+def run_study(work: Path, label: str, **arm) -> tuple[str, dict]:
+    """(sha256 of persisted JSON, recovery counters) for one healing arm."""
+    study = faulted_study(work, label, **arm)
     if study.failure_manifest.failures:
         raise AssertionError(
             f"{label} arm quarantined units instead of healing: "
@@ -98,7 +108,8 @@ def run_study(work: Path, label: str, *, corruption=None, plan=None,
         )
     out = work / f"study-{label}.json"
     save_experiments(study.raw_experiments, out)
-    return hashlib.sha256(out.read_bytes()).hexdigest(), stats
+    sha = hashlib.sha256(out.read_bytes()).hexdigest()
+    return sha, dict(study.failure_manifest.stats)
 
 
 def run_storage_integrity_bench(tiny: bool = False) -> dict:
@@ -116,18 +127,25 @@ def run_storage_integrity_bench(tiny: bool = False) -> dict:
         off_seconds = min(off_first, off_second)
         overhead = round(lazy_seconds / off_seconds - 1.0, 4)
 
-        # recovery arms: eager fault-free reference, then mapped arms
-        # that must land on its exact bytes whatever breaks on disk
-        with table_streaming_disabled():
-            eager_sha, _ = run_study(work, "eager", mapped=False)
+        # recovery arms: fault-free reference on the resident dataset,
+        # then mapped arms that must land on its exact bytes whatever
+        # breaks on disk
+        resident_sha, _ = run_study(work, "resident", mapped=False)
         faultfree_sha, _ = run_study(work, "faultfree")
         rebuild_sha, rebuild_stats = run_study(work, "rebuild", corruption=BIT_FLIP)
         rebuilt_generation = store_info(work / "rebuild-sensor" / "dirty")["generation"]
-        degrade_sha, degrade_stats = run_study(
+        enospc_sha, enospc_stats = run_study(
             work,
-            "degrade",
+            "enospc",
+            corruption=TORN_COLUMN,
+            plan=FaultPlan(enospc_rate=1.0, io_faulty_attempts=1),
+        )
+        full_disk = faulted_study(
+            work,
+            "full-disk",
             corruption=TORN_COLUMN,
             plan=FaultPlan(enospc_rate=1.0, io_faulty_attempts=1_000_000),
+            quarantine=True,
         )
 
     return {
@@ -137,7 +155,8 @@ def run_storage_integrity_bench(tiny: bool = False) -> dict:
             f"synthetic sensor log, {n_rows} rows x 7 columns: streamed "
             f"ingest -> inject -> encode (chunk={CHUNK_ROWS}) with sha256 "
             "store verification off vs lazy; plus corrupt-store recovery "
-            "(bit-flip rebuild, ENOSPC degrade) pinned to the eager study"
+            "(bit-flip rebuild, transient-ENOSPC rebuild, persistent-ENOSPC "
+            "quarantine) pinned to the resident study"
         ),
         "n_rows": n_rows,
         "chunk_rows": CHUNK_ROWS,
@@ -146,13 +165,17 @@ def run_storage_integrity_bench(tiny: bool = False) -> dict:
         "verification_overhead": overhead,
         "overhead_gate": OVERHEAD_GATE,
         "verify_bits_identical": lazy_digests == off_digests,
-        "faultfree_bytes_identical": faultfree_sha == eager_sha,
-        "rebuild_bytes_identical": rebuild_sha == eager_sha,
-        "degrade_bytes_identical": degrade_sha == eager_sha,
+        "faultfree_bytes_identical": faultfree_sha == resident_sha,
+        "rebuild_bytes_identical": rebuild_sha == resident_sha,
+        "enospc_rebuild_bytes_identical": enospc_sha == resident_sha,
         "store_rebuilds": rebuild_stats.get("store_rebuilds", 0),
-        "store_degradations": degrade_stats.get("store_degradations", 0),
+        "enospc_store_rebuilds": enospc_stats.get("store_rebuilds", 0),
         "rebuilt_generation": rebuilt_generation,
-        "study_sha256": eager_sha,
+        "enospc_persistent_quarantined": (
+            bool(full_disk.failure_manifest.failures)
+            and full_disk.raw_experiments == []
+        ),
+        "study_sha256": resident_sha,
         "tiny": bool(tiny),
     }
 
@@ -173,8 +196,11 @@ def publish_report(report: dict) -> None:
                 f"  rebuild heals bit flip:   {report['rebuild_bytes_identical']} "
                 f"({report['store_rebuilds']} rebuilds, "
                 f"generation {report['rebuilt_generation']})",
-                f"  degrade heals ENOSPC:     {report['degrade_bytes_identical']} "
-                f"({report['store_degradations']} degradations)",
+                f"  rebuild heals ENOSPC:     "
+                f"{report['enospc_rebuild_bytes_identical']} "
+                f"({report['enospc_store_rebuilds']} rebuilds)",
+                f"  full disk quarantines:    "
+                f"{report['enospc_persistent_quarantined']}",
                 f"  reference sha256 {report['study_sha256'][:16]}...",
                 f"[written to {OUTPUT_PATH}]",
             ]
@@ -188,16 +214,21 @@ def check_report(report: dict) -> None:
         "lazy verification perturbed the pipeline's encoded bytes"
     )
     assert report["faultfree_bytes_identical"], (
-        "mapped fault-free study diverged from the eager reference"
+        "mapped fault-free study diverged from the resident reference"
     )
     assert report["rebuild_bytes_identical"], (
-        "bit-flip-healed study diverged from the eager reference"
+        "bit-flip-healed study diverged from the resident reference"
     )
-    assert report["degrade_bytes_identical"], (
-        "ENOSPC-degraded study diverged from the eager reference"
+    assert report["enospc_rebuild_bytes_identical"], (
+        "ENOSPC-healed study diverged from the resident reference"
     )
     assert report["store_rebuilds"] >= 1, "rebuild arm never exercised the ladder"
-    assert report["store_degradations"] >= 1, "degrade arm never exercised the ladder"
+    assert report["enospc_store_rebuilds"] >= 1, (
+        "transient-ENOSPC arm never rebuilt its store"
+    )
+    assert report["enospc_persistent_quarantined"], (
+        "persistent-ENOSPC arm did not quarantine its units"
+    )
     assert report["rebuilt_generation"] >= 2, "rebuild did not bump the generation"
     if report["n_rows"] >= N_ROWS:
         assert report["verification_overhead"] <= OVERHEAD_GATE, (

@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="columnar-store integrity checking: lazy "
                           "(default) verifies each column's sha256 digest "
                           "on first materialization, eager verifies every "
-                          "digest at load time, off skips verification "
-                          "(the format-1 reference behaviour)")
+                          "digest at load time, off skips the shape and "
+                          "digest checks")
     run.add_argument("--metrics", default=None, metavar="PATH",
                      help="write a JSON run report (cache hit rates, "
                           "supervisor recovery ledger, store "

@@ -75,7 +75,6 @@ byte-identical to a fault-free run.
 
 from __future__ import annotations
 
-import os
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, replace as dataclass_replace
@@ -443,7 +442,7 @@ def execute_study(
         append_cell_checkpoint,
         append_checkpoint,
         append_failed_checkpoint,
-        load_checkpoint_units,
+        load_checkpoint_state,
     )
 
     jobs = config.n_jobs if n_jobs is None else n_jobs
@@ -460,7 +459,7 @@ def execute_study(
     done: dict[TaskKey, SplitResult] = {}
     cells_done: dict[CellKey, CellResult] = {}
     if checkpoint is not None:
-        done, cells_done = load_checkpoint_units(
+        done, cells_done, _ = load_checkpoint_state(
             checkpoint, fingerprint=fingerprint
         )
 
@@ -568,12 +567,10 @@ def _clear_worker_state() -> None:
     _WORKER_CONFIG = None
 
 
-def _refresh_dataset(dataset: Dataset, store_real: str, eager_table) -> Dataset:
-    """Re-open ``dataset``'s file-backed tables after a store recovery.
+def _refresh_dataset(dataset: Dataset) -> Dataset:
+    """Re-open ``dataset``'s file-backed tables after a store rebuild.
 
-    The table whose store matches ``store_real`` is replaced by
-    ``eager_table`` when the recovery degraded to in-memory; every
-    other file-backed table is reloaded so the new generation's maps
+    Every file-backed table is reloaded so the new generation's maps
     (fresh manifest mtime) replace any stale cells.  A table whose own
     store is *also* corrupt is left as-is — its units will fail and
     route through their own recovery.
@@ -583,8 +580,6 @@ def _refresh_dataset(dataset: Dataset, store_real: str, eager_table) -> Dataset:
         store_dir = table_store_path(table)
         if store_dir is None:
             return table
-        if eager_table is not None and os.path.realpath(store_dir) == store_real:
-            return eager_table
         try:
             return load_columnar(store_dir)
         except (OSError, StoreCorruptionError):
@@ -600,12 +595,13 @@ def _refresh_dataset(dataset: Dataset, store_real: str, eager_table) -> Dataset:
 def _make_store_recovery(sup, jobs, blocks, by_block, config, manifest):
     """The supervisor recovery hook for :class:`StoreCorruptionError`.
 
-    Runs in the parent between drain events.  Diagnoses and heals the
-    corrupt store (rebuild under a new generation, or degrade to the
-    eager table), then re-broadcasts a payload built from refreshed
-    datasets so retried units map the healed generation instead of the
-    corrupt bytes.  Units that fail for any other reason fall straight
-    through to the ordinary retry path.
+    Runs in the parent between drain events.  Diagnoses the corrupt
+    store and rebuilds it under a new generation, then re-broadcasts a
+    payload built from refreshed datasets so retried units map the
+    healed generation instead of the corrupt bytes.  A store that
+    cannot be rebuilt yet (no source, or the rebuild failed) leaves the
+    unit to the ordinary retry path, which runs this hook again; a unit
+    that exhausts its retries is quarantined.
     """
     current: dict[tuple[str, str], Dataset] = {}
 
@@ -613,7 +609,7 @@ def _make_store_recovery(sup, jobs, blocks, by_block, config, manifest):
         store_dir = getattr(error, "store", None)
         if not store_dir:
             return
-        action, eager_table = recover_store(store_dir)
+        action = recover_store(store_dir)
         if action == "clean":
             # a sibling unit's recovery already healed this generation;
             # the plain retry will re-open the fresh maps
@@ -621,17 +617,14 @@ def _make_store_recovery(sup, jobs, blocks, by_block, config, manifest):
         if action == "unrecoverable":
             manifest.count("store_unrecoverable")
             return
-        manifest.count(
-            "store_rebuilds" if action == "rebuilt" else "store_degradations"
-        )
-        store_real = os.path.realpath(store_dir)
+        manifest.count("store_rebuilds")
         payload = []
         for block in blocks:
             block_key = (block.dataset.name, block.error_type)
             if not by_block.get(block_key):
                 continue
             base = current.get(block_key, block.dataset)
-            refreshed = _refresh_dataset(base, store_real, eager_table)
+            refreshed = _refresh_dataset(base)
             current[block_key] = refreshed
             payload.append((refreshed, block.error_type, block.methods))
         if jobs == 1:

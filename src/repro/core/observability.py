@@ -140,7 +140,6 @@ METRIC_CLASSES = {
     "supervisor.recovery_errors": SCHEDULE_DEPENDENT,
     "supervisor.resurrections": SCHEDULE_DEPENDENT,
     "supervisor.retries": SCHEDULE_DEPENDENT,
-    "supervisor.store_degradations": SCHEDULE_INVARIANT,
     "supervisor.store_rebuilds": SCHEDULE_INVARIANT,
     "supervisor.store_unrecoverable": SCHEDULE_DEPENDENT,
     "supervisor.timeouts": SCHEDULE_INVARIANT,

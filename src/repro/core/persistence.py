@@ -19,12 +19,11 @@ cannot checkpoint is a study you will re-run.  Two formats live here:
   study is bit-identical to an uninterrupted one.
 
 ``FORMAT_VERSION`` is 4 since quarantine ``failed`` entries landed (the
-fault-tolerant supervisor); version-1/2 results files and version-2/3
-ledgers (which carry the identical payloads minus failed entries) still
-load.  ``failed`` entries are a *manifest*, not a skip-list: a resume
-re-attempts quarantined units (the fault may have been environmental),
-and :func:`merge_checkpoints` lets any recorded success win over a
-recorded failure for the same key.
+fault-tolerant supervisor); results files and ledgers of any other
+version are refused.  ``failed`` entries are a *manifest*, not a
+skip-list: a resume re-attempts quarantined units (the fault may have
+been environmental), and :func:`merge_checkpoints` lets any recorded
+success win over a recorded failure for the same key.
 """
 
 from __future__ import annotations
@@ -41,9 +40,6 @@ from .supervisor import UnitFailure
 from . import faults
 
 FORMAT_VERSION = 4
-
-#: results format versions this module can read
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: the "kind" tag distinguishing checkpoint ledgers from results files
 CHECKPOINT_KIND = "cleanml-checkpoint"
@@ -142,10 +138,10 @@ def load_experiments(path: str | Path) -> list[RawExperiment]:
     with open(path) as handle:
         payload = json.load(handle)
     version = payload.get("format_version")
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported results format {version!r} "
-            f"(expected one of {SUPPORTED_VERSIONS})"
+            f"(expected {FORMAT_VERSION})"
         )
     return [experiment_from_dict(d) for d in payload["experiments"]]
 
@@ -401,18 +397,6 @@ def load_checkpoint(
     return load_checkpoint_state(path, fingerprint=fingerprint)[0]
 
 
-def load_checkpoint_units(
-    path: str | Path, fingerprint: str | None = None
-) -> tuple[dict[tuple, SplitResult], dict[tuple, CellResult]]:
-    """Completed ``(splits, cells)`` from a checkpoint ledger.
-
-    The two-tuple view of :func:`load_checkpoint_state`, kept for
-    callers that predate format 4's failure records.
-    """
-    splits, cells, _ = load_checkpoint_state(path, fingerprint=fingerprint)
-    return splits, cells
-
-
 def load_checkpoint_state(
     path: str | Path, fingerprint: str | None = None
 ) -> tuple[
@@ -460,7 +444,7 @@ def load_checkpoint_state(
         raise CheckpointError(f"{path}: corrupt checkpoint header") from error
     if header.get("kind") != CHECKPOINT_KIND:
         raise CheckpointError(f"{path}: not a checkpoint ledger: {header}")
-    if header.get("format_version") not in SUPPORTED_VERSIONS:
+    if header.get("format_version") != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint format "
             f"{header.get('format_version')!r}"

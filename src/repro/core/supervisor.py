@@ -262,8 +262,8 @@ class Supervisor:
 
         The executor uses this for the storage-integrity ladder: when a
         unit fails with a :class:`~repro.table.store.StoreCorruptionError`,
-        the handler rebuilds or degrades the store *before* the unit's
-        retry is scheduled, so the retry lands on healed data.  Handler
+        the handler rebuilds the store *before* the unit's retry is
+        scheduled, so the retry lands on healed data.  Handler
         exceptions are counted, never propagated — a broken repair must
         not take down the drain loop.
         """

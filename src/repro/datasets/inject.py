@@ -16,21 +16,19 @@ arise in the wild:
 * **mislabels** — class-targeted label flips at 5% following the paper's
   three strategies (uniform / majority / minority, §III-B-5).
 
-Spill-aware streaming (ISSUE 8)
--------------------------------
+Spill-aware streaming
+---------------------
 Every injector accepts ``spill=`` (a columnar-store directory) and
-``chunk_rows=``.  With a spill target and streaming enabled, the
-injector writes its output chunk-by-chunk through
-:class:`~repro.table.store.ColumnarWriter` and hands back the
-memory-mapped table, so injection never holds a second resident copy
-of the data.  ``inject_missing`` and ``inject_outliers`` stream the
-table through ``Table.iter_chunks``; the other three compute their
-(global-shuffle or row-serial, draw-order-sensitive) result eagerly
-and spill it afterwards.  Random draws are consumed in exactly the
+``chunk_rows=``.  With a spill target the injector writes its output
+chunk-by-chunk through :class:`~repro.table.store.ColumnarWriter` and
+hands back the memory-mapped table, so injection never holds a second
+resident copy of the data.  ``inject_missing`` and ``inject_outliers``
+stream the table through ``Table.iter_chunks``; the other three compute
+their (global-shuffle or row-serial, draw-order-sensitive) result
+eagerly and spill it afterwards.  Random draws are consumed in exactly the
 eager order, so spilled and resident outputs are value-identical —
-pinned by ``tests/test_out_of_core.py``.  Under
-:func:`~repro.table.store.table_streaming_disabled`, ``spill`` is a
-no-op and the historical eager path runs unmodified.
+pinned by ``tests/test_out_of_core.py``.  Without ``spill`` every
+injector returns a resident table.
 """
 
 from __future__ import annotations
@@ -47,7 +45,6 @@ from ..table.store import (
     DEFAULT_CHUNK_ROWS,
     load_columnar,
     spill_table,
-    table_streaming_enabled,
 )
 from .base import fresh_row_ids
 
@@ -58,7 +55,7 @@ def _maybe_spill(
     table: Table, spill: str | Path | None, chunk_rows: int | None
 ) -> Table:
     """Spill an eagerly-built result to a store when requested."""
-    if spill is None or not table_streaming_enabled():
+    if spill is None:
         return table
     return spill_table(table, spill, chunk_rows)
 
@@ -129,7 +126,7 @@ def inject_missing(
     else:
         probability = np.full(table.n_rows, rate)
     probability = np.clip(probability, 0.0, 0.95)
-    if spill is not None and table_streaming_enabled():
+    if spill is not None:
         return _inject_missing_spill(
             table, columns, probability, rng, spill, chunk_rows
         )
@@ -237,7 +234,7 @@ def inject_outliers(
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
-    if spill is not None and table_streaming_enabled():
+    if spill is not None:
         return _inject_outliers_spill(
             table, columns, rate, rng, magnitude, spill, chunk_rows
         )
@@ -370,7 +367,7 @@ def inject_duplicates(
     for name, values in mutable.items():
         copies = copies.with_column(name, Column(values, ctypes[name]))
     permutation = rng.permutation(table.n_rows + copies.n_rows)
-    if spill is not None and table_streaming_enabled():
+    if spill is not None:
         return _spill_shuffled_concat(table, copies, permutation, spill, chunk_rows)
     merged = table.concat(copies)
     return merged.take(permutation)
@@ -439,7 +436,7 @@ def inject_inconsistencies(
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("rate must be in [0, 1)")
-    if spill is not None and table_streaming_enabled():
+    if spill is not None:
         patches = []
         for name, mapping in variants.items():
             values = table.column(name).gather()
@@ -539,7 +536,7 @@ def inject_mislabels(
         for row in flip_rows:
             values[row] = other[original[row]]
         flipped.append(flip_rows)
-    if spill is not None and table_streaming_enabled():
+    if spill is not None:
         rows = (
             np.sort(np.concatenate(flipped)).astype(np.intp)
             if flipped

@@ -17,8 +17,6 @@ from .store import (
     store_info,
     store_verification,
     store_verification_mode,
-    table_streaming_disabled,
-    table_streaming_enabled,
 )
 from .ops import (
     class_distribution,
@@ -77,8 +75,6 @@ __all__ = [
     "stratified_split_indices",
     "stream_csv",
     "summarize",
-    "table_streaming_disabled",
-    "table_streaming_enabled",
     "train_test_split",
     "write_csv",
 ]

@@ -16,11 +16,10 @@ larger-than-memory CSV peaks at one chunk of residency.  Writing is
 vectorized the same way: each column is formatted once, rows go out via
 ``writer.writerows``.
 
-The historical row-major reader/writer survive as
-:func:`_read_csv_reference` / :func:`_write_csv_reference` — the
-eager paths that :func:`~repro.table.store.table_streaming_disabled`
-switches back in, which the store recovery ladder's ``degrade`` step
-runs.
+The historical row-major reader/writer are test oracles
+(``tests/oracles/io.py``): the tests pin both paths byte-for-byte
+against them, and ``benchmarks/bench_out_of_core.py`` times the reader
+as its "before" arm.
 """
 
 from __future__ import annotations
@@ -33,12 +32,7 @@ import numpy as np
 
 from .column import Column
 from .schema import ColumnSpec, ColumnType, Schema
-from .store import (
-    ColumnarWriter,
-    DEFAULT_CHUNK_ROWS,
-    load_columnar,
-    table_streaming_enabled,
-)
+from .store import ColumnarWriter, DEFAULT_CHUNK_ROWS, load_columnar
 from .table import Table
 
 _MISSING_TOKEN = ""
@@ -60,10 +54,8 @@ def write_csv(table: Table, path: str | Path) -> None:
     hidden columns ``!hidden`` so that :func:`read_csv` can reconstruct
     the full schema.  Formats column-major (one pass per column, rows
     written via ``writerows``); byte-identical to the per-cell
-    reference path.
+    reference writer in ``tests/oracles/io.py``.
     """
-    if not table_streaming_enabled():
-        return _write_csv_reference(table, path)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns_text: list[list[str]] = []
@@ -87,21 +79,6 @@ def write_csv(table: Table, path: str | Path) -> None:
             writer.writerows(zip(*columns_text))
         else:
             writer.writerows([] for _ in range(table.n_rows))
-
-
-def _write_csv_reference(table: Table, path: str | Path) -> None:
-    """The pre-streaming per-cell writer — kept as the executable spec."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_header_cells(table.schema))
-        for i in range(table.n_rows):
-            row = []
-            for spec in table.schema.columns:
-                value = table.column(spec.name).values[i]
-                row.append(_format_cell(value))
-            writer.writerow(row)
 
 
 def _header_cells(schema: Schema) -> list[str]:
@@ -132,12 +109,8 @@ def read_csv(
     Parses chunk-streamed and column-major (see :func:`stream_csv`).
     With ``spill=`` the chunks stream into a columnar store at that
     directory and the returned table is memory-mapped — the whole CSV
-    is never resident at once.  Under
-    :func:`~repro.table.store.table_streaming_disabled` the historical
-    row-major reference parser runs instead and ``spill`` is ignored.
+    is never resident at once.
     """
-    if not table_streaming_enabled():
-        return _read_csv_reference(path)
     chunks = stream_csv(path, chunk_rows or DEFAULT_CHUNK_ROWS)
     if spill is not None:
         # the manifest records the CSV origin so recover_store can
@@ -215,7 +188,7 @@ def _typed_chunk(schema: Schema, rows: list[list[str]]) -> Table:
     for j, spec in enumerate(specs):
         if spec.is_numeric:
             # float() (not np.float64's parser) keeps cell-level parse
-            # semantics identical to the reference path
+            # semantics identical to the row-major reference reader
             buffer = np.fromiter(
                 (_NAN if not row[j] else float(row[j]) for row in rows),
                 dtype=np.float64,
@@ -228,29 +201,6 @@ def _typed_chunk(schema: Schema, rows: list[list[str]]) -> Table:
                 buffer[i] = cell if cell else None
         columns[spec.name] = Column.from_buffer(buffer, spec.ctype)
     return Table(schema, columns, n_rows=n_rows)
-
-
-def _read_csv_reference(path: str | Path) -> Table:
-    """The pre-streaming row-major reader — kept as the executable spec."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path} is empty") from None
-        raw_rows = list(reader)
-
-    schema = _schema_from_header(header)
-    specs = schema.columns
-    data: dict[str, list] = {spec.name: [] for spec in specs}
-    for raw in raw_rows:
-        if len(raw) != len(specs):
-            raise ValueError(
-                f"row has {len(raw)} cells, expected {len(specs)}: {raw!r}"
-            )
-        for spec, cell in zip(specs, raw):
-            data[spec.name].append(_parse_cell(cell, spec.ctype))
-    return Table.from_dict(schema, data)
 
 
 def _schema_from_header(header: list[str]) -> Schema:
@@ -270,24 +220,6 @@ def _schema_from_header(header: list[str]) -> Schema:
     return Schema(
         columns=tuple(specs), label=label, keys=tuple(keys), hidden=tuple(hidden)
     )
-
-
-def _format_cell(value) -> str:
-    if value is None:
-        return _MISSING_TOKEN
-    if isinstance(value, (float, np.floating)):
-        if np.isnan(value):
-            return _MISSING_TOKEN
-        return repr(float(value))
-    return str(value)
-
-
-def _parse_cell(cell: str, ctype: ColumnType):
-    if cell == _MISSING_TOKEN:
-        return None
-    if ctype is ColumnType.NUMERIC:
-        return float(cell)
-    return cell
 
 
 def _parse_header_cell(cell: str) -> tuple[str, ColumnType, bool, bool, bool]:

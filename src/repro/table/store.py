@@ -2,9 +2,9 @@
 
 A **store** is a directory holding one ``.npy`` file per column plus a
 ``manifest.json`` that carries the schema, the row count, and (for
-categorical columns) the value dictionary.  Format 2 adds end-to-end
-integrity metadata — a per-column content digest and byte length, plus a
-store-level generation stamp:
+categorical columns) the value dictionary.  The manifest (format 2)
+carries end-to-end integrity metadata — a per-column content digest and
+byte length, plus a store-level generation stamp:
 
 ``manifest.json``::
 
@@ -53,25 +53,24 @@ passes over the data.  Verification is mode-controlled
   never through the map, so a truncated file raises instead of
   delivering ``SIGBUS``).
 * ``"eager"`` — all digests are verified up front in ``load_columnar``.
-* ``"off"`` — the unverified format-1 behaviour.
+* ``"off"`` — no shape or digest checks.
 
 Every detected inconsistency raises :class:`StoreCorruptionError` with
 a ``kind`` from the taxonomy below, the store path, and (when known)
-the column name.  Format-1 stores still load but are flagged
-unverifiable (:func:`store_info`).  A store whose manifest records a
-``source`` (or that was registered via :func:`register_store_source`)
-can be healed in place by :func:`recover_store`: rebuild from source
-under a bumped ``generation`` — the manifest mtime changes, so the
-mtime-keyed per-process caches re-open fresh maps — or degrade to the
-eager in-memory table.
+the column name; a manifest whose format is not 2 is refused as
+``version_skew``.  A store whose manifest records a ``source`` (or that
+was registered via :func:`register_store_source`) can be healed in
+place by :func:`recover_store`: rebuild from source under a bumped
+``generation`` — the manifest mtime changes, so the mtime-keyed
+per-process caches re-open fresh maps.  A store that cannot be rebuilt
+is reported unrecoverable; the supervisor then retries or quarantines
+the units that read it.
 
-:func:`table_streaming_disabled` switches the whole streaming stack
-back to the eager reference behavior (the recovery ladder's ``degrade``
-step runs it), and ``store_verification("off")`` keeps the unverified
-load path as the executable reference for the integrity layer.  All
-modes must produce byte-identical study output — pinned by
-``tests/test_out_of_core.py`` / ``tests/test_storage_integrity.py`` and
-gated by ``benchmarks/bench_out_of_core.py`` /
+``store_verification("off")`` keeps the unverified load path as the
+executable reference for the integrity layer.  Every mode must produce
+byte-identical study output — pinned by ``tests/test_out_of_core.py`` /
+``tests/test_storage_integrity.py`` and gated by
+``benchmarks/bench_out_of_core.py`` /
 ``benchmarks/bench_storage_integrity.py``.
 """
 
@@ -82,7 +81,6 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -93,8 +91,6 @@ from .schema import ColumnSpec, ColumnType, Schema
 from .table import Table
 
 STORE_FORMAT_VERSION = 2
-#: manifest formats this reader accepts (format 1 loads unverified)
-SUPPORTED_STORE_FORMATS = (1, 2)
 MANIFEST_NAME = "manifest.json"
 
 #: default row-chunk size for every streaming entry point
@@ -106,42 +102,12 @@ _MISSING_CODE = -1
 _NUMERIC_DESCR = "<f8"
 _CODES_DESCR = "<i4"
 
-#: process-wide switch for the streaming/memmap table stack; flip only
-#: through :func:`table_streaming_disabled`
-_STREAMING_ENABLED = True
-
 #: verification modes, least to most paranoid
 VERIFY_MODES = ("off", "lazy", "eager")
 
 #: process-wide digest-verification mode; flip through
 #: :func:`set_store_verification` / :func:`store_verification`
 _VERIFY_MODE = "lazy"
-
-
-def table_streaming_enabled() -> bool:
-    """Whether tables load memory-mapped and I/O streams in chunks."""
-    return _STREAMING_ENABLED
-
-
-@contextmanager
-def table_streaming_disabled():
-    """Run on the eager (fully-resident) reference table I/O for the block.
-
-    ``load_columnar`` materializes every column into resident arrays,
-    ``read_csv``/``write_csv`` fall back to the historical row-major
-    implementations, and the injectors' ``spill`` parameters become
-    no-ops.  The streaming path must produce byte-identical persisted
-    study output.  This is the one reference switch that stays in
-    production: the store recovery ladder's ``degrade`` step runs the
-    eager path.
-    """
-    global _STREAMING_ENABLED
-    previous = _STREAMING_ENABLED
-    _STREAMING_ENABLED = False
-    try:
-        yield
-    finally:
-        _STREAMING_ENABLED = previous
 
 
 def store_verification_mode() -> str:
@@ -602,7 +568,7 @@ def _read_manifest(path: Path) -> tuple[int, dict]:
                 TORN_MANIFEST, path, detail=str(error)
             ) from None
         version = manifest.get("format")
-        if version not in SUPPORTED_STORE_FORMATS:
+        if version != STORE_FORMAT_VERSION:
             raise StoreCorruptionError(
                 VERSION_SKEW,
                 path,
@@ -620,20 +586,13 @@ def _read_manifest(path: Path) -> tuple[int, dict]:
 def store_info(path: str | Path) -> dict:
     """Inspect a store's integrity metadata without opening buffers.
 
-    Returns ``{"format", "generation", "n_rows", "verifiable"}`` —
-    ``verifiable`` is ``False`` for format-1 stores, which still load
-    but carry no digests to check against.
+    Returns ``{"format", "generation", "n_rows"}``.
     """
     _, manifest = _read_manifest(Path(path))
-    columns = manifest.get("columns", [])
-    verifiable = int(manifest.get("format", 1)) >= 2 and all(
-        "sha256" in entry for entry in columns
-    )
     return {
-        "format": int(manifest.get("format", 1)),
-        "generation": int(manifest.get("generation", 1)),
+        "format": int(manifest["format"]),
+        "generation": int(manifest["generation"]),
         "n_rows": int(manifest["n_rows"]),
-        "verifiable": verifiable,
     }
 
 
@@ -662,7 +621,7 @@ def _decode_codes(codes: np.ndarray, dictionary: tuple[str, ...]) -> np.ndarray:
 # -- integrity checks -------------------------------------------------------
 
 
-def _check_entry_shape(store: Path, entry: dict, n_rows: int) -> None:
+def _check_entry_shape(store: Path, entry: dict) -> None:
     """Structural check: the column file exists with the exact size."""
     name = entry["name"]
     file = store / entry["file"]
@@ -675,10 +634,7 @@ def _check_entry_shape(store: Path, entry: dict, n_rows: int) -> None:
             name,
             detail=f"column file {entry['file']} is missing",
         ) from None
-    expected = entry.get("n_bytes")
-    if expected is None:  # format-1 manifests carry no byte length
-        itemsize = 8 if entry["type"] == ColumnType.NUMERIC.value else 4
-        expected = n_rows * itemsize
+    expected = entry["n_bytes"]
     if size != _HEADER_SIZE + expected:
         raise StoreCorruptionError(
             TRUNCATED_COLUMN,
@@ -703,9 +659,6 @@ def _check_entry_digest(
     Verified ``(store, generation, column)`` triples are memoized per
     process.
     """
-    digest = entry.get("sha256")
-    if digest is None:  # format-1 entry: nothing to verify against
-        return
     name = entry["name"]
     key = (os.path.realpath(store), mtime, name)
     if use_cache and key in _VERIFIED:
@@ -730,7 +683,7 @@ def _check_entry_digest(
             name,
             detail=f"column file {entry['file']} is missing",
         ) from None
-    if sha256.hexdigest() != digest:
+    if sha256.hexdigest() != entry["sha256"]:
         if _metrics is not None:
             _metrics.count("store.digest_failures")
         raise StoreCorruptionError(
@@ -741,7 +694,7 @@ def _check_entry_digest(
         )
     if _metrics is not None:
         _metrics.count("store.digest_verifications")
-        _metrics.count("store.bytes_verified", int(entry.get("n_bytes", 0)))
+        _metrics.count("store.bytes_verified", int(entry["n_bytes"]))
     _VERIFIED.add(key)
 
 
@@ -773,9 +726,7 @@ def _load_npy(store: Path, entry: dict, n_rows: int, *, mmap: bool):
 
 def _open_buffer(store: Path, mtime: int, entry: dict, n_rows: int):
     """The shared buffer (or lazy cell) for one column of a store."""
-    verify = (
-        _VERIFY_MODE != "off" and "sha256" in entry and n_rows > 0
-    )
+    verify = _VERIFY_MODE != "off" and n_rows > 0
     key = (os.path.realpath(store), mtime, entry["name"], verify)
     buffer = _BUFFER_CACHE.get(key)
     if buffer is None:
@@ -789,7 +740,7 @@ def _open_buffer(store: Path, mtime: int, entry: dict, n_rows: int):
             elif verify:
 
                 def loader(store=store, mtime=mtime, entry=entry, n_rows=n_rows):
-                    _check_entry_shape(store, entry, n_rows)
+                    _check_entry_shape(store, entry)
                     _check_entry_digest(store, mtime, entry)
                     return _load_npy(store, entry, n_rows, mmap=True)
 
@@ -809,7 +760,7 @@ def _open_buffer(store: Path, mtime: int, entry: dict, n_rows: int):
                 verify=verify,
             ):
                 if verify:
-                    _check_entry_shape(store, entry, n_rows)
+                    _check_entry_shape(store, entry)
                     _check_entry_digest(store, mtime, entry)
                 codes = _load_npy(store, entry, n_rows, mmap=bool(n_rows))
                 return _decode_codes(codes, dictionary)
@@ -822,11 +773,9 @@ def _open_buffer(store: Path, mtime: int, entry: dict, n_rows: int):
 def load_columnar(path: str | Path) -> Table:
     """Load a store written by :class:`ColumnarWriter`/:func:`save_columnar`.
 
-    With streaming enabled the returned table is **file-backed**:
-    numeric buffers are read-only memmaps, categorical buffers decode
-    lazily, and pickling ships store paths instead of data.  Under
-    :func:`table_streaming_disabled` every column materializes into an
-    ordinary resident array instead (the eager reference behavior).
+    The returned table is **file-backed**: numeric buffers are
+    read-only memmaps, categorical buffers decode lazily, and pickling
+    ships store paths instead of data.
 
     Unless verification is off, the manifest's shape/byte-length claims
     are checked eagerly here; content digests are checked lazily on
@@ -836,18 +785,15 @@ def load_columnar(path: str | Path) -> Table:
     mtime, manifest = _read_manifest(path)
     schema = _schema_from_manifest(manifest)
     n_rows = int(manifest["n_rows"])
-    if _STREAMING_ENABLED and _VERIFY_MODE != "off":
+    if _VERIFY_MODE != "off":
         for entry in manifest["columns"]:
-            _check_entry_shape(path, entry, n_rows)
+            _check_entry_shape(path, entry)
             if _VERIFY_MODE == "eager":
                 _check_entry_digest(path, mtime, entry)
     columns: dict[str, Column] = {}
     for entry in manifest["columns"]:
         name = entry["name"]
         ctype = ColumnType(entry["type"])
-        if not _STREAMING_ENABLED:
-            columns[name] = _load_column_eager(path, entry)
-            continue
         source = (str(path), name)
         buffer = _open_buffer(path, mtime, entry, n_rows)
         if isinstance(buffer, _LazyBuffer):
@@ -855,16 +801,6 @@ def load_columnar(path: str | Path) -> Table:
         else:
             columns[name] = Column.from_buffer(buffer, ctype, source=source)
     return Table(schema, columns, n_rows=n_rows)
-
-
-def _load_column_eager(store: Path, entry: dict) -> Column:
-    """Reference load: fully resident, never mapped, no provenance."""
-    ctype = ColumnType(entry["type"])
-    raw = np.load(store / entry["file"])
-    if ctype is ColumnType.NUMERIC:
-        return Column.from_buffer(raw.astype(np.float64, copy=False), ctype)
-    decoded = _decode_codes(raw, tuple(entry.get("dictionary", ())))
-    return Column.from_buffer(decoded, ctype)
 
 
 def _corruption_placeholder(error: StoreCorruptionError, n_rows: int) -> _LazyBuffer:
@@ -927,44 +863,31 @@ def attach_source(
 # -- recovery ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StoreSource:
-    """How to regenerate a store: a rebuild closure and/or an eager load.
-
-    ``rebuild(path)`` rewrites the store directory from the recorded
-    origin (re-spill from CSV, re-save from a resident table) under a
-    bumped generation; ``eager()`` returns the fully-resident table for
-    the degrade rung of the recovery ladder.
-    """
-
-    rebuild: Callable[[Path], None] | None = None
-    eager: Callable[[], Table] | None = None
-
-
-#: store realpath -> in-process recovery source (registered at spill time)
-_STORE_SOURCES: dict[str, StoreSource] = {}
+#: store realpath -> in-process rebuild callable (registered at spill time)
+_STORE_SOURCES: dict[str, Callable[[Path], None]] = {}
 
 
 def register_store_source(
-    path: str | Path,
-    *,
-    rebuild: Callable[[Path], None] | None = None,
-    eager: Callable[[], Table] | None = None,
+    path: str | Path, rebuild: Callable[[Path], None]
 ) -> None:
-    """Record how the store at ``path`` can be regenerated after corruption."""
-    _STORE_SOURCES[os.path.realpath(path)] = StoreSource(rebuild=rebuild, eager=eager)
+    """Record how the store at ``path`` can be regenerated after corruption.
+
+    ``rebuild(path)`` rewrites the store directory from its origin
+    (re-save from a resident or mapped table, re-spill from CSV) under
+    a bumped generation.
+    """
+    _STORE_SOURCES[os.path.realpath(path)] = rebuild
 
 
-def store_source(path: str | Path) -> StoreSource | None:
-    """The recovery source for a store, if any.
+def store_source(path: str | Path) -> Callable[[Path], None] | None:
+    """The rebuild callable for a store, if any.
 
     In-process registrations (``register_store_source``) win; otherwise
     a ``source`` record in the manifest (written by
-    ``read_csv(..., spill=...)``) yields a CSV re-spill source that
-    works across processes and sessions.
+    ``read_csv(..., spill=...)``) yields a CSV re-spill that works
+    across processes and sessions.
     """
-    real = os.path.realpath(path)
-    registered = _STORE_SOURCES.get(real)
+    registered = _STORE_SOURCES.get(os.path.realpath(path))
     if registered is not None:
         return registered
     try:
@@ -985,13 +908,7 @@ def store_source(path: str | Path) -> StoreSource | None:
 
             read_csv(csv_path, chunk_rows=chunk_rows, spill=target)
 
-        def eager(csv_path=csv_path, chunk_rows=chunk_rows) -> Table:
-            from .io import read_csv
-
-            with table_streaming_disabled():
-                return read_csv(csv_path, chunk_rows=chunk_rows)
-
-        return StoreSource(rebuild=rebuild, eager=eager)
+        return rebuild
     return None
 
 
@@ -1005,9 +922,8 @@ def diagnose_store(path: str | Path) -> StoreCorruptionError | None:
     path = Path(path)
     try:
         mtime, manifest = _read_manifest(path)
-        n_rows = int(manifest["n_rows"])
         for entry in manifest["columns"]:
-            _check_entry_shape(path, entry, n_rows)
+            _check_entry_shape(path, entry)
             _check_entry_digest(
                 path, mtime, entry, use_cache=False, fire_hook=False
             )
@@ -1016,40 +932,28 @@ def diagnose_store(path: str | Path) -> StoreCorruptionError | None:
     return None
 
 
-def recover_store(path: str | Path) -> tuple[str, Table | None]:
-    """Heal a corrupt store; ``(action, eager_table_or_None)``.
-
-    The ladder (each rung only if the previous is unavailable/failed):
+def recover_store(path: str | Path) -> str:
+    """Heal a corrupt store; the action taken.
 
     * ``"clean"`` — re-diagnosis found nothing wrong (a sibling unit's
       recovery already healed it); retry as-is.
     * ``"rebuilt"`` — the recorded source re-wrote the store under a
       new generation and it now verifies end to end.
-    * ``"degraded"`` — rebuild unavailable or failed; the returned
-      fully-resident table replaces the mapped one.
-    * ``"unrecoverable"`` — no source; the caller falls through to the
-      supervisor's quarantine machinery.
+    * ``"unrecoverable"`` — no source, or the rebuild failed (e.g. a
+      transient ``ENOSPC``); the supervisor's retry runs the ladder
+      again, and a unit that exhausts its retries is quarantined.
     """
     path = Path(path)
     if diagnose_store(path) is None:
-        return ("clean", None)
-    source = store_source(path)
-    if source is None:
-        return ("unrecoverable", None)
-    if source.rebuild is not None:
-        try:
-            source.rebuild(path)
-        except (OSError, StoreCorruptionError, ValueError):
-            pass
-        else:
-            if diagnose_store(path) is None:
-                return ("rebuilt", None)
-    if source.eager is not None:
-        try:
-            return ("degraded", source.eager())
-        except (OSError, StoreCorruptionError, ValueError):
-            pass
-    return ("unrecoverable", None)
+        return "clean"
+    rebuild = store_source(path)
+    if rebuild is None:
+        return "unrecoverable"
+    try:
+        rebuild(path)
+    except (OSError, StoreCorruptionError, ValueError):
+        return "unrecoverable"
+    return "rebuilt" if diagnose_store(path) is None else "unrecoverable"
 
 
 def table_store_path(table: Table) -> str | None:

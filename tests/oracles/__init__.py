@@ -5,8 +5,8 @@ reference implementation: the per-row encoder transform, the
 per-feature CART and XGBoost split searches, the per-class KNN vote,
 the eager copy-on-``take`` column, the set-based ``drop_rows``, the
 candidate-major cross-validation loop, the allocating
-LogisticRegression loop and row softmax, and ZeroER's per-pair
-blocking and featurization loops.  Production has one code path per
+LogisticRegression loop and row softmax, ZeroER's per-pair blocking
+and featurization loops, and the row-major CSV reader and writer.  Production has one code path per
 kernel; the references live here as plain functions, and the tests pin
 each production kernel to its oracle bit for bit.  The kernel
 benchmarks import them too, to time the "before" arm.
@@ -16,6 +16,7 @@ bit-equality in a test, and gate it in a benchmark.
 """
 
 from .encode import transform_reference
+from .io import read_csv_reference, write_csv_reference
 from .knn import vote_reference
 from .linear import logistic_fit_reference, softmax_reference
 from .table import drop_rows_reference, table_take_reference, take_reference
@@ -32,9 +33,11 @@ __all__ = [
     "logistic_fit_reference",
     "pair_features_reference",
     "random_search_reference",
+    "read_csv_reference",
     "softmax_reference",
     "table_take_reference",
     "take_reference",
     "transform_reference",
     "vote_reference",
+    "write_csv_reference",
 ]

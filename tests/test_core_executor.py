@@ -448,9 +448,9 @@ class TestCellCheckpoints:
         assert all('"cell"' in line for line in lines[1:4])
         ledger.write_text("".join(lines[:4]) + lines[4][: len(lines[4]) // 2])
 
-        from repro.core import load_checkpoint_units
+        from repro.core import load_checkpoint_state
 
-        done, cells = load_checkpoint_units(ledger)
+        done, cells, _ = load_checkpoint_state(ledger)
         assert done == {} and len(cells) == 3  # torn line dropped
 
         resumed = self.make_cell_study()
@@ -482,14 +482,14 @@ class TestCellCheckpoints:
         """Sub-unit entries survive append -> load -> merge across ledgers."""
         from repro.core import (
             append_cell_checkpoint,
-            load_checkpoint_units,
+            load_checkpoint_state,
             merge_checkpoints,
         )
 
         full = tmp_path / "full.jsonl"
         study = self.make_cell_study()
         study.run(n_jobs=1, granularity="cell", checkpoint=full)
-        done, cells = load_checkpoint_units(full)
+        done, cells, _ = load_checkpoint_state(full)
         assert len(cells) == 8 and len(done) == 2
 
         # shard a few cells into a second ledger, as a sharded run would
@@ -514,14 +514,14 @@ class TestCellCheckpoints:
         from repro.core import (
             CheckpointError,
             append_cell_checkpoint,
-            load_checkpoint_units,
+            load_checkpoint_state,
             merge_checkpoints,
         )
 
         full = tmp_path / "full.jsonl"
         study = self.make_cell_study()
         study.run(n_jobs=1, granularity="cell", checkpoint=full)
-        _, cells = load_checkpoint_units(full)
+        _, cells, _ = load_checkpoint_state(full)
         key, cell = next(iter(cells.items()))
         drifted = replace(cell, clean_val_score=cell.clean_val_score + 0.5)
         conflict = tmp_path / "conflict.jsonl"

@@ -9,7 +9,7 @@ on the other side.  The injection class pins every spill-aware injector
 value-identical to its resident path under the same rng seed.  The
 parity class pins the system contract: persisted study JSON from a run
 on memory-mapped (``Dataset.spilled``) datasets is byte-identical to
-the eager ``table_streaming_disabled()`` reference across the full
+the run on the resident datasets across the full
 ``(n_jobs 1/2) x (split/cell)`` matrix.
 """
 
@@ -34,8 +34,6 @@ from repro.table import (
     make_schema,
     save_columnar,
     spill_table,
-    table_streaming_disabled,
-    table_streaming_enabled,
 )
 
 #: deliberately odd chunk sizes so chunk boundaries never align with
@@ -123,16 +121,6 @@ class TestColumnarStore:
         loaded = load_columnar(tmp_path / "empty")
         assert loaded.n_rows == 0
         assert loaded.schema == table.schema
-
-    def test_streaming_disabled_loads_resident(self, tmp_path, table):
-        save_columnar(table, tmp_path / "t")
-        with table_streaming_disabled():
-            assert not table_streaming_enabled()
-            loaded = load_columnar(tmp_path / "t")
-            assert loaded == table
-            assert not loaded.file_backed
-            assert not isinstance(loaded.column("age").base_buffer, np.memmap)
-        assert table_streaming_enabled()
 
     def test_spill_table_is_save_plus_load(self, tmp_path, table):
         spilled = spill_table(table, tmp_path / "t", chunk_rows=2)
@@ -239,18 +227,6 @@ class TestSpillInjectionParity:
             ),
         )
 
-    def test_spill_ignored_when_streaming_disabled(self, tmp_path, dataset):
-        with table_streaming_disabled():
-            out = inject_missing(
-                dataset.clean, ["voltage"], 0.2, np.random.default_rng(42),
-                spill=tmp_path / "spill", chunk_rows=ODD_CHUNKS,
-            )
-            assert not out.file_backed
-        eager = inject_missing(
-            dataset.clean, ["voltage"], 0.2, np.random.default_rng(42)
-        )
-        assert out == eager
-
     def test_dataset_spilled(self, tmp_path, dataset):
         mapped = dataset.spilled(tmp_path / "sensor", chunk_rows=ODD_CHUNKS)
         assert mapped.dirty == dataset.dirty
@@ -290,13 +266,12 @@ def persisted_bytes(study, tmp_path, label):
 
 
 @pytest.fixture(scope="module")
-def eager_reference(tmp_path_factory):
-    """The table_streaming_disabled n_jobs=1 run the matrix is pinned against."""
-    with table_streaming_disabled():
-        study = make_study()
-        study.run(n_jobs=1, granularity="split")
-    tmp_path = tmp_path_factory.mktemp("streaming-off")
-    return persisted_bytes(study, tmp_path, "streaming-off")
+def resident_reference(tmp_path_factory):
+    """The n_jobs=1 run on resident datasets the matrix is pinned against."""
+    study = make_study()
+    study.run(n_jobs=1, granularity="split")
+    tmp_path = tmp_path_factory.mktemp("resident")
+    return persisted_bytes(study, tmp_path, "resident")
 
 
 class TestOutOfCoreStudyParity:
@@ -311,9 +286,9 @@ class TestOutOfCoreStudyParity:
     @pytest.mark.parametrize("granularity", ("split", "cell"))
     @pytest.mark.parametrize("n_jobs", (1, 2))
     def test_mapped_matches_eager(
-        self, n_jobs, granularity, eager_reference, tmp_path
+        self, n_jobs, granularity, resident_reference, tmp_path
     ):
         study = make_study(spill_root=tmp_path)
         study.run(n_jobs=n_jobs, granularity=granularity)
         label = f"mapped-{granularity}-{n_jobs}"
-        assert persisted_bytes(study, tmp_path, label) == eager_reference
+        assert persisted_bytes(study, tmp_path, label) == resident_reference

@@ -149,14 +149,16 @@ class TestCheckpointFormat:
         assert header["format_version"] == FORMAT_VERSION == 4
 
     def test_format3_ledger_still_loads(self, tmp_path):
+        """Pre-supervisor (format-3) ledgers are refused, not read."""
         ledger = tmp_path / "ledger.jsonl"
         append_checkpoint(ledger, ("EEG", "outliers", 0), make_split_result(0))
         lines = ledger.read_text().splitlines()
         header = json.loads(lines[0])
-        header["format_version"] = 3  # a pre-supervisor ledger
+        header["format_version"] = 3
         lines[0] = json.dumps(header)
         ledger.write_text("\n".join(lines) + "\n")
-        assert set(load_checkpoint(ledger)) == {("EEG", "outliers", 0)}
+        with pytest.raises(CheckpointError, match="unsupported checkpoint format 3"):
+            load_checkpoint(ledger)
 
     def test_unsupported_version_rejected(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
@@ -243,6 +245,7 @@ class TestCheckpointFormat:
         assert set(done) == {("EEG", "outliers", 0), ("EEG", "outliers", 2)}
 
     def test_v1_results_files_still_load(self, tmp_path):
+        """Format-1 results files are refused, not read."""
         path = tmp_path / "v1.json"
         path.write_text(
             json.dumps(
@@ -252,7 +255,8 @@ class TestCheckpointFormat:
                 }
             )
         )
-        assert load_experiments(path) == [make_experiment()]
+        with pytest.raises(ValueError, match="unsupported results format 1"):
+            load_experiments(path)
 
 
 class TestCheckpointMerge:

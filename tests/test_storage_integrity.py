@@ -2,19 +2,19 @@
 
 Four layers of pinning.  The format classes assert the v2 on-disk
 mechanics directly: streamed sha256 digests and byte lengths in the
-manifest, generation stamps that bump on rewrite, v1 stores still
-loading (flagged unverifiable), and the full
+manifest, generation stamps that bump on rewrite, v1 stores refused as
+version skew, and the full
 :class:`StoreCorruptionError` taxonomy — one kind per way a store can
 rot.  The writer class pins the failed-spill cleanup contract
 (satellite: no mappable-looking corpse after an exception, including an
 injected ``ENOSPC``).  The recovery classes pin the ladder at the unit
-level (clean → rebuilt → degraded → unrecoverable, generation-skew
-cache re-opening) and the I/O-fault draw discipline.  The chaos class
-pins the system contract: under every injected disk fault × (n_jobs
-1/2) × (split/cell), persisted study JSON is byte-identical to the
-fault-free eager reference, with corruption healed through the
-supervisor (rebuild/degrade) or quarantined as failure-manifest
-entries.
+level (clean → rebuilt → unrecoverable, generation-skew cache
+re-opening) and the I/O-fault draw discipline.  The chaos class pins
+the system contract: under every injected disk fault × (n_jobs 1/2) ×
+(split/cell), persisted study JSON is byte-identical to the fault-free
+run on the resident dataset, with corruption healed through the
+supervisor (retry, rebuild) or quarantined as failure-manifest entries
+that a fault-free resume completes.
 """
 
 import json
@@ -24,7 +24,12 @@ import numpy as np
 import pytest
 
 from repro.cleaning import OUTLIERS, OutlierCleaning
-from repro.core import CleanMLStudy, StudyConfig, save_experiments
+from repro.core import (
+    CleanMLStudy,
+    StudyConfig,
+    load_checkpoint_state,
+    save_experiments,
+)
 from repro.core import faults
 from repro.core.faults import (
     BIT_FLIP,
@@ -50,7 +55,6 @@ from repro.table import (
     spill_table,
     store_info,
     store_verification,
-    table_streaming_disabled,
 )
 from repro.table import store as store_mod
 from repro.table.store import attach_source
@@ -101,8 +105,7 @@ class TestFormatV2:
 
     def test_round_trip_verified(self, tmp_path, table):
         save_columnar(table, tmp_path / "t", chunk_rows=2)
-        info = store_info(tmp_path / "t")
-        assert info["verifiable"] and info["format"] == 2
+        assert store_info(tmp_path / "t")["format"] == 2
         loaded = load_columnar(tmp_path / "t")
         assert loaded == table
         assert diagnose_store(tmp_path / "t") is None
@@ -114,13 +117,13 @@ class TestFormatV2:
         assert load_columnar(tmp_path / "t") == table
 
     def test_v1_store_loads_flagged_unverifiable(self, tmp_path, table):
+        """Format-1 stores (no digests) are refused, not loaded unverified."""
         save_columnar(table, tmp_path / "t")
         _downgrade_to_v1(tmp_path / "t")
-        info = store_info(tmp_path / "t")
-        assert info["format"] == 1
-        assert not info["verifiable"]
-        loaded = load_columnar(tmp_path / "t")
-        assert loaded == table  # loads fine, just without digests to check
+        for read in (store_info, load_columnar):
+            with pytest.raises(StoreCorruptionError) as info:
+                read(tmp_path / "t")
+            assert info.value.kind == "version_skew"
 
     def test_digest_streams_match_offline_hash(self, tmp_path, table):
         import hashlib
@@ -285,7 +288,7 @@ class TestRecoveryLadder:
 
     def test_clean_store_short_circuits(self, tmp_path, table):
         store = self._spilled(tmp_path, table)
-        assert recover_store(store) == ("clean", None)
+        assert recover_store(store) == "clean"
 
     def test_rebuild_from_registered_source(self, tmp_path, table):
         store = self._spilled(tmp_path, table)
@@ -293,30 +296,30 @@ class TestRecoveryLadder:
             store, rebuild=lambda target: save_columnar(table, target, 2)
         )
         corrupt_store(store, TORN_COLUMN)
-        action, eager = recover_store(store)
-        assert (action, eager) == ("rebuilt", None)
+        assert recover_store(store) == "rebuilt"
         assert diagnose_store(store) is None
         assert store_info(store)["generation"] == 2
         assert load_columnar(store) == table
 
     def test_degrade_when_no_rebuild(self, tmp_path, table):
+        """No rebuild source: nothing to fall back to, the store stays corrupt."""
         store = self._spilled(tmp_path, table)
-        register_store_source(store, eager=lambda: table)
         corrupt_store(store, BIT_FLIP)
-        action, eager = recover_store(store)
-        assert action == "degraded"
-        assert eager == table
+        assert recover_store(store) == "unrecoverable"
+        assert diagnose_store(store).kind == "digest_mismatch"
 
     def test_degrade_when_rebuild_keeps_failing(self, tmp_path, table):
+        """A failing rebuild leaves the unit to the supervisor's retries."""
+
         def broken_rebuild(target):
             raise OSError(28, "injected ENOSPC")
 
         store = self._spilled(tmp_path, table)
-        register_store_source(store, rebuild=broken_rebuild, eager=lambda: table)
+        register_store_source(store, rebuild=broken_rebuild)
         corrupt_store(store, TORN_COLUMN)
-        action, eager = recover_store(store)
-        assert action == "degraded"
-        assert eager == table
+        assert recover_store(store) == "unrecoverable"
+        assert recover_store(store) == "unrecoverable"
+        assert diagnose_store(store) is not None
 
     def test_transient_write_fault_heals_on_second_recovery(self, tmp_path, table):
         store = self._spilled(tmp_path, table)
@@ -327,19 +330,44 @@ class TestRecoveryLadder:
         faults.install_plan(FaultPlan(enospc_rate=1.0, io_faulty_attempts=1))
         try:
             # first rung attempt: the rebuild write hits the injected
-            # ENOSPC, and with no eager source the ladder bottoms out
-            assert recover_store(store) == ("unrecoverable", None)
+            # ENOSPC and the ladder bottoms out
+            assert recover_store(store) == "unrecoverable"
             # the supervisor retries the unit; its next recovery's
             # rebuild is past the transient fault and succeeds
-            assert recover_store(store) == ("rebuilt", None)
+            assert recover_store(store) == "rebuilt"
         finally:
             faults.clear_plan()
         assert load_columnar(store) == table
 
+    @pytest.mark.parametrize("source_fault", ("intact", "torn_then_healed", "torn"))
+    def test_respilled_dataset_rebuilds_its_own_store(self, tmp_path, source_fault):
+        """A twice-spilled copy rebuilds; a torn source is healed before it is read."""
+        sensor = load_dataset("Sensor", seed=0, n_rows=90)
+        sensor.spilled(tmp_path / "a").spilled(tmp_path / "b")
+        source, copy = tmp_path / "a" / "dirty", tmp_path / "b" / "dirty"
+        if source_fault != "intact":
+            corrupt_store(source, TORN_COLUMN)
+        if source_fault == "torn_then_healed":
+            assert recover_store(source) == "rebuilt"
+        corrupt_store(copy, TORN_COLUMN)
+        assert recover_store(copy) == "rebuilt"
+        assert diagnose_store(source) is None
+        assert load_columnar(source) == sensor.dirty
+        assert load_columnar(copy) == sensor.dirty
+
+    def test_respilled_rebuild_fails_while_source_is_unrecoverable(self, tmp_path):
+        sensor = load_dataset("Sensor", seed=0, n_rows=90)
+        sensor.spilled(tmp_path / "a").spilled(tmp_path / "b")
+        source, copy = tmp_path / "a" / "dirty", tmp_path / "b" / "dirty"
+        store_mod._STORE_SOURCES.pop(str(source.resolve()), None)
+        corrupt_store(source, TORN_COLUMN)
+        corrupt_store(copy, TORN_COLUMN)
+        assert recover_store(copy) == "unrecoverable"
+
     def test_unrecoverable_without_source(self, tmp_path, table):
         store = self._spilled(tmp_path, table)
         corrupt_store(store, TORN_COLUMN)
-        assert recover_store(store) == ("unrecoverable", None)
+        assert recover_store(store) == "unrecoverable"
 
     def test_csv_manifest_source_rebuilds_cross_process(self, tmp_path, table):
         from repro.table import read_csv, write_csv
@@ -353,8 +381,7 @@ class TestRecoveryLadder:
         # no in-process registration for this store: wipe the registry
         # to prove the manifest's recorded CSV source alone suffices
         store_mod._STORE_SOURCES.pop(str(store.resolve()), None)
-        action, _ = recover_store(store)
-        assert action == "rebuilt"
+        assert recover_store(store) == "rebuilt"
         assert load_columnar(store) == table
 
 
@@ -441,11 +468,18 @@ CHAOS_CONFIG = StudyConfig(
 )
 
 
-def make_chaos_study(spill_root=None):
-    study = CleanMLStudy(CHAOS_CONFIG)
+def chaos_sensor(*spill_dirs):
+    """The chaos dataset, spilled once into each directory in turn."""
     sensor = load_dataset("Sensor", seed=0, n_rows=90)
-    if spill_root is not None:
-        sensor = sensor.spilled(spill_root / "sensor")
+    for directory in spill_dirs:
+        sensor = sensor.spilled(directory)
+    return sensor
+
+
+def make_chaos_study(spill_root=None, *, sensor=None):
+    study = CleanMLStudy(CHAOS_CONFIG)
+    if sensor is None:
+        sensor = chaos_sensor(*([spill_root / "sensor"] if spill_root else []))
     study.add(sensor, OUTLIERS, methods=[OutlierCleaning("SD", "mean")])
     return study
 
@@ -458,10 +492,9 @@ def persisted_bytes(study, tmp_path, label):
 
 @pytest.fixture(scope="module")
 def chaos_reference(tmp_path_factory):
-    """The fault-free eager reference every chaos arm is pinned against."""
-    with table_streaming_disabled():
-        study = make_chaos_study()
-        study.run(n_jobs=1, granularity="split")
+    """The fault-free run on the resident dataset every chaos arm must match."""
+    study = make_chaos_study()
+    study.run(n_jobs=1, granularity="split")
     tmp_path = tmp_path_factory.mktemp("chaos-reference")
     return persisted_bytes(study, tmp_path, "reference")
 
@@ -473,8 +506,8 @@ CHAOS_ARMS = {
     "bit_flip": (BIT_FLIP, None),
     "manifest_corrupt": (MANIFEST_CORRUPT, None),
     # ENOSPC: corruption plus a write fault — the first rebuild dies
-    # mid-write (exercising the writer's abort cleanup) and the ladder
-    # degrades to the registered eager table
+    # mid-write (exercising the writer's abort cleanup), the supervisor
+    # retries the unit, and the next recovery's rebuild succeeds
     "enospc": (TORN_COLUMN, FaultPlan(enospc_rate=1.0, io_faulty_attempts=1)),
     # transient EIO: no corruption; the first digest-verification read
     # in each process raises and the plain supervisor retry heals it
@@ -515,19 +548,82 @@ class TestChaosStorageMatrix:
         assert store_info(tmp_path / "sensor" / "dirty")["generation"] == 2
         assert persisted_bytes(study, tmp_path, "rebuilt") == chaos_reference
 
-    def test_persistent_enospc_heals_by_degrading(self, chaos_reference, tmp_path):
+    @pytest.mark.parametrize("n_jobs", (1, 2))
+    def test_enospc_heals_by_rebuild(self, n_jobs, chaos_reference, tmp_path):
         study = make_chaos_study(spill_root=tmp_path)
         corrupt_store(tmp_path / "sensor" / "dirty", TORN_COLUMN)
-        plan = FaultPlan(enospc_rate=1.0, io_faulty_attempts=1_000_000)
+        plan = FaultPlan(enospc_rate=1.0, io_faulty_attempts=1)
         study.run(
-            n_jobs=1,
-            granularity="split",
+            n_jobs=n_jobs,
+            granularity="cell",
             supervisor=SupervisorConfig(
                 max_retries=6, backoff_base=0.0, fault_plan=plan
             ),
         )
-        assert study.failure_manifest.stats.get("store_degradations", 0) >= 1
-        assert persisted_bytes(study, tmp_path, "degraded") == chaos_reference
+        manifest = study.failure_manifest
+        assert manifest.failures == []
+        assert manifest.stats.get("store_unrecoverable", 0) >= 1  # rebuild 1 died
+        assert manifest.stats.get("store_rebuilds", 0) >= 1
+        assert persisted_bytes(study, tmp_path, "enospc") == chaos_reference
+
+    @pytest.mark.parametrize("n_jobs", (1, 2))
+    def test_respilled_dataset_heals_by_rebuild(
+        self, n_jobs, chaos_reference, tmp_path
+    ):
+        sensor = chaos_sensor(tmp_path / "a", tmp_path / "b")
+        corrupt_store(tmp_path / "b" / "dirty", TORN_COLUMN)
+        study = make_chaos_study(sensor=sensor)
+        study.run(
+            n_jobs=n_jobs,
+            granularity="cell",
+            supervisor=SupervisorConfig(max_retries=6, backoff_base=0.0),
+        )
+        assert study.failure_manifest.failures == []
+        assert study.failure_manifest.stats.get("store_rebuilds", 0) >= 1
+        assert persisted_bytes(study, tmp_path, "respilled") == chaos_reference
+
+    def test_persistent_enospc_quarantines_then_resumes(
+        self, chaos_reference, tmp_path
+    ):
+        sensor = chaos_sensor(tmp_path / "sensor")
+        corrupt_store(tmp_path / "sensor" / "dirty", TORN_COLUMN)
+        ledger = tmp_path / "ledger.jsonl"
+        # the disk stays full: every rebuild dies, so the units exhaust
+        # their retries and are quarantined
+        study = make_chaos_study(sensor=sensor)
+        study.run(
+            n_jobs=1,
+            granularity="split",
+            checkpoint=ledger,
+            supervisor=SupervisorConfig(
+                max_retries=2,
+                backoff_base=0.0,
+                quarantine=True,
+                fault_plan=FaultPlan(enospc_rate=1.0, io_faulty_attempts=1_000_000),
+            ),
+        )
+        manifest = study.failure_manifest
+        assert manifest.stats.get("store_unrecoverable", 0) >= 1
+        assert manifest.stats.get("store_rebuilds", 0) == 0
+        assert manifest.failures
+        assert ("Sensor", OUTLIERS) in manifest.dropped_blocks
+        assert study.raw_experiments == []
+        _, _, failed = load_checkpoint_state(ledger)
+        assert set(failed) == {failure.key for failure in manifest.failures}
+        # space frees up: the resume re-attempts the quarantined units,
+        # rebuilds the store, and lands on the reference bytes
+        resumed = make_chaos_study(sensor=sensor)
+        resumed.run(
+            n_jobs=1,
+            granularity="split",
+            checkpoint=ledger,
+            supervisor=SupervisorConfig(
+                max_retries=6, backoff_base=0.0, quarantine=True
+            ),
+        )
+        assert resumed.failure_manifest.failures == []
+        assert resumed.failure_manifest.stats.get("store_rebuilds", 0) >= 1
+        assert persisted_bytes(resumed, tmp_path, "resumed") == chaos_reference
 
     def test_unrecoverable_corruption_quarantines(self, tmp_path):
         study = make_chaos_study(spill_root=tmp_path)

@@ -10,15 +10,11 @@ from repro.table import (
     make_schema,
     read_csv,
     stream_csv,
-    table_streaming_disabled,
     write_csv,
 )
-from repro.table.io import (
-    _parse_header_cell,
-    _read_csv_reference,
-    _write_csv_reference,
-)
+from repro.table.io import _parse_header_cell
 from repro.table.schema import ColumnType
+from tests.oracles import read_csv_reference, write_csv_reference
 
 
 @pytest.fixture
@@ -99,30 +95,22 @@ def test_write_creates_parent_directories(tmp_path, table):
 
 
 class TestStreamingParity:
-    """The vectorized writer and chunked reader against the reference paths."""
+    """The vectorized writer and chunked reader against the row-major oracles."""
 
     def test_writer_bytes_match_reference(self, tmp_path, table):
         write_csv(table, tmp_path / "fast.csv")
-        _write_csv_reference(table, tmp_path / "ref.csv")
+        write_csv_reference(table, tmp_path / "ref.csv")
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_streamed_read_matches_reference(self, tmp_path, table):
         path = tmp_path / "t.csv"
         write_csv(table, path)
-        assert read_csv(path) == _read_csv_reference(path)
+        assert read_csv(path) == read_csv_reference(path)
 
     def test_odd_chunk_boundaries(self, tmp_path, table):
         path = tmp_path / "t.csv"
         write_csv(table, path)
         assert read_csv(path, chunk_rows=2) == table
-
-    def test_disabled_toggle_runs_reference_paths(self, tmp_path, table):
-        with table_streaming_disabled():
-            write_csv(table, tmp_path / "off.csv")
-            loaded = read_csv(tmp_path / "off.csv")
-        write_csv(table, tmp_path / "on.csv")
-        assert (tmp_path / "off.csv").read_bytes() == (tmp_path / "on.csv").read_bytes()
-        assert loaded == table
 
     def test_spill_returns_file_backed_table(self, tmp_path, table):
         path = tmp_path / "t.csv"
