@@ -69,6 +69,7 @@ def summarize(report_paths) -> dict:
         for arm, key in (
             ("tuning_search", "tuning"),
             ("linear_fit", "linear"),
+            ("knn_select", "knn"),
             ("zeroer_features", "zeroer"),
         ):
             section = report.get(arm)
@@ -123,10 +124,12 @@ def main(argv=None) -> int:
             headline += f" (tuning {entry['tuning_speedup']:.2f}x)"
         if "linear_speedup" in entry:
             headline += f" (LR fit {entry['linear_speedup']:.2f}x)"
+        if "knn_speedup" in entry:
+            headline += f" (KNN fold {entry['knn_speedup']:.2f}x)"
         if "zeroer_speedup" in entry:
             headline += f" (ZeroER features {entry['zeroer_speedup']:.2f}x)"
         gate_count = len(summary["bit_identity_gates"].get(name, {}))
-        print(f"  {name:<{width}}  {headline:<36} {gate_count} identity gates")
+        print(f"  {name:<{width}}  {headline:<48} {gate_count} identity gates")
     verdict = "pass" if summary["all_gates_pass"] else "FAIL"
     print(f"  all bit-identity gates: {verdict}")
     if not args.check:

@@ -52,10 +52,10 @@ from repro.datasets import load_dataset
 from repro.table import train_test_split
 
 try:
-    from .common import cpu_count, persisted_sha256
+    from .common import cpu_count, cpu_dispatch, persisted_sha256
 except ImportError:  # running as a script: python benchmarks/bench_cleaning_kernel.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count, persisted_sha256
+    from benchmarks.common import cpu_count, cpu_dispatch, persisted_sha256
 from tests.oracles import candidate_pairs_reference, pair_features_reference
 
 KERNEL_CONFIG = StudyConfig(
@@ -188,6 +188,7 @@ def run_cleaning_bench(tiny: bool = False) -> dict:
     return {
         "benchmark": "cleaning_kernel",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"Credit x outliers (12 Table 2 methods) + Restaurant x "
             f"duplicates (2 methods), {n_rows} rows, {config.n_splits} "

@@ -42,10 +42,10 @@ from repro.core import (
 from repro.datasets import load_dataset
 
 try:
-    from .common import cpu_count
+    from .common import cpu_count, cpu_dispatch
 except ImportError:  # running as a script: python benchmarks/bench_fault_tolerance.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count
+    from benchmarks.common import cpu_count, cpu_dispatch
 
 FULL_CONFIG = StudyConfig(
     n_splits=3,
@@ -197,6 +197,7 @@ def run_fault_tolerance_bench(tiny: bool = False) -> dict:
             f"{len(config.models)} models"
         ),
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "wall_time_seconds": {k: round(v, 3) for k, v in wall.items()},
         "recovery_stats": stats,
         "faults_recovered": recovered,

@@ -33,10 +33,10 @@ from repro.core.executor import block_method_names
 from repro.datasets import load_dataset
 
 try:
-    from .common import cpu_count
+    from .common import cpu_count, cpu_dispatch
 except ImportError:  # running as a script: python benchmarks/bench_intra_split.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count
+    from benchmarks.common import cpu_count, cpu_dispatch
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
 
@@ -132,6 +132,7 @@ def run_intra_split_bench(tiny: bool = False) -> dict:
         ),
         "n_cells": n_cells,
         "cpu_count": cores,
+        "cpu_dispatch": cpu_dispatch(),
         "wall_time_seconds": wall,
         "naive_seconds": wall["split@1"],
         "results_bit_identical": bool(identical),

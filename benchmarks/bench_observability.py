@@ -45,10 +45,10 @@ from repro.core.faults import FaultPlan
 from repro.core.observability import ObservabilityConfig, build_report, observing
 
 try:
-    from .common import cpu_count
+    from .common import cpu_count, cpu_dispatch
 except ImportError:  # running as a script: python benchmarks/bench_observability.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count
+    from benchmarks.common import cpu_count, cpu_dispatch
 
 OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_observability.json"
 
@@ -148,6 +148,7 @@ def run_observability_bench(tiny: bool = False, report_out=None) -> dict:
     return {
         "benchmark": "observability",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"Sensor {n_rows} rows, {STUDY_CONFIG.n_splits} splits x SD/mean "
             f"x {len(STUDY_CONFIG.models)} models: dark vs unit-traced runs "

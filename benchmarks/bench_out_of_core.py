@@ -56,10 +56,10 @@ from repro.datasets.inject import inject_missing, inject_outliers
 from repro.table import FeatureEncoder, read_csv
 
 try:
-    from .common import cpu_count, measure_peak_rss
+    from .common import cpu_count, cpu_dispatch, measure_peak_rss
 except ImportError:  # running as a script: python benchmarks/bench_out_of_core.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count, measure_peak_rss
+    from benchmarks.common import cpu_count, cpu_dispatch, measure_peak_rss
 from tests.oracles import read_csv_reference
 
 N_ROWS = 1_200_000
@@ -213,6 +213,7 @@ def run_out_of_core_bench(tiny: bool = False) -> dict:
     report = {
         "benchmark": "out_of_core",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"synthetic sensor log, {n_rows} rows x 7 columns: chunk-streamed "
             f"CSV ingest (chunk={CHUNK_ROWS}) -> spill-injected missing+outliers "

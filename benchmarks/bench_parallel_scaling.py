@@ -34,10 +34,10 @@ from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
 
 try:
-    from .common import cpu_count
+    from .common import cpu_count, cpu_dispatch
 except ImportError:  # running as a script: python benchmarks/bench_parallel_scaling.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count
+    from benchmarks.common import cpu_count, cpu_dispatch
 
 JOB_COUNTS = (1, 2, 4)
 
@@ -88,6 +88,7 @@ def run_scaling(job_counts=JOB_COUNTS) -> dict:
         "benchmark": "parallel_scaling",
         "study": "Sensor x outliers, 8 splits, 4 models, 3 methods",
         "cpu_count": cores,
+        "cpu_dispatch": cpu_dispatch(),
         "kernel": "split-execution kernel (shared encoding + evaluation memo)",
         "sequential_baseline_seconds": round(sequential, 3),
         "wall_time_seconds": {str(jobs): round(t, 3) for jobs, t in timings.items()},

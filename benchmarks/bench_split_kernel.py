@@ -42,10 +42,10 @@ from repro.datasets import load_dataset
 from repro.table import FeatureEncoder
 
 try:
-    from .common import cpu_count, persisted_sha256
+    from .common import cpu_count, cpu_dispatch, persisted_sha256
 except ImportError:  # running as a script: python benchmarks/bench_split_kernel.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count, persisted_sha256
+    from benchmarks.common import cpu_count, cpu_dispatch, persisted_sha256
 from tests.oracles import transform_reference
 
 KERNEL_CONFIG = StudyConfig(
@@ -163,6 +163,7 @@ def run_kernel_bench(tiny: bool = False) -> dict:
     return {
         "benchmark": "split_kernel",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"Airbnb x outliers, {n_rows} rows, {config.n_splits} splits, "
             f"{len(config.models)} models, {len(METHODS)} methods, "

@@ -53,11 +53,11 @@ from repro.table import store_info, store_verification
 
 try:
     from .bench_out_of_core import CHUNK_ROWS, N_ROWS, TINY_ROWS, build_csv, run_pipeline
-    from .common import cpu_count
+    from .common import cpu_count, cpu_dispatch
 except ImportError:  # running as a script: python benchmarks/bench_storage_integrity.py
     sys.path.insert(0, str(Path(__file__).parent))
     from bench_out_of_core import CHUNK_ROWS, N_ROWS, TINY_ROWS, build_csv, run_pipeline
-    from common import cpu_count
+    from common import cpu_count, cpu_dispatch
 
 OUTPUT_PATH = Path(__file__).parent.parent / "BENCH_storage_integrity.json"
 
@@ -151,6 +151,7 @@ def run_storage_integrity_bench(tiny: bool = False) -> dict:
     return {
         "benchmark": "storage_integrity",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"synthetic sensor log, {n_rows} rows x 7 columns: streamed "
             f"ingest -> inject -> encode (chunk={CHUNK_ROWS}) with sha256 "

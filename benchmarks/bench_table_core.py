@@ -46,7 +46,7 @@ try:
 except ImportError:  # running as a script: python benchmarks/bench_table_core.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
     from tests.oracles import table_take_reference
-from benchmarks.common import cpu_count
+from benchmarks.common import cpu_count, cpu_dispatch
 
 N_ROWS = 500_000
 TINY_ROWS = 20_000
@@ -210,6 +210,7 @@ def run_table_core_bench(tiny: bool = False) -> dict:
     report = {
         "benchmark": "table_core",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"Airbnb-like synthetic, {n_rows} rows x {n_features} features, "
             f"{N_ROUNDS} splits x {N_FOLDS} folds = {n_encodes} "

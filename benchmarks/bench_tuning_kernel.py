@@ -24,8 +24,15 @@ folds full fits" redundancy the kernel exists to remove.
 A second arm, ``linear_fit``, times the fused LogisticRegression loop
 against its allocating oracle (``tests/oracles/linear.py``) over the
 matrix's CV training folds and gates ``linear_bit_identical``: every
-fold fit's ``coef_``/``intercept_`` bytes must match.  Everything lands
-in ``BENCH_tuning_kernel.json`` at the repository root.
+fold fit's ``coef_``/``intercept_`` bytes must match.  A third arm,
+``knn_select``, scores every candidate of the KNN search space on one
+CV fold of the Credit matrix (the shape of the ``one_split_cells``
+perfbench workload) through the KNN fold workspace and through the
+oracle path (``tests/oracles/knn.py``: the allocating distance
+expression once, then one ``argpartition`` and one per-class vote loop
+per candidate), and gates ``knn_bit_identical``: every candidate's
+predictions must match.  Everything lands in ``BENCH_tuning_kernel.json``
+at the repository root.
 
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
 pytest; ``--tiny`` shrinks splits/rows/search for the CI smoke, which
@@ -44,6 +51,7 @@ from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
 from repro.ml import (
+    KNeighborsClassifier,
     LogisticRegression,
     RandomSearch,
     kfold_plan,
@@ -53,11 +61,16 @@ from repro.ml import (
 from repro.table import FeatureEncoder, LabelEncoder
 
 try:
-    from .common import cpu_count, persisted_sha256
+    from .common import cpu_count, cpu_dispatch, persisted_sha256
 except ImportError:  # running as a script: python benchmarks/bench_tuning_kernel.py
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    from benchmarks.common import cpu_count, persisted_sha256
-from tests.oracles import logistic_fit_reference, random_search_reference
+    from benchmarks.common import cpu_count, cpu_dispatch, persisted_sha256
+from tests.oracles import (
+    knn_proba_reference,
+    logistic_fit_reference,
+    pairwise_sq_distances_reference,
+    random_search_reference,
+)
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
 
@@ -82,6 +95,11 @@ TINY_ROWS = 150
 
 #: interleaved best-of-N passes of the LogisticRegression arm (full shape)
 LINEAR_REPEATS = 5
+
+#: Credit rows of the KNN arm: its 5-fold CV folds are 1400 x 350, the
+#: fold shape of a ``one_split_cells`` Credit split
+KNN_ROWS = 1750
+KNN_REPEATS = 7
 
 METHODS = (
     ("SD", "mean"),
@@ -119,13 +137,13 @@ def build_study(config: StudyConfig, n_rows: int = N_ROWS) -> CleanMLStudy:
     return study
 
 
-def encoded_matrix(n_rows: int):
-    """(X, y) of the study dataset's dirty table under the study's encoders.
+def encoded_matrix(n_rows: int, dataset: str = "Airbnb"):
+    """(X, y) of a dataset's dirty table under the study's encoders.
 
-    The matrix shape (wide one-hot vocabulary included) is exactly what
-    the study's tuning loop sees.
+    For the study dataset the matrix shape (wide one-hot vocabulary
+    included) is exactly what the study's tuning loop sees.
     """
-    table = load_dataset("Airbnb", seed=0, n_rows=n_rows).dirty
+    table = load_dataset(dataset, seed=0, n_rows=n_rows).dirty
     X = FeatureEncoder().fit_transform(table.features_table())
     y = LabelEncoder().fit(
         table.column(table.schema.label).unique()
@@ -232,6 +250,61 @@ def time_linear_fit(X, y, n_folds: int, repeats: int) -> dict:
     }
 
 
+def time_knn_select(X, y, n_folds: int, repeats: int) -> dict:
+    """Micro-benchmark: one fold's KNN workspace vs the oracle path.
+
+    Scores every ``(n_neighbors, weights)`` candidate of the KNN search
+    space on the first CV fold, interleaved best-of-N.  The oracle arm
+    computes the allocating distance matrix once and runs a fresh
+    selection and per-class vote per candidate; the kernel arm builds
+    the fold workspace (blocked in-place distances, one selection per
+    ``k``, one vote per ``(k, weights)``) and asks it for each
+    candidate.  Every candidate's predictions must be equal.
+    """
+    train, val = kfold_plan(len(y), n_folds, seed=42)[0]
+    X_train, y_train, X_val = X[train], y[train], X[val]
+    space = search_space("knn")
+    candidates = [
+        KNeighborsClassifier(n_neighbors=k, weights=w)
+        for k in space["n_neighbors"]
+        for w in space["weights"]
+    ]
+    naive_seconds = kernel_seconds = float("inf")
+    identical = True
+    for _ in range(repeats):
+        start = time.perf_counter()
+        model = KNeighborsClassifier().fit(X_train, y_train)
+        distances = pairwise_sq_distances_reference(model, X_val)
+        naive = [
+            knn_proba_reference(
+                distances,
+                model._y,
+                model.n_classes_,
+                min(candidate.n_neighbors, len(y_train)),
+                candidate.weights,
+            ).argmax(axis=1)
+            for candidate in candidates
+        ]
+        naive_seconds = min(naive_seconds, time.perf_counter() - start)
+
+        start = time.perf_counter()
+        workspace = KNeighborsClassifier().make_fold_workspace(X_train, y_train, X_val)
+        kernel = [workspace.predict_val(candidate) for candidate in candidates]
+        kernel_seconds = min(kernel_seconds, time.perf_counter() - start)
+        identical = identical and all(
+            a.tobytes() == b.tobytes() for a, b in zip(naive, kernel)
+        )
+    return {
+        "fold": f"{len(train)}x{len(val)} of {X.shape[0]}x{X.shape[1]} encoded (Credit dirty)",
+        "candidates": len(candidates),
+        "distinct_k": len(space["n_neighbors"]),
+        "naive_seconds": round(naive_seconds, 4),
+        "kernel_seconds": round(kernel_seconds, 4),
+        "speedup": round(naive_seconds / kernel_seconds, 2),
+        "knn_bit_identical": bool(identical),
+    }
+
+
 def run_tuning_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else KERNEL_CONFIG
     n_rows = TINY_ROWS if tiny else N_ROWS
@@ -259,6 +332,7 @@ def run_tuning_bench(tiny: bool = False) -> dict:
     return {
         "benchmark": "tuning_kernel",
         "cpu_count": cpu_count(),
+        "cpu_dispatch": cpu_dispatch(),
         "study": (
             f"Airbnb x outliers, {n_rows} rows, {config.n_splits} splits, "
             f"models {'+'.join(config.models)}, {len(METHODS)} methods, "
@@ -271,6 +345,11 @@ def run_tuning_bench(tiny: bool = False) -> dict:
         "tuning_search": time_tuning(X, y, config, repeats=max(repeats, 2)),
         "linear_fit": time_linear_fit(
             X, y, config.cv_folds, repeats=2 if tiny else LINEAR_REPEATS
+        ),
+        "knn_select": time_knn_select(
+            *encoded_matrix(n_rows if tiny else KNN_ROWS, "Credit"),
+            config.cv_folds,
+            repeats=2 if tiny else KNN_REPEATS,
         ),
         "reference_digest": reference_digest,
         "results_bit_identical": digest == reference_digest,
@@ -285,6 +364,7 @@ def publish_report(report: dict) -> None:
     OUTPUT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     tuning = report["tuning_search"]
     linear = report["linear_fit"]
+    knn = report["knn_select"]
     cited = report["cited_reference"]
     per_model = "  ".join(
         f"{name}: {entry['speedup']:.2f}x"
@@ -309,6 +389,9 @@ def publish_report(report: dict) -> None:
                 f"  LogisticRegression fit: {linear['speedup']:.2f}x over "
                 f"{linear['fits']} fold fits on {linear['matrix']} "
                 f"(bit-identical: {linear['linear_bit_identical']})",
+                f"  KNN fold workspace: {knn['speedup']:.2f}x over "
+                f"{knn['candidates']} candidates on {knn['fold']} "
+                f"(bit-identical: {knn['knn_bit_identical']})",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -331,6 +414,9 @@ def check_report(report: dict) -> None:
     )
     assert report["linear_fit"]["linear_bit_identical"], (
         "the fused LogisticRegression loop diverged from its oracle"
+    )
+    assert report["knn_select"]["knn_bit_identical"], (
+        "the KNN fold workspace diverged from its oracle path"
     )
 
 

@@ -77,6 +77,22 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def cpu_dispatch() -> list[str]:
+    """numpy's SIMD dispatch targets this CPU supports, recorded next to ``cpu_count``.
+
+    ``np.argpartition`` (KNN's neighbor selection) dispatches to a SIMD
+    argselect whose order among tied values depends on the target, so a
+    study digest recorded on one target can differ on another.
+    """
+    from numpy._core import _multiarray_umath as umath
+
+    return [
+        target
+        for target in umath.__cpu_dispatch__
+        if umath.__cpu_features__.get(target)
+    ]
+
+
 def once(benchmark, fn):
     """Run a study exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

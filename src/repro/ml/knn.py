@@ -7,8 +7,18 @@ KNN is the model the paper singles out as most sensitive to outliers
 
 The distance matrix is a pure function of ``(train, query)`` — not of
 ``(n_neighbors, weights)`` — so the fold-major tuning kernel computes it
-once per CV fold and serves every (k, weights) search candidate from an
-``argpartition`` over it (:class:`_KNNFoldWorkspace`).
+once per CV fold (:class:`_KNNFoldWorkspace`).  The neighbor selection
+depends on ``k`` alone, so the workspace runs one ``argpartition`` per
+distinct capped ``k`` and one vote per distinct ``(k, weights)``.
+
+Everything is bit-identical to the plain expressions kept as test
+oracles (``tests/oracles/knn.py``).  The distance arithmetic runs in
+place over cache-sized row blocks of the matmul's own buffer, with the
+same operands in the same order, and elementwise ufuncs round each
+element on its own.  The neighbor indices come from numpy's
+``argpartition``, whose order among tied distances depends on the SIMD
+target numpy dispatches to on the running CPU; a selection memo reuses
+that call's output, it never reorders it.
 """
 
 from __future__ import annotations
@@ -17,6 +27,11 @@ import numpy as np
 
 from .base import Classifier, check_fit_inputs
 from .cv_kernel import FoldWorkspace
+
+#: float64 elements per row block of the in-place distance pass (128 KiB).
+#: Measured on a 350 x 1400 x 8 fold: 8K to 64K elements run alike, and
+#: about 2.5x faster than one in-place pass over the whole matrix.
+_BLOCK_ELEMENTS = 16384
 
 
 def _vote(
@@ -41,21 +56,30 @@ def _vote(
     return np.ascontiguousarray(votes.T)
 
 
+def _select_neighbors(distances: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's ``k`` nearest training rows, ``(n_rows, k)``.
+
+    The first ``k`` columns of one ``argpartition``, copied out so the
+    full ``(n_rows, n_train)`` index array can be freed.
+    """
+    return np.ascontiguousarray(np.argpartition(distances, k - 1, axis=1)[:, :k])
+
+
 def _proba_from_distances(
     distances: np.ndarray,
+    neighbor_idx: np.ndarray,
     train_labels: np.ndarray,
     n_classes: int,
-    k: int,
     weights: str,
 ) -> np.ndarray:
-    """Class probabilities given a precomputed squared-distance matrix.
+    """Class probabilities given the distances and the selected neighbors.
 
-    The single post-distance code path: ``predict_proba`` calls it with
-    the matrix it just computed, the fold workspace with the matrix it
-    computed once per fold — which is what makes the shared-distance
+    The single post-selection code path: ``predict_proba`` calls it
+    after :func:`_select_neighbors` on the matrix it just computed, the
+    fold workspace with the matrix it computed once per fold and the
+    selection it made once per ``k`` — which is what makes the shared
     path bit-identical to a per-candidate refit by construction.
     """
-    neighbor_idx = np.argpartition(distances, k - 1, axis=1)[:, :k]
     neighbor_labels = train_labels[neighbor_idx]
 
     if weights == "uniform":
@@ -101,13 +125,35 @@ class KNeighborsClassifier(Classifier):
         k = min(self.n_neighbors, len(self._X))
         distances = self._pairwise_sq_distances(X)
         return _proba_from_distances(
-            distances, self._y, self.n_classes_, k, self.weights
+            distances,
+            _select_neighbors(distances, k),
+            self._y,
+            self.n_classes_,
+            self.weights,
         )
 
     def _pairwise_sq_distances(self, X: np.ndarray) -> np.ndarray:
+        """``max(|q|^2 + |t|^2 - 2 q.t, 0)`` for every (query, train) pair.
+
+        One matmul, then the elementwise passes row block by row block
+        inside the matmul's own buffer: ``2 * cross`` in place, the norm
+        sum into one scratch block, their difference back into the
+        buffer, and the clip at zero in place.  Each element sees the
+        operations of the plain expression in the same order.
+        """
         query_norms = np.sum(X**2, axis=1)[:, None]
-        cross = X @ self._X.T
-        return np.maximum(query_norms + self._sq_norms[None, :] - 2.0 * cross, 0.0)
+        out = X @ self._X.T
+        n_rows, n_train = out.shape
+        step = max(1, _BLOCK_ELEMENTS // n_train)
+        scratch = np.empty((min(step, n_rows), n_train))
+        for start in range(0, n_rows, step):
+            block = out[start : start + step]
+            sums = scratch[: len(block)]
+            np.multiply(block, 2.0, out=block)
+            np.add(query_norms[start : start + step], self._sq_norms, out=sums)
+            np.subtract(sums, block, out=block)
+            np.maximum(block, 0.0, out=block)
+        return out
 
     def make_fold_workspace(self, X_train, y_train, X_val):
         return _KNNFoldWorkspace(X_train, y_train, X_val)
@@ -118,11 +164,16 @@ class _KNNFoldWorkspace(FoldWorkspace):
 
     Fitting KNN is trivial (store the matrix, square the norms); the
     cost is the pairwise distance computation at prediction time, which
-    does not depend on ``(n_neighbors, weights)`` at all.  The workspace
-    fits one reference model per fold, computes the validation distance
-    matrix once through the model's own ``_pairwise_sq_distances``, and
-    serves every candidate from :func:`_proba_from_distances` — exactly
-    the operations a per-candidate refit performs, minus the repeats.
+    does not depend on ``(n_neighbors, weights)`` at all, and the
+    neighbor selection, which depends on the capped ``k`` alone.  The
+    workspace fits one reference model per fold, computes the
+    validation distance matrix once through the model's own
+    ``_pairwise_sq_distances``, selects neighbors once per distinct
+    capped ``k`` and votes once per distinct ``(k, weights)`` —
+    exactly the operations a per-candidate refit performs, minus the
+    repeats.  Every call returns a fresh copy of the memoized
+    predictions, so a caller that writes into one cannot reach the next
+    candidate's.
     """
 
     def __init__(self, X_train, y_train, X_val) -> None:
@@ -133,10 +184,21 @@ class _KNNFoldWorkspace(FoldWorkspace):
         self._distances = reference._pairwise_sq_distances(
             np.asarray(X_val, dtype=np.float64)
         )
+        self._neighbors: dict[int, np.ndarray] = {}
+        self._predictions: dict[tuple[int, str], np.ndarray] = {}
 
     def predict_val(self, model) -> np.ndarray:
         k = min(model.n_neighbors, self._n_train)
-        proba = _proba_from_distances(
-            self._distances, self._labels, self._n_classes, k, model.weights
-        )
-        return np.argmax(proba, axis=1)
+        key = (k, model.weights)
+        if key not in self._predictions:
+            if k not in self._neighbors:
+                self._neighbors[k] = _select_neighbors(self._distances, k)
+            proba = _proba_from_distances(
+                self._distances,
+                self._neighbors[k],
+                self._labels,
+                self._n_classes,
+                model.weights,
+            )
+            self._predictions[key] = np.argmax(proba, axis=1)
+        return self._predictions[key].copy()

@@ -2,14 +2,16 @@
 
 Every optimized kernel in ``src/`` was written against a plain
 reference implementation: the per-row encoder transform, the
-per-feature CART and XGBoost split searches, the per-class KNN vote,
-the eager copy-on-``take`` column, the set-based ``drop_rows``, the
-candidate-major cross-validation loop, the allocating
+per-feature CART and XGBoost split searches, the allocating KNN
+distance expression and its per-call neighbor selection and per-class
+vote, the eager copy-on-``take`` column, the set-based ``drop_rows``,
+the candidate-major cross-validation loop, the allocating
 LogisticRegression loop and row softmax, ZeroER's per-pair blocking
-and featurization loops, and the row-major CSV reader and writer.  Production has one code path per
-kernel; the references live here as plain functions, and the tests pin
-each production kernel to its oracle bit for bit.  The kernel
-benchmarks import them too, to time the "before" arm.
+and featurization loops, and the row-major CSV reader and writer.
+Production has one code path per kernel; the references live here as
+plain functions, and the tests pin each production kernel to its
+oracle bit for bit.  The kernel benchmarks import them too, to time
+the "before" arm.
 
 A new kernel follows the same shape: add its reference here, pin
 bit-equality in a test, and gate it in a benchmark.
@@ -17,7 +19,11 @@ bit-equality in a test, and gate it in a benchmark.
 
 from .encode import transform_reference
 from .io import read_csv_reference, write_csv_reference
-from .knn import vote_reference
+from .knn import (
+    knn_proba_reference,
+    pairwise_sq_distances_reference,
+    vote_reference,
+)
 from .linear import logistic_fit_reference, softmax_reference
 from .table import drop_rows_reference, table_take_reference, take_reference
 from .trees import cart_best_split_reference, gbt_best_split_reference
@@ -30,8 +36,10 @@ __all__ = [
     "cross_val_score_reference",
     "drop_rows_reference",
     "gbt_best_split_reference",
+    "knn_proba_reference",
     "logistic_fit_reference",
     "pair_features_reference",
+    "pairwise_sq_distances_reference",
     "random_search_reference",
     "read_csv_reference",
     "softmax_reference",

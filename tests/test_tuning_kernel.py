@@ -37,7 +37,7 @@ from repro.ml import (
     search_space,
 )
 from repro.ml.gbt import _GradientTree
-from repro.ml.knn import _proba_from_distances, _vote
+from repro.ml.knn import _proba_from_distances, _select_neighbors, _vote
 from repro.ml.naive_bayes import _ClassStatistics
 from repro.ml.tree import RootSortWorkspace
 from repro.table import FeatureEncoder, LabelEncoder
@@ -46,6 +46,8 @@ from tests.oracles import (
     cart_best_split_reference,
     cross_val_score_reference,
     gbt_best_split_reference,
+    knn_proba_reference,
+    pairwise_sq_distances_reference,
     random_search_reference,
     vote_reference,
 )
@@ -449,21 +451,10 @@ class TestKNNVote:
         query = X[::3] + 0.01
         fast = model.predict_proba(query)
 
-        distances = model._pairwise_sq_distances(query)
-        capped = min(k, len(X))
-        neighbor_idx = np.argpartition(distances, capped - 1, axis=1)[:, :capped]
-        neighbor_labels = model._y[neighbor_idx]
-        if weights == "uniform":
-            vote_weights = np.ones_like(neighbor_labels, dtype=np.float64)
-        else:
-            rows = np.arange(len(query))[:, None]
-            neighbor_dist = np.sqrt(
-                np.maximum(distances[rows, neighbor_idx], 0.0)
-            )
-            vote_weights = 1.0 / (neighbor_dist + 1e-9)
-        reference = vote_reference(vote_weights, neighbor_labels, model.n_classes_)
-        totals = reference.sum(axis=1, keepdims=True)
-        reference = reference / np.where(totals == 0.0, 1.0, totals)
+        distances = pairwise_sq_distances_reference(model, query)
+        reference = knn_proba_reference(
+            distances, model._y, model.n_classes_, min(k, len(X)), weights
+        )
 
         assert fast.dtype == reference.dtype
         assert np.array_equal(fast, reference)
@@ -474,7 +465,13 @@ class TestKNNVote:
         distances = model._pairwise_sq_distances(X)
         assert np.array_equal(
             model.predict_proba(X),
-            _proba_from_distances(distances, model._y, model.n_classes_, 7, "distance"),
+            _proba_from_distances(
+                distances,
+                _select_neighbors(distances, 7),
+                model._y,
+                model.n_classes_,
+                "distance",
+            ),
         )
 
 
