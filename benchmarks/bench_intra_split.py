@@ -9,6 +9,13 @@ sequential baseline — one task, nothing to parallelize), then at
 ``granularity="cell"`` across worker counts, and asserts every arm
 produces **bit identical** raw experiments.
 
+A second study gives the same grid two splits and runs it on two
+workers at split and at cell granularity.  There split-affine dispatch
+matters: each worker should keep to its own split and only steal at the
+end.  The cell arm must match the split arm bit for bit (the
+``affinity_bit_identical`` gate); its ``executor.workspace_builds``
+count and both wall times are recorded for information only.
+
 On a single-core machine it follows ``bench_parallel_scaling``'s
 refuse-and-annotate precedent: no speedups are reported (they would only
 measure pool overhead), the JSON says why, and the bit-identity gates —
@@ -25,10 +32,11 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from repro.cleaning import OUTLIERS, OutlierCleaning
-from repro.core import StudyBlock, StudyConfig, execute_study
+from repro.core import StudyBlock, StudyConfig, execute_study, observing
 from repro.core.executor import block_method_names
 from repro.datasets import load_dataset
 
@@ -95,6 +103,23 @@ def time_arm(config: StudyConfig, tiny: bool, n_jobs: int, granularity: str):
     return time.perf_counter() - start, experiments
 
 
+def run_affinity_arms(config: StudyConfig, tiny: bool) -> dict:
+    """Two splits on two workers: split units vs split-affine cells."""
+    two_splits = replace(config, n_splits=2)
+    split_s, reference = time_arm(two_splits, tiny, 2, "split")
+    with observing() as collector:
+        cell_s, experiments = time_arm(two_splits, tiny, 2, "cell")
+    return {
+        "n_splits": 2,
+        "wall_time_seconds": {
+            "split@2": round(split_s, 3),
+            "cell@2": round(cell_s, 3),
+        },
+        "workspace_builds": collector.counters.get("executor.workspace_builds", 0),
+        "affinity_bit_identical": bool(experiments == reference),
+    }
+
+
 def run_intra_split_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else FULL_CONFIG
     cores = cpu_count()
@@ -136,6 +161,7 @@ def run_intra_split_bench(tiny: bool = False) -> dict:
         "wall_time_seconds": wall,
         "naive_seconds": wall["split@1"],
         "results_bit_identical": bool(identical),
+        "affinity": run_affinity_arms(config, tiny),
     }
     if single_core:
         # refuse-and-annotate: a 1-core "speedup" would only measure
@@ -174,6 +200,15 @@ def publish_report(report: dict) -> None:
     lines.append(
         f"  bit-identical across all arms: {report['results_bit_identical']}"
     )
+    affinity = report["affinity"]
+    walls = "  ".join(
+        f"{arm} {seconds:.3f}s"
+        for arm, seconds in affinity["wall_time_seconds"].items()
+    )
+    lines.append(
+        f"  2 splits: {walls}, {affinity['workspace_builds']} workspace "
+        f"builds, bit-identical: {affinity['affinity_bit_identical']}"
+    )
     lines.append(f"[written to {OUTPUT_PATH}]")
     print("\n".join(lines))
 
@@ -182,6 +217,9 @@ def check_report(report: dict) -> None:
     """The invariants CI enforces — identity always, speed only at scale."""
     assert report["results_bit_identical"], (
         "sub-split scheduling diverged from the split-level baseline"
+    )
+    assert report["affinity"]["affinity_bit_identical"], (
+        "split-affine cell dispatch diverged from the 2-split split arm"
     )
     # speed is asserted only where it is meaningful: the full-size study
     # on a machine with enough cores for the cell wave to fan out

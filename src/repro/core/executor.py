@@ -36,14 +36,17 @@ A split is a grid of (cleaning method, model) cells, computed through a
 ``granularity="split"`` one task runs a whole split's cells in order
 (:meth:`~repro.core.runner.ErrorTypeRun.run_split`); when a study has
 fewer splits than the machine has cores, ``granularity="cell"``
-schedules every cell as its own sub-unit on the same pool with
-work-stealing.  Each worker shares per-split state — detector fits,
-encodings, dirty-side models — through its workspace, and any state a
-scattered cell is missing is rebuilt bit-identically, because every
-piece is a pure function of the task key.  The reducer sorts cells by
-(method, model) before accumulating, so the contract above extends to
-every ``(n_jobs, granularity)`` pair: byte-identical experiments,
-flags, and persisted JSON.
+schedules every cell as its own sub-unit on the same pool.  Dispatch is
+split-affine (:func:`~repro.core.supervisor.next_unit_index`): a worker
+that finishes a cell takes the next cell of the same split, else the
+first split no worker holds, and only when none is left steals from the
+back of the split with the most queued cells.  Each worker shares
+per-split state — detector fits, encodings, dirty-side models — through
+its workspace, and a stolen cell rebuilds the state it is missing
+bit-identically, because every piece is a pure function of the task
+key.  The reducer sorts cells by (method, model) before accumulating,
+so the contract above extends to every ``(n_jobs, granularity)`` pair:
+byte-identical experiments, flags, and persisted JSON.
 
 Checkpointing
 -------------
@@ -269,9 +272,10 @@ def execute_task(task: SplitTask) -> tuple[TaskKey, SplitResult]:
 _WORKER_BLOCKS: dict[tuple[str, str], tuple[Dataset, tuple | None]] = {}
 #: lazily built ErrorTypeRun per registered block
 _WORKER_RUNS: dict[tuple[str, str], ErrorTypeRun] = {}
-#: lazily built SplitWorkspace per (block, split) a worker has touched;
-#: bounded to the most recent few so sub-unit batches of one split share
-#: state while a long study cannot pin every split's tables at once
+#: lazily built SplitWorkspace per (block, split) a worker has touched,
+#: least recently used first; bounded to the most recent few so sub-unit
+#: batches of one split share state while a long study cannot pin every
+#: split's tables at once
 _WORKER_WORKSPACES: dict[tuple[str, str, int], SplitWorkspace] = {}
 _WORKER_WORKSPACE_CAP = 2
 _WORKER_CONFIG: StudyConfig | None = None
@@ -347,14 +351,18 @@ def _worker_workspace(key: TaskKey) -> SplitWorkspace:
     fits, encodings, and trained models through it; units that land
     elsewhere rebuild the identical state (everything in a workspace is
     a pure function of the task key), so the cache affects time, never
-    bits.
+    bits.  The registry is least-recently-used: every touch moves the
+    split to the back, and a full registry evicts from the front.
     """
-    workspace = _WORKER_WORKSPACES.get(key)
+    workspace = _WORKER_WORKSPACES.pop(key, None)
     if workspace is None:
         while len(_WORKER_WORKSPACES) >= _WORKER_WORKSPACE_CAP:
             _WORKER_WORKSPACES.pop(next(iter(_WORKER_WORKSPACES)))
         workspace = SplitWorkspace(_worker_run((key[0], key[1])), key[2])
-        _WORKER_WORKSPACES[key] = workspace
+        collector = observability.metrics()
+        if collector is not None:
+            collector.count("executor.workspace_builds")
+    _WORKER_WORKSPACES[key] = workspace
     return workspace
 
 
@@ -704,11 +712,11 @@ def _run_sub_split(
 ) -> None:
     """Two-level path: decompose splits into (method, model) cell units.
 
-    Cells are scheduled across the supervised pool with work-stealing
-    (the drain yields whichever worker finishes first), then each split
-    is reassembled by :func:`~repro.core.runner.merge_cell_results`,
-    which sorts by (method, model) so completion order never reaches the
-    output; the split-level merge then sorts by split exactly as before.
+    Cells are dispatched across the supervised pool with split affinity
+    (see the module docstring), then each split is reassembled by
+    :func:`~repro.core.runner.merge_cell_results`, which sorts by
+    (method, model) so completion order never reaches the output; the
+    split-level merge then sorts by split exactly as before.
     At ``jobs == 1`` the same units run inline through the supervisor.
 
     Failure degradation runs up the hierarchy: a cell that exhausts its
@@ -776,8 +784,8 @@ def _run_sub_split(
                     "cell", key + (index, model), _execute_cell, (key, index, model)
                 )
 
-        # record in completion order (work-stealing drain); reduce each
-        # split the moment its last cell lands
+        # record in completion order; reduce each split the moment its
+        # last cell lands
         degraded: set[TaskKey] = set()
         for status, unit, outcome in sup.drain():
             if status == "ok":

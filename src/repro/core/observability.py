@@ -18,8 +18,8 @@ Design constraints, in priority order:
    wall-clock spans — and never branches the code under measurement.
 2. **Deterministic merge.**  Worker processes collect into a local
    :class:`MetricsCollector`; the supervisor ships each unit's delta
-   back with its result and the parent absorbs it.  Under work-stealing
-   the absorption *order* is racy, so every merge operation is
+   back with its result and the parent absorbs it.  With a pool the
+   absorption *order* is racy, so every merge operation is
    commutative and associative over its domain: counters sum, gauges
    take the max, spans fold ``(count, total, min, max)``.  The merge
    never depends on arrival order, but what a worker *counts* can: with
@@ -86,7 +86,7 @@ _HOOKED_MODULES = (
 
 
 #: class of a counter that every run of a study at one granularity
-#: reports identically, whatever the job count or work-stealing order
+#: reports identically, whatever the job count or dispatch order
 SCHEDULE_INVARIANT = "schedule-invariant"
 #: class of a counter whose value depends on which worker ran which unit
 SCHEDULE_DEPENDENT = "schedule-dependent"
@@ -100,7 +100,7 @@ SCHEDULE_DEPENDENT = "schedule-dependent"
 #: units, not by which process or workspace did the work.  At
 #: ``n_jobs=1`` every counter repeats exactly.
 METRIC_CLASSES = {
-    # per-workspace caches: a cell scattered to another worker rebuilds
+    # per-workspace caches: a cell stolen by another worker rebuilds
     # the split's workspace, which refits detectors, re-encodes tables
     # and retrains dirty-side models
     "cleaning.detection_cache.hits": SCHEDULE_DEPENDENT,
@@ -114,6 +114,9 @@ METRIC_CLASSES = {
     "encode.code_cache.misses": SCHEDULE_DEPENDENT,
     "encode.matrix_cells": SCHEDULE_DEPENDENT,
     "encode.matrix_fills": SCHEDULE_DEPENDENT,
+    # one per SplitWorkspace a cell unit's worker builds: the number of
+    # workers each split's cells reached, plus LRU re-builds
+    "executor.workspace_builds": SCHEDULE_DEPENDENT,
     "runner.eval_cache.hits": SCHEDULE_DEPENDENT,
     "runner.eval_cache.misses": SCHEDULE_DEPENDENT,
     "runner.eval_memo.peak_entries": SCHEDULE_DEPENDENT,

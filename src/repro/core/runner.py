@@ -689,7 +689,7 @@ class SplitWorkspace:
     and across workers they are rebuilt identically because detections
     and evaluations are pure.  :meth:`release` evicts one method's state
     once its cells are done; the split path calls it after every method
-    so its peak memory is one method's footprint, while scattered cells
+    so its peak memory is one method's footprint, while cell units
     keep a method's state until the executor drops the workspace.
 
     Rebuilds are cheap on the columnar core: ``train_test_split``

@@ -212,6 +212,53 @@ def _run_unit(func, args, kind, key, attempt):
     return observability.ShippedUnit(result, collector.drain())
 
 
+def next_unit_index(
+    queued: list[tuple], in_flight: list[tuple], hint: tuple | None
+) -> int:
+    """Index in ``queued`` of the unit a freed pool slot takes next.
+
+    Keys are structural: a split unit's key is ``(dataset, error type,
+    split)`` and a cell's appends ``(method index, model)``, so
+    ``key[:3]`` names the split and ``key[:4]`` the (split, method).
+    ``hint`` is the key of the unit whose completion freed the slot;
+    the worker that ran it still holds that split's workspace.  In
+    order of preference the slot takes:
+
+    1. a cell of the hint's (split, method);
+    2. a cell of the hint's split, nearest the hint's method (so a
+       worker that stole from a split's back keeps walking backwards);
+    3. the first queued unit whose split no in-flight unit holds;
+    4. the back of the split with the most queued units, so a thief
+       and the split's owner start at opposite ends.
+
+    Split keys are all distinct, so split units keep FIFO order.  The
+    choice affects which worker rebuilds what, never the results.
+    """
+    if hint is not None:
+        split, method = hint[:3], hint[3:4]
+        best, best_distance = None, None
+        for index, key in enumerate(queued):
+            if key[:3] != split:
+                continue
+            if method and key[3:4] == method:
+                return index
+            distance = abs(key[3] - method[0]) if method and key[3:] else 0
+            if best is None or distance < best_distance:
+                best, best_distance = index, distance
+        if best is not None:
+            return best
+    held = {key[:3] for key in in_flight}
+    counts: dict[tuple, int] = {}
+    back: dict[tuple, int] = {}
+    for index, key in enumerate(queued):
+        split = key[:3]
+        if split not in held:
+            return index
+        counts[split] = counts.get(split, 0) + 1
+        back[split] = index
+    return back[max(counts, key=counts.get)]
+
+
 def _describe_error(error: BaseException) -> str:
     text = str(error).strip()
     name = type(error).__name__
@@ -252,6 +299,8 @@ class Supervisor:
         self._queue: deque[Unit] = deque()
         self._delayed: list[tuple[float, Unit]] = []
         self._in_flight: dict[Future, tuple[Unit, float | None]] = {}
+        #: keys of units completed since the last pump, one per freed slot
+        self._freed: list[tuple] = []
         self._recovery: Callable[[Unit, BaseException], None] | None = None
         self._stale_pool = False
 
@@ -327,7 +376,14 @@ class Supervisor:
     # -- submission ----------------------------------------------------
 
     def submit(self, kind: str, key: tuple, func: Callable, args: tuple) -> None:
-        """Enqueue one unit (FIFO; actual dispatch is bounded by jobs)."""
+        """Enqueue one unit.
+
+        At ``jobs == 1`` units run in submission order.  On the pool at
+        most ``jobs`` units are in flight, and a freed slot takes the
+        queued unit :func:`next_unit_index` picks: the next cell of the
+        split it just finished, else a split no worker holds, else a
+        steal.
+        """
         self._queue.append(Unit(kind, tuple(key), func, args))
 
     def discard(self, predicate: Callable[[Unit], bool]) -> int:
@@ -387,6 +443,7 @@ class Supervisor:
                 if entry is None:
                     continue  # already swept by a resurrection below
                 unit, _ = entry
+                self._freed.append(unit.key)
                 try:
                     result = observability.unwrap_unit(future.result())
                 except BrokenProcessPool as error:
@@ -419,7 +476,16 @@ class Supervisor:
             self._kill_pool()
             self._stale_pool = False
         while self._queue and len(self._in_flight) < self.jobs:
-            unit = self._queue.popleft()
+            # a unit submitted right after a completion goes to the
+            # worker that just went idle: route it by that worker's split
+            hint = self._freed.pop() if self._freed else None
+            index = next_unit_index(
+                [unit.key for unit in self._queue],
+                [unit.key for unit, _ in self._in_flight.values()],
+                hint,
+            )
+            unit = self._queue[index]
+            del self._queue[index]
             try:
                 future = self._ensure_pool().submit(
                     _run_unit, unit.func, unit.args, unit.kind, unit.key, unit.attempt
@@ -434,6 +500,7 @@ class Supervisor:
             if self.config.timeout is not None:
                 deadline = time.monotonic() + self.config.timeout
             self._in_flight[future] = (unit, deadline)
+        self._freed.clear()
 
     def _wait_timeout(self) -> float | None:
         now = time.monotonic()

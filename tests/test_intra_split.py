@@ -9,8 +9,9 @@ tests pin that contract across the full matrix, pin the sub-unit seed
 enumeration against collisions (mirroring the split-level pin), prove
 the granularity-aware caches — the per-workspace ``DetectionCache`` and
 evaluation memo — cannot change results whether a split's cells run
-batched in one worker or scattered across many, and pin that the
-whole-split path releases each method's state before the next.
+batched in one worker or scattered across many, pin that the
+whole-split path releases each method's state before the next, and pin
+the worker workspace registry's LRU eviction and build counter.
 """
 
 import dataclasses
@@ -31,7 +32,9 @@ from repro.core import (
     ErrorTypeRun,
     SplitWorkspace,
     StudyConfig,
+    executor,
     merge_cell_results,
+    observing,
     save_experiments,
 )
 from repro.core.runner import derive_seed
@@ -330,3 +333,31 @@ class TestSplitEviction:
         monkeypatch.setattr(SplitWorkspace, "release", release)
         run.run_split(0)
         assert len(finished) == len(block.methods)
+
+
+class TestWorkerWorkspaces:
+    """The per-worker ``SplitWorkspace`` registry cell units share."""
+
+    def test_registry_evicts_the_least_recently_used_split(self, monkeypatch):
+        name, error_type, methods = BLOCKS[0]
+        dataset = load_dataset(name, seed=0, n_rows=140)
+        monkeypatch.setattr(executor, "_WORKER_WORKSPACE_CAP", 2)
+        executor._register_blocks([(dataset, error_type, tuple(methods))], FAST)
+        try:
+            a, b, c = ((name, error_type, split) for split in range(3))
+            first = executor._worker_workspace(a)
+            executor._worker_workspace(b)
+            # a hit moves A to the back, so C evicts B, not A
+            assert executor._worker_workspace(a) is first
+            executor._worker_workspace(c)
+            assert list(executor._WORKER_WORKSPACES) == [a, c]
+            assert executor._worker_workspace(a) is first
+        finally:
+            executor._clear_worker_state()
+
+    def test_one_workspace_build_per_pending_split_in_process(self):
+        study = make_study()
+        with observing() as collector:
+            study.run(n_jobs=1, granularity="cell")
+        pending = len(BLOCKS) * FAST.n_splits
+        assert collector.counters["executor.workspace_builds"] == pending

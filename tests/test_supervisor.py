@@ -11,6 +11,7 @@ arm of the matrix is reproducible.
 """
 
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.core import (
     save_experiments,
 )
 from repro.core.runner import SplitResult
+from repro.core.supervisor import Supervisor, next_unit_index
 from repro.datasets import load_dataset
 
 FAST = StudyConfig(
@@ -285,3 +287,142 @@ class TestCLI:
         assert args.task_timeout is None
         assert args.max_retries == 2
         assert args.quarantine is False
+
+
+def cell(split, method, model="knn", dataset="Credit"):
+    """A synthetic cell key: (dataset, error type, split, method, model)."""
+    return (dataset, "outliers", split, method, model)
+
+
+def simulate(queue, jobs):
+    """Dispatch order of ``queue`` on ``jobs`` slots.
+
+    The oldest in-flight unit completes first and its key is the hint
+    for the slot it frees, as in :meth:`Supervisor._pump`.
+    """
+    queue, in_flight, order, hint = list(queue), [], [], None
+    while queue:
+        while queue and len(in_flight) < jobs:
+            unit = queue.pop(next_unit_index(queue, in_flight, hint))
+            hint = None
+            in_flight.append(unit)
+            order.append(unit)
+        hint = in_flight.pop(0)
+    return order
+
+
+class FakePool:
+    """Records submissions; futures complete only when a test says so."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, func, args, kind, key, attempt):
+        self.submitted.append((key, attempt))
+        return Future()
+
+
+def fake_supervisor(keys, jobs=2):
+    sup = Supervisor(jobs, None, None)
+    pool = FakePool()
+    sup._ensure_pool = lambda: pool
+    for key in keys:
+        sup.submit("cell" if len(key) == 5 else "split", key, None, ())
+    return sup, pool
+
+
+def complete(sup, key):
+    """Finish the in-flight unit ``key`` and free its slot."""
+    future = next(f for f, (u, _) in sup._in_flight.items() if u.key == key)
+    unit, _ = sup._in_flight.pop(future)
+    sup._freed.append(unit.key)
+    return unit
+
+
+class TestAffinityDispatch:
+    """The freed-slot choice of :func:`next_unit_index`.
+
+    Affinity decides only which worker rebuilds which split workspace;
+    the chaos and intra-split matrices pin that outputs never move.
+    """
+
+    def test_split_units_stay_fifo(self):
+        queue = [("Credit", "outliers", split) for split in range(5)]
+        queue += [("Restaurant", "duplicates", split) for split in range(3)]
+        for jobs in (1, 2, 4):
+            assert simulate(queue, jobs) == queue
+
+    def test_same_method_beats_same_split_beats_unheld_split(self):
+        queue = [cell(1, 0), cell(0, 2, "nb"), cell(0, 1), cell(0, 0, "nb")]
+        in_flight = [cell(2, 0)]
+        hint = cell(0, 0)
+        assert next_unit_index(queue, in_flight, hint) == 3
+        queue.pop(3)
+        # nearest method of the same split: a worker walking forward
+        # takes method 1, one walking backward from 3 would take 2
+        assert next_unit_index(queue, in_flight, hint) == 2
+        assert next_unit_index(queue, in_flight, cell(0, 3)) == 1
+        queue.pop(2)
+        queue.pop(1)
+        assert next_unit_index(queue, in_flight, hint) == 0
+
+    def test_steal_takes_the_back_of_the_most_loaded_split(self):
+        queue = [cell(0, m) for m in range(3)] + [cell(1, m) for m in range(5)]
+        in_flight = [cell(0, 9), cell(1, 9)]
+        for hint in (None, cell(2, 0), ("Credit", "outliers", 2)):
+            assert queue[next_unit_index(queue, in_flight, hint)] == cell(1, 4)
+
+    def test_hint_without_queued_cells_falls_through(self):
+        queue = [cell(0, 1), cell(1, 0), cell(1, 1)]
+        in_flight = [cell(0, 0)]
+        # the hint's split 2 has nothing queued: the first split no
+        # in-flight unit holds comes next, not the held split 0
+        assert next_unit_index(queue, in_flight, cell(2, 5)) == 1
+
+    def test_two_workers_on_one_split_start_at_opposite_ends(self):
+        queue = [cell(0, m, model) for m in range(4) for model in ("knn", "nb")]
+        assert simulate(queue, 2)[:2] == [cell(0, 0), cell(0, 3, "nb")]
+
+    def test_a_freed_slot_takes_the_next_cell_of_its_split(self):
+        keys = [cell(s, m, model) for s in (0, 1) for m in range(3)
+                for model in ("knn", "nb")]
+        sup, pool = fake_supervisor(keys)
+        sup._pump()
+        assert [key for key, _ in pool.submitted] == [cell(0, 0), cell(1, 0)]
+        complete(sup, cell(1, 0))
+        sup._pump()
+        assert pool.submitted[-1][0] == cell(1, 0, "nb")
+        complete(sup, cell(0, 0))
+        sup._pump()
+        assert pool.submitted[-1][0] == cell(0, 0, "nb")
+
+    def test_discarded_cells_of_a_degraded_split_are_never_picked(self):
+        keys = [cell(s, m) for s in (0, 1) for m in range(4)]
+        sup, pool = fake_supervisor(keys)
+        sup._pump()
+        degraded = ("Credit", "outliers", 0)
+        sup.discard(lambda u: u.kind == "cell" and u.key[:3] == degraded)
+        sup.submit("split", degraded, None, ())
+        # the degraded split's in-flight cell finishes; its hint must
+        # not resurrect a discarded sibling
+        complete(sup, cell(0, 0))
+        sup._pump()
+        rest = [u.key for u in sup._queue]
+        dispatched = [key for key, _ in pool.submitted] + simulate(rest, 2)
+        assert [k for k in dispatched if k[:3] == degraded] == [cell(0, 0), degraded]
+        assert sorted(dispatched) == sorted([cell(0, 0), degraded] + keys[4:])
+
+    def test_requeued_delayed_retries_still_dispatch(self):
+        sup, pool = fake_supervisor([cell(0, 0), cell(0, 1), cell(1, 0)])
+        sup._pump()
+        failed = complete(sup, cell(0, 0))
+        assert sup._after_failure(failed, RuntimeError("boom"), False) is None
+        assert [u.key for u in sup._queue] == [cell(0, 1)]
+        sup._release_delayed(float("inf"))
+        sup._pump()
+        # the retry sits at the back of the queue and is still taken
+        assert pool.submitted[-1] == (cell(0, 0), 1)
+        complete(sup, cell(1, 0))
+        sup._pump()
+        assert pool.submitted[-1] == (cell(0, 1), 0)
+        assert not sup._queue
