@@ -10,6 +10,11 @@ the regularized gain
 
 and leaf weights ``-G/(H+lambda)`` shrunk by ``learning_rate``.  Row
 subsampling per round matches XGBoost's stochastic variant.
+
+The trees reuse the CART module's machinery: splits come from the one
+tree split kernel (:func:`.tree._best_split`) with the gain above as
+its statistic, nodes are :class:`.tree._Node` (``value`` holds the leaf
+weight) and prediction routes through :func:`.tree._route`.
 """
 
 from __future__ import annotations
@@ -17,20 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_fit_inputs, one_hot, softmax
-from .tree import _SPLIT_BLOCK_ELEMENTS, DecisionTreeClassifier, RootSortWorkspace
-
-_EPS = 1e-12
-
-
-class _RegressionNode:
-    __slots__ = ("feature", "threshold", "left", "right", "value")
-
-    def __init__(self, value: float) -> None:
-        self.feature: int | None = None
-        self.threshold = 0.0
-        self.left: "_RegressionNode | None" = None
-        self.right: "_RegressionNode | None" = None
-        self.value = value
+from .tree import _EPS, RootSortWorkspace, _best_split, _Node, _route
 
 
 class _GradientTree:
@@ -73,9 +65,9 @@ class _GradientTree:
 
     def _build(
         self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, depth: int
-    ) -> _RegressionNode:
+    ) -> _Node:
         grad_sum, hess_sum = float(grad.sum()), float(hess.sum())
-        node = _RegressionNode(self._leaf_value(grad_sum, hess_sum))
+        node = _Node(self._leaf_value(grad_sum, hess_sum))
         if depth >= self.max_depth or len(X) < 2:
             return node
 
@@ -108,61 +100,19 @@ class _GradientTree:
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by regularized gain, or ``None``.
 
-        One broadcast pass over every candidate feature at once — the
-        same transformation the CART builder's
-        ``_best_split_vectorized`` applies: the per-feature reference
-        loop (``tests/oracles/trees.py``) pays a handful of small numpy
-        calls per feature per node, and on the wide one-hot matrices the
-        study encodes that Python overhead — not the sorting — dominates
-        tree building.  Every arithmetic step applies the reference's
-        elementwise gain formula per column, the cumulative (gradient,
-        hessian) sums stay sequential per lane, positions are scanned
-        ascending within a feature and features ascending across the
-        matrix, so the chosen split is bit-identical to the oracle —
-        pinned per node by ``tests/test_tuning_kernel.py``.
-
-        Features are processed in chunks sized to keep the
-        ``(rows, features)`` temporaries near the shared block budget;
-        per-feature best gains are chunk-independent, so the final
-        cross-feature scan is unchanged.
+        The :func:`.tree._best_split` kernel with XGBoost's statistic:
+        cumulative gradient and hessian sums along each sort order,
+        scored by the reference's gain formula per lane, with
+        ``min_child_weight`` hessian mass on both sides and no row-count
+        bound.
         """
-        n_samples, n_features = X.shape
         parent_score = grad_sum**2 / (hess_sum + self.reg_lambda + _EPS)
 
-        # ~6 (rows, features) float64 temporaries live at once (sorted
-        # values, two cumsums, two child sums, gains)
-        chunk = max(1, _SPLIT_BLOCK_ELEMENTS // max(6 * n_samples, 1))
-        best_gain = np.full(n_features, -np.inf)
-        best_threshold = np.zeros(n_features)
-        for start in range(0, n_features, chunk):
-            selected = np.arange(start, min(start + chunk, n_features))
-            if sort_cache is not None:
-                orders = np.empty((n_samples, len(selected)), dtype=np.intp)
-                for column, feature in enumerate(selected):
-                    orders[:, column] = DecisionTreeClassifier._feature_order(
-                        X, feature, sort_cache
-                    )
-                columns = X[:, selected]
-            else:
-                columns = X[:, selected]
-                orders = np.argsort(columns, axis=0, kind="stable")
-            sorted_x = np.take_along_axis(columns, orders, axis=0)
-            cum_grad = np.cumsum(grad[orders], axis=0)
-            cum_hess = np.cumsum(hess[orders], axis=0)
-
-            # a split between positions i and i+1 requires a value
-            # change and min_child_weight hessian mass on both sides
-            valid = sorted_x[1:] > sorted_x[:-1] + _EPS
-            left_grad = cum_grad[:-1]
-            left_hess = cum_hess[:-1]
+        def regularized_gain(orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            left_grad = np.cumsum(grad[orders], axis=0)[:-1]
+            left_hess = np.cumsum(hess[orders], axis=0)[:-1]
             right_grad = grad_sum - left_grad
             right_hess = hess_sum - left_hess
-            valid &= (left_hess >= self.min_child_weight) & (
-                right_hess >= self.min_child_weight
-            )
-            if not np.any(valid):
-                continue
-
             # the denominators repeat the reference's left-to-right adds
             # (float addition is non-associative; pre-summing the
             # regularizer would shift bits)
@@ -171,35 +121,26 @@ class _GradientTree:
                 + right_grad**2 / (right_hess + self.reg_lambda + _EPS)
                 - parent_score
             ) - self.gamma
-            gains[~valid] = -np.inf
-
-            per_feature = gains.max(axis=0)
-            splits_at = np.argmax(gains, axis=0) + 1
-            best_gain[selected] = per_feature
-            best_threshold[selected] = 0.5 * (
-                np.take_along_axis(sorted_x, (splits_at - 1)[None, :], 0)[0]
-                + np.take_along_axis(sorted_x, splits_at[None, :], 0)[0]
+            heavy_enough = (left_hess >= self.min_child_weight) & (
+                right_hess >= self.min_child_weight
             )
+            return gains, heavy_enough
 
-        feature = int(np.argmax(best_gain))
-        if not best_gain[feature] > _EPS:
-            return None
-        return (feature, float(best_threshold[feature]))
+        # ~6 (rows, features) float64 temporaries live at once (two
+        # cumsums, two child sums, gains, sorted values)
+        return _best_split(
+            X,
+            np.arange(X.shape[1]),
+            regularized_gain,
+            min_rows=1,
+            sort_cache=sort_cache,
+            lane_width=6,
+        )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         out = np.empty(len(X))
-        self._route(self._root, X, np.arange(len(X)), out)
+        _route(self._root, X, np.arange(len(X)), out)
         return out
-
-    def _route(self, node, X, indices, out) -> None:
-        if len(indices) == 0:
-            return
-        if node.feature is None:
-            out[indices] = node.value
-            return
-        go_left = X[indices, node.feature] <= node.threshold
-        self._route(node.left, X, indices[go_left], out)
-        self._route(node.right, X, indices[~go_left], out)
 
 
 class XGBoostClassifier(Classifier):
@@ -213,7 +154,9 @@ class XGBoostClassifier(Classifier):
         XGBoost's L2 leaf regularizer, minimum split gain, and minimum
         hessian mass per child.
     subsample:
-        Row-sampling fraction per boosting round.
+        Row-sampling fraction per boosting round, in ``(0, 1]``; a
+        subsampled round keeps at least two rows (all of them when
+        there are fewer).
     """
 
     def __init__(
@@ -257,6 +200,8 @@ class XGBoostClassifier(Classifier):
         sets differ), so the knob still behaves exactly as before.
         """
         X, y, n_classes = check_fit_inputs(X, y)
+        if not 0.0 < self.subsample <= 1.0:
+            raise ValueError(f"subsample must be in (0, 1], got {self.subsample!r}")
         self.n_classes_ = n_classes
         rng = np.random.default_rng(self.random_state)
         targets = one_hot(y, n_classes)
@@ -278,7 +223,7 @@ class XGBoostClassifier(Classifier):
                 rows = None
             else:
                 size = max(2, int(round(self.subsample * n_samples)))
-                rows = rng.choice(n_samples, size=size, replace=False)
+                rows = rng.choice(n_samples, size=min(size, n_samples), replace=False)
 
             round_trees: list[_GradientTree] = []
             for cls in range(n_classes):

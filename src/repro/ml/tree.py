@@ -1,10 +1,12 @@
-"""CART decision tree with weighted Gini impurity.
+"""CART decision tree with weighted Gini impurity, and the tree split kernel.
 
-The split search is vectorized: for each candidate feature the rows are
-sorted once and every threshold is scored in a single cumulative-sum pass
-over the weighted one-hot label matrix.  Sample weights make the same
-builder serve AdaBoost; a ``max_features`` knob makes it serve the random
-forest.
+Every tree in the package splits through one vectorized kernel,
+:func:`_best_split`: for each candidate feature the rows are sorted once
+and every threshold is scored in a single cumulative-sum pass by the
+model's gain statistic — weighted Gini here, XGBoost's regularized gain
+in :mod:`.gbt`, whose trees also share :class:`_Node` and :func:`_route`.
+Sample weights make the CART builder serve AdaBoost; a ``max_features``
+knob makes it serve the random forest.
 
 The root split's per-feature ``argsort`` depends only on the training
 matrix — never on depth/leaf hyper-parameters or sample weights — so
@@ -24,25 +26,130 @@ from .cv_kernel import FoldWorkspace
 
 _EPS = 1e-12
 
-#: per-block element budget of the vectorized split search (the
-#: (rows, features, classes) cumsum is the largest temporary; 2^23
-#: float64 elements = 64MB).  Wider candidate sets are processed in
-#: feature chunks — per-feature best gains are chunk-independent, so
-#: the result is unaffected.
+#: per-block element budget of the split kernel (CART's (rows,
+#: features, classes) cumsum or XGBoost's ~6 (rows, features) planes
+#: are the largest temporaries; 2^23 float64 elements = 64MB).  Wider
+#: candidate sets are processed in feature chunks — per-feature best
+#: gains are chunk-independent, so the result is unaffected.
 _SPLIT_BLOCK_ELEMENTS = 1 << 23
 
 
 class _Node:
-    """Internal tree node; leaves have ``feature is None``."""
+    """Tree node; leaves have ``feature is None``.  ``value`` is a CART
+    node's class probabilities or a gradient tree's leaf weight."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "proba")
+    __slots__ = ("feature", "threshold", "left", "right", "value")
 
-    def __init__(self, proba: np.ndarray) -> None:
+    def __init__(self, value) -> None:
         self.feature: int | None = None
         self.threshold = 0.0
         self.left: "_Node | None" = None
         self.right: "_Node | None" = None
-        self.proba = proba
+        self.value = value
+
+
+def _best_split(
+    X: np.ndarray,
+    candidates: np.ndarray,
+    gain,
+    min_rows: int,
+    sort_cache: dict | None,
+    lane_width: int,
+) -> tuple[int, float] | None:
+    """Best (feature, threshold) over ``candidates`` by ``gain``, or ``None``.
+
+    One broadcast pass over every candidate feature at once: the
+    per-feature reference loops (``tests/oracles/trees.py``) pay ~8
+    small numpy calls per feature per node, and on wide one-hot
+    matrices that Python overhead, not the sorting, dominates tree
+    building.  ``gain(orders)`` maps a chunk's ``(rows, features)``
+    stable sort orders to the ``(rows - 1, features)`` gains of
+    splitting after each sorted position, plus an optional extra
+    validity mask.  The kernel owns the rest: a split needs a value
+    change and ``min_rows`` rows on both sides, the first maximum wins
+    over positions and then features (the reference's "strictly greater
+    beats earlier feature" scan), the threshold is the midpoint, and
+    only gains above ``_EPS`` split.  With the reference's elementwise
+    formula and sequential per-lane cumsums in ``gain``, the chosen
+    split is bit-identical, which ``tests/test_tuning_kernel.py`` pins
+    for both models on every node of real and adversarial trees.
+
+    Features are processed in chunks that keep ``lane_width`` float64
+    temporaries per (row, feature) lane near
+    :data:`_SPLIT_BLOCK_ELEMENTS`; per-feature best gains are
+    chunk-independent, so the result is unaffected.  ``sort_cache``
+    (root nodes only) serves and collects per-feature sort orders.
+    """
+    n_samples = len(X)
+    n_candidates = len(candidates)
+    chunk = max(1, _SPLIT_BLOCK_ELEMENTS // max(n_samples * lane_width, 1))
+    best_gain = np.full(n_candidates, -np.inf)
+    best_threshold = np.zeros(n_candidates)
+    for start in range(0, n_candidates, chunk):
+        selected = candidates[start : start + chunk]
+        columns = X[:, selected]
+        if sort_cache is None:
+            orders = np.argsort(columns, axis=0, kind="stable")
+        else:
+            orders = np.empty((n_samples, len(selected)), dtype=np.intp)
+            for column, feature in enumerate(selected):
+                orders[:, column] = _feature_order(X, feature, sort_cache)
+        sorted_x = np.take_along_axis(columns, orders, axis=0)
+
+        # row i splits between sorted positions i and i + 1: it needs a
+        # value change and min_rows rows on both sides
+        valid = sorted_x[1:] > sorted_x[:-1] + _EPS
+        valid[: max(min_rows - 1, 0)] = False
+        valid[max(n_samples - min_rows, 0) :] = False
+        if not np.any(valid):
+            continue
+        gains, extra_valid = gain(orders)
+        if extra_valid is not None:
+            valid &= extra_valid
+        gains[~valid] = -np.inf
+
+        splits_at = np.argmax(gains, axis=0) + 1
+        best_gain[start : start + len(selected)] = gains.max(axis=0)
+        best_threshold[start : start + len(selected)] = 0.5 * (
+            np.take_along_axis(sorted_x, (splits_at - 1)[None, :], 0)[0]
+            + np.take_along_axis(sorted_x, splits_at[None, :], 0)[0]
+        )
+
+    column = int(np.argmax(best_gain))
+    if not best_gain[column] > _EPS:
+        return None
+    return (int(candidates[column]), float(best_threshold[column]))
+
+
+def _feature_order(X: np.ndarray, feature: int, sort_cache: dict | None) -> np.ndarray:
+    """Stable argsort of column ``feature``, via ``sort_cache`` when given."""
+    if sort_cache is None:
+        return np.argsort(X[:, feature], kind="stable")
+    order = sort_cache.get(int(feature))
+    if order is None:
+        order = np.argsort(X[:, feature], kind="stable")
+        order.setflags(write=False)
+        sort_cache[int(feature)] = order
+    return order
+
+
+def _route(
+    node: _Node,
+    X: np.ndarray,
+    indices: np.ndarray,
+    out: np.ndarray,
+    depth_limit: int | None = None,
+    depth: int = 0,
+) -> None:
+    """Write each row's ``value`` into ``out``, stopping at ``depth_limit``."""
+    if len(indices) == 0:
+        return
+    if node.feature is None or (depth_limit is not None and depth >= depth_limit):
+        out[indices] = node.value
+        return
+    go_left = X[indices, node.feature] <= node.threshold
+    _route(node.left, X, indices[go_left], out, depth_limit, depth + 1)
+    _route(node.right, X, indices[~go_left], out, depth_limit, depth + 1)
 
 
 class DecisionTreeClassifier(Classifier):
@@ -56,8 +163,8 @@ class DecisionTreeClassifier(Classifier):
         Pre-pruning thresholds in *row counts* (not weight).
     max_features:
         Number of features considered per split: ``None`` (all),
-        ``"sqrt"``, or an integer.  Random subsets are drawn per node
-        with ``random_state``.
+        ``"sqrt"``, or an integer >= 1.  Random subsets are drawn per
+        node with ``random_state``.
     """
 
     def __init__(
@@ -101,6 +208,7 @@ class DecisionTreeClassifier(Classifier):
         row subsets as before.
         """
         X, y, observed = check_fit_inputs(X, y)
+        _check_max_features(self.max_features)
         n_classes = observed if n_classes is None else max(int(n_classes), observed)
         self.n_classes_ = n_classes
         if sample_weight is None:
@@ -154,63 +262,18 @@ class DecisionTreeClassifier(Classifier):
     ) -> tuple[int, float] | None:
         """Best (feature, threshold) by weighted Gini gain, or ``None``.
 
-        One broadcast pass over every candidate feature at once.  The
-        per-feature reference loop (``tests/oracles/trees.py``) pays ~8
-        small numpy calls per feature per node — on wide one-hot
-        matrices that Python overhead, not the sorting, dominates tree
-        building.  This path evaluates candidate columns together on an
-        ``(n_samples - 1, features)`` gain matrix; every arithmetic step
-        applies the reference's elementwise formula per column, cumsums
-        stay sequential per lane, and the (first-maximum) ``argmax``
-        selection reproduces the reference's "strictly greater beats
-        earlier feature" scan — so the chosen split is bit-identical,
-        which ``tests/test_tuning_kernel.py`` pins against the oracle on
-        every node of real and adversarial trees.
-
-        The broadcast block is ``O(rows x features x classes)``, so
-        features are processed in chunks sized to keep the temporaries
-        near :data:`_SPLIT_BLOCK_ELEMENTS`; per-feature best gains are
-        chunk-independent, so the final cross-feature scan is
-        unchanged.
+        The :func:`_best_split` kernel with CART's statistic: cumulative
+        weighted class counts along each sort order, scored by the
+        reference's weighted-Gini formula per lane, with
+        ``min_samples_leaf`` rows on both sides.  Its
+        ``(rows, features, classes)`` cumsum is the largest temporary.
         """
-        n_samples, n_features = X.shape
-        candidates = self._candidate_features(n_features)
-
         counts = wy.sum(axis=0)
         total_weight = counts.sum()
         parent_impurity = _gini(counts)
 
-        leaf = self.min_samples_leaf
-        position = np.arange(1, n_samples)
-        bounds_ok = (position >= leaf) & (position <= n_samples - leaf)
-
-        n_candidates = len(candidates)
-        chunk = max(
-            1, _SPLIT_BLOCK_ELEMENTS // max(n_samples * wy.shape[1], 1)
-        )
-        best_gain = np.full(n_candidates, -np.inf)
-        best_threshold = np.zeros(n_candidates)
-        for start in range(0, n_candidates, chunk):
-            selected = candidates[start : start + chunk]
-            if sort_cache is not None:
-                orders = np.empty((n_samples, len(selected)), dtype=np.intp)
-                for column, feature in enumerate(selected):
-                    orders[:, column] = self._feature_order(X, feature, sort_cache)
-                columns = X[:, selected]
-            else:
-                columns = X[:, selected]
-                orders = np.argsort(columns, axis=0, kind="stable")
-            sorted_x = np.take_along_axis(columns, orders, axis=0)
-            cum_wy = np.cumsum(wy[orders], axis=0)  # (rows, features, classes)
-
-            # a split between positions i and i+1 requires a value
-            # change and min_samples_leaf rows on both sides
-            valid = sorted_x[1:] > sorted_x[:-1] + _EPS
-            valid &= bounds_ok[:, None]
-            if not np.any(valid):
-                continue
-
-            left_counts = cum_wy[:-1]
+        def gini_gain(orders: np.ndarray) -> tuple[np.ndarray, None]:
+            left_counts = np.cumsum(wy[orders], axis=0)[:-1]
             right_counts = counts[None, None, :] - left_counts
             left_weight = left_counts.sum(axis=2)
             right_weight = right_counts.sum(axis=2)
@@ -219,34 +282,16 @@ class DecisionTreeClassifier(Classifier):
             weighted = (left_weight * left_gini + right_weight * right_gini) / max(
                 total_weight, _EPS
             )
-            gains = parent_impurity - weighted
-            gains[~valid] = -np.inf
+            return parent_impurity - weighted, None
 
-            per_feature = gains.max(axis=0)
-            splits_at = np.argmax(gains, axis=0) + 1
-            best_gain[start : start + len(selected)] = per_feature
-            best_threshold[start : start + len(selected)] = 0.5 * (
-                np.take_along_axis(sorted_x, (splits_at - 1)[None, :], 0)[0]
-                + np.take_along_axis(sorted_x, splits_at[None, :], 0)[0]
-            )
-
-        column = int(np.argmax(best_gain))
-        if not best_gain[column] > _EPS:
-            return None
-        return (int(candidates[column]), float(best_threshold[column]))
-
-    @staticmethod
-    def _feature_order(
-        X: np.ndarray, feature: int, sort_cache: dict | None
-    ) -> np.ndarray:
-        if sort_cache is None:
-            return np.argsort(X[:, feature], kind="stable")
-        order = sort_cache.get(int(feature))
-        if order is None:
-            order = np.argsort(X[:, feature], kind="stable")
-            order.setflags(write=False)
-            sort_cache[int(feature)] = order
-        return order
+        return _best_split(
+            X,
+            self._candidate_features(X.shape[1]),
+            gini_gain,
+            min_rows=self.min_samples_leaf,
+            sort_cache=sort_cache,
+            lane_width=wy.shape[1],
+        )
 
     def _candidate_features(self, n_features: int) -> np.ndarray:
         if self.max_features is None:
@@ -268,7 +313,7 @@ class DecisionTreeClassifier(Classifier):
 
         Every internal node stores the class distribution of its
         training subset (computed *before* the stopping checks), so
-        emitting ``node.proba`` at depth ``d`` yields exactly the
+        emitting ``node.value`` at depth ``d`` yields exactly the
         probabilities a tree fitted with ``max_depth=d`` — identical
         splits above ``d``, because the split search never consults the
         depth — would produce.  The tuning kernel uses this to serve
@@ -276,28 +321,8 @@ class DecisionTreeClassifier(Classifier):
         """
         X = np.asarray(X, dtype=np.float64)
         out = np.empty((len(X), self.n_classes_))
-        self._route(self._root, X, np.arange(len(X)), out, depth_limit, 0)
+        _route(self._root, X, np.arange(len(X)), out, depth_limit)
         return out
-
-    def _route(
-        self,
-        node: _Node,
-        X: np.ndarray,
-        indices: np.ndarray,
-        out: np.ndarray,
-        depth_limit: int | None = None,
-        depth: int = 0,
-    ) -> None:
-        if len(indices) == 0:
-            return
-        if node.feature is None or (
-            depth_limit is not None and depth >= depth_limit
-        ):
-            out[indices] = node.proba
-            return
-        go_left = X[indices, node.feature] <= node.threshold
-        self._route(node.left, X, indices[go_left], out, depth_limit, depth + 1)
-        self._route(node.right, X, indices[~go_left], out, depth_limit, depth + 1)
 
     # -- introspection ----------------------------------------------------------
 
@@ -313,7 +338,33 @@ class DecisionTreeClassifier(Classifier):
         return _TreeFoldWorkspace(X_train, y_train, X_val)
 
 
-class _TreeFoldWorkspace(FoldWorkspace):
+class RootSortWorkspace(FoldWorkspace):
+    """Shared root-split sort orders for the CART family's candidates.
+
+    One lazily-filled cache dict rides through every candidate's
+    ``fit(..., root_sort_cache=...)``: AdaBoost threads it
+    (``feature -> argsort`` of the fold's training matrix) into every
+    boosting round (all stumps fit the full matrix); XGBoost into every
+    round and class; the random forest nests per-tree sub-caches keyed
+    by ``(random_state, tree index)``, valid because its bootstrap
+    draws are a pure function of ``random_state`` and so identical
+    across candidates.  Candidate hyper-parameters (depth,
+    leaf sizes, learning rate, sample weights) never influence a root
+    argsort, so reuse is bit-exact.
+    """
+
+    def __init__(self, X_train, y_train, X_val) -> None:
+        self.X_train = X_train
+        self.y_train = y_train
+        self.X_val = X_val
+        self.root_orders: dict = {}
+
+    def predict_val(self, model) -> np.ndarray:
+        model.fit(self.X_train, self.y_train, root_sort_cache=self.root_orders)
+        return model.predict(self.X_val)
+
+
+class _TreeFoldWorkspace(RootSortWorkspace):
     """Depth candidates share one deep tree; the rest share root argsorts.
 
     CART's split search is depth-independent — ``max_depth`` only stops
@@ -336,10 +387,7 @@ class _TreeFoldWorkspace(FoldWorkspace):
     """
 
     def __init__(self, X_train, y_train, X_val) -> None:
-        self.X_train = X_train
-        self.y_train = y_train
-        self.X_val = X_val
-        self.root_orders: dict = {}
+        super().__init__(X_train, y_train, X_val)
         #: (min_samples_split, min_samples_leaf) -> (built_depth, tree)
         self._deep_trees: dict[tuple, tuple[int | None, DecisionTreeClassifier]] = {}
         #: group key -> deepest max_depth any announced candidate requests
@@ -369,8 +417,7 @@ class _TreeFoldWorkspace(FoldWorkspace):
 
     def predict_val(self, model) -> np.ndarray:
         if model.max_features is not None:
-            model.fit(self.X_train, self.y_train, root_sort_cache=self.root_orders)
-            return model.predict(self.X_val)
+            return super().predict_val(model)
         key = self._group_key(model)
         entry = self._deep_trees.get(key)
         covered = entry is not None and (
@@ -393,30 +440,15 @@ class _TreeFoldWorkspace(FoldWorkspace):
         return np.argmax(proba, axis=1)
 
 
-class RootSortWorkspace(FoldWorkspace):
-    """Shared root-split sort orders for the CART family's candidates.
-
-    One lazily-filled cache dict rides through every candidate's
-    ``fit(..., root_sort_cache=...)``: AdaBoost threads it
-    (``feature -> argsort`` of the fold's training matrix) into every
-    boosting round (all stumps fit the full matrix); XGBoost into every
-    round and class; the random forest nests per-tree sub-caches keyed
-    by ``(random_state, tree index)``, valid because its bootstrap
-    draws are a pure function of ``random_state`` and so identical
-    across candidates.  Candidate hyper-parameters (depth,
-    leaf sizes, learning rate, sample weights) never influence a root
-    argsort, so reuse is bit-exact.
-    """
-
-    def __init__(self, X_train, y_train, X_val) -> None:
-        self.X_train = X_train
-        self.y_train = y_train
-        self.X_val = X_val
-        self.root_orders: dict = {}
-
-    def predict_val(self, model) -> np.ndarray:
-        model.fit(self.X_train, self.y_train, root_sort_cache=self.root_orders)
-        return model.predict(self.X_val)
+def _check_max_features(max_features) -> None:
+    integer = isinstance(max_features, (int, np.integer)) and not isinstance(
+        max_features, bool
+    )
+    if not (max_features in (None, "sqrt") or (integer and max_features >= 1)):
+        raise ValueError(
+            "max_features must be None, 'sqrt' or an integer >= 1, "
+            f"got {max_features!r}"
+        )
 
 
 def _gini(counts: np.ndarray) -> float:

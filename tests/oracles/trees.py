@@ -1,15 +1,16 @@
-"""Per-feature split searches — the specs of the vectorized tree kernels.
+"""Per-feature split searches — the specs of the vectorized tree split kernel.
 
-Each function takes the tree instance whose node is being split, so it
-sees the same hyper-parameters, feature-subsampling generator and root
-sort cache as the production ``_best_split_vectorized`` method.
+Production runs one kernel (``repro.ml.tree._best_split``) with a gain
+statistic per model; each function here is one model's whole search,
+one feature at a time.  Each takes the tree instance whose node is
+being split, so it sees the same hyper-parameters, feature-subsampling
+generator and root sort cache as that model's ``_best_split_vectorized``.
 """
 
 import numpy as np
 
-from repro.ml.gbt import _EPS as _GBT_EPS
 from repro.ml.gbt import _GradientTree
-from repro.ml.tree import _EPS, DecisionTreeClassifier, _gini
+from repro.ml.tree import _EPS, DecisionTreeClassifier, _feature_order, _gini
 
 
 def _gini_rows(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -35,7 +36,7 @@ def cart_best_split_reference(
     best_gain = _EPS
     best: tuple[int, float] | None = None
     for feature in candidates:
-        order = tree._feature_order(X, feature, sort_cache)
+        order = _feature_order(X, feature, sort_cache)
         sorted_x = X[order, feature]
         cum_wy = np.cumsum(wy[order], axis=0)
 
@@ -78,16 +79,16 @@ def gbt_best_split_reference(
     sort_cache: dict | None = None,
 ) -> tuple[int, float] | None:
     """Best (feature, threshold) by regularized gain, one feature at a time."""
-    parent_score = grad_sum**2 / (hess_sum + tree.reg_lambda + _GBT_EPS)
-    best_gain = _GBT_EPS
+    parent_score = grad_sum**2 / (hess_sum + tree.reg_lambda + _EPS)
+    best_gain = _EPS
     best: tuple[int, float] | None = None
     for feature in range(X.shape[1]):
-        order = DecisionTreeClassifier._feature_order(X, feature, sort_cache)
+        order = _feature_order(X, feature, sort_cache)
         sorted_x = X[order, feature]
         cum_grad = np.cumsum(grad[order])
         cum_hess = np.cumsum(hess[order])
 
-        boundary = np.nonzero(sorted_x[1:] > sorted_x[:-1] + _GBT_EPS)[0] + 1
+        boundary = np.nonzero(sorted_x[1:] > sorted_x[:-1] + _EPS)[0] + 1
         if len(boundary) == 0:
             continue
 
@@ -103,8 +104,8 @@ def gbt_best_split_reference(
             continue
 
         gains = 0.5 * (
-            left_grad**2 / (left_hess + tree.reg_lambda + _GBT_EPS)
-            + right_grad**2 / (right_hess + tree.reg_lambda + _GBT_EPS)
+            left_grad**2 / (left_hess + tree.reg_lambda + _EPS)
+            + right_grad**2 / (right_hess + tree.reg_lambda + _EPS)
             - parent_score
         ) - tree.gamma
         gains[~ok] = -np.inf

@@ -180,6 +180,20 @@ class TestDecisionTree:
         model = DecisionTreeClassifier().fit(X, y, n_classes=4)
         assert model.predict_proba(X).shape == (2, 4)
 
+    @pytest.mark.parametrize("max_features", [0.5, "log2", "all", 0, -1, True])
+    def test_invalid_max_features_rejected(self, xor_data, max_features):
+        X, y = xor_data
+        with pytest.raises(ValueError, match="max_features"):
+            DecisionTreeClassifier(max_features=max_features).fit(X, y)
+        with pytest.raises(ValueError, match="max_features"):
+            RandomForestClassifier(n_estimators=2, max_features=max_features).fit(X, y)
+
+    @pytest.mark.parametrize("max_features", [None, "sqrt", 1, 2, 5, np.int64(2)])
+    def test_valid_max_features_accepted(self, xor_data, max_features):
+        X, y = xor_data
+        model = DecisionTreeClassifier(max_features=max_features, random_state=0)
+        assert model.fit(X, y).predict(X).shape == y.shape
+
 
 class TestRandomForest:
     def test_fits_xor_better_than_a_stump(self, xor_data):
@@ -247,6 +261,19 @@ class TestXGBoost:
         loose_scores = np.abs(loose.fit(X, y).decision_function(X)).mean()
         tight_scores = np.abs(tight.fit(X, y).decision_function(X)).mean()
         assert tight_scores < loose_scores
+
+    def test_one_row_subsampled_fit(self):
+        # a subsampled round keeps at least two rows, but never more
+        # rows than the fit has
+        X, y = np.zeros((1, 2)), np.array([0])
+        model = XGBoostClassifier(n_estimators=3, subsample=0.5, random_state=0)
+        assert model.fit(X, y).predict(X).tolist() == [0]
+
+    @pytest.mark.parametrize("subsample", [0.0, -0.5, 1.5])
+    def test_subsample_outside_unit_interval_rejected(self, blobs2, subsample):
+        X, y = blobs2
+        with pytest.raises(ValueError, match="subsample"):
+            XGBoostClassifier(n_estimators=2, subsample=subsample).fit(X, y)
 
 
 class TestMLP:

@@ -280,13 +280,13 @@ class TestRootSortCache:
 
 
 def assert_same_tree(a, b):
-    """Node-for-node structural equality of two fitted CART trees."""
+    """Node-for-node structural equality of two fitted trees (CART or GBT)."""
     stack = [(a._root, b._root)]
     while stack:
         left, right = stack.pop()
         assert left.feature == right.feature
         assert left.threshold == right.threshold
-        assert np.array_equal(left.proba, right.proba)
+        assert np.array_equal(left.value, right.value)
         if left.feature is not None:
             stack.append((left.left, right.left))
             stack.append((left.right, right.right))
@@ -321,6 +321,13 @@ def pin_every_node(monkeypatch, tree_class, oracle):
     return pinned
 
 
+def trees_of(model) -> list:
+    """Every fitted tree of a CART or XGBoost model, in fit order."""
+    if isinstance(model, XGBoostClassifier):
+        return [tree for round_trees in model.trees_ for tree in round_trees]
+    return [model]
+
+
 def splits_found(pinned) -> int:
     return sum(split is not None for split in pinned)
 
@@ -340,6 +347,7 @@ class TestVectorizedSplitIsTheReference:
         for params in (
             {"max_depth": 4},
             {"max_depth": None, "min_samples_leaf": 2},
+            {"max_depth": None, "min_samples_leaf": 7},
         ):
             DecisionTreeClassifier(**params).fit(X, y)
         assert splits_found(pinned) > 10
@@ -367,15 +375,24 @@ class TestVectorizedSplitIsTheReference:
         RandomForestClassifier(n_estimators=5, random_state=3).fit(X, y)
         assert splits_found(pinned) > boosted + 5
 
-    def test_feature_chunking_is_invisible(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "make_model",
+        [
+            lambda: DecisionTreeClassifier(max_depth=5),
+            lambda: XGBoostClassifier(n_estimators=3, max_depth=3, random_state=0),
+        ],
+        ids=["cart", "xgboost"],
+    )
+    def test_feature_chunking_is_invisible(self, monkeypatch, make_model):
         # shrink the block budget so a wide table needs many chunks
         import repro.ml.tree as tree_module
 
         X, y = encoded_dataset("Titanic")
-        one_block = DecisionTreeClassifier(max_depth=5).fit(X, y)
+        one_block = make_model().fit(X, y)
         monkeypatch.setattr(tree_module, "_SPLIT_BLOCK_ELEMENTS", 64)
-        chunked = DecisionTreeClassifier(max_depth=5).fit(X, y)
-        assert_same_tree(chunked, one_block)
+        chunked = make_model().fit(X, y)
+        for a, b in zip(trees_of(chunked), trees_of(one_block), strict=True):
+            assert_same_tree(a, b)
 
 
 class TestFoldPlanDataSharing:
@@ -569,3 +586,82 @@ class TestVectorizedGBTSplitIsTheReference:
                 tree, X, grad, hess, float(grad.sum()), float(hess.sum()), sort_cache
             )
             assert vectorized == reference
+
+
+WIDE_DATASETS = ("Airbnb", "BabyProduct", "Citation", "Movie", "Restaurant")
+
+
+class TestOneTreeSplitKernel:
+    """All four tree models through the one split kernel.
+
+    CART (alone, bootstrapped in the forest, reweighted in AdaBoost) and
+    XGBoost's regression trees share one chunked sort/threshold scan and
+    differ only in their gain statistic; these pins hold it to both
+    per-feature oracles on wide one-hot tables and on adversarial
+    hessian lanes, and a searched study of all four models to its bytes.
+    """
+
+    CONFIG = StudyConfig(
+        n_splits=2,
+        cv_folds=2,
+        search_iters=2,
+        models=("decision_tree", "random_forest", "adaboost", "xgboost"),
+        seed=3,
+    )
+
+    #: sha256 of the persisted JSON, recorded at every (n_jobs,
+    #: granularity) shape on the parent of the change that merged the
+    #: CART and XGBoost split searches into one kernel, while each model
+    #: still ran its own copy of the search
+    DIGEST = "c38a5768836632daf0daca6539eccd473031fea6ca2f22d053c500f37fbb059b"
+
+    def make_study(self):
+        study = CleanMLStudy(self.CONFIG)
+        study.add(
+            load_dataset("Sensor", seed=0, n_rows=120),
+            OUTLIERS,
+            methods=[OutlierCleaning("SD", "mean")],
+        )
+        return study
+
+    def test_searched_tree_study_bit_identical(self, tmp_path):
+        assert_matches_golden(self.make_study, self.DIGEST, tmp_path)
+
+    @pytest.mark.parametrize("dataset_name", WIDE_DATASETS)
+    def test_wide_one_hot_tables_per_node(self, dataset_name, monkeypatch):
+        X, y = encoded_dataset(dataset_name, n_rows=400)
+        cart = pin_every_node(
+            monkeypatch, DecisionTreeClassifier, cart_best_split_reference
+        )
+        gbt = pin_every_node(monkeypatch, _GradientTree, gbt_best_split_reference)
+        DecisionTreeClassifier(max_depth=None).fit(X, y)
+        XGBoostClassifier(n_estimators=3, max_depth=3, random_state=0).fit(X, y)
+        assert splits_found(cart) > 3
+        assert splits_found(gbt) > 3
+
+    def test_zero_hessian_rows_and_min_child_weight_boundary(self, monkeypatch):
+        pinned = pin_every_node(
+            monkeypatch, _GradientTree, gbt_best_split_reference
+        )
+        rng = np.random.default_rng(4)
+        X = np.column_stack(
+            [
+                rng.integers(0, 2, 64).astype(float),
+                rng.integers(0, 4, 64).astype(float),
+                rng.normal(size=64),
+            ]
+        )
+        grad = rng.normal(size=64)
+        # dyadic hessians sum exactly, so child masses land exactly on
+        # the min_child_weight boundary; every third row carries none
+        hess = rng.integers(1, 4, 64) * 0.25
+        hess[::3] = 0.0
+        for min_child_weight in (0.25, 1.0, 2.5):
+            tree = _GradientTree(
+                max_depth=4,
+                reg_lambda=1.0,
+                gamma=0.0,
+                min_child_weight=min_child_weight,
+            )
+            tree.fit(X, grad, hess)
+        assert splits_found(pinned) > 10
