@@ -1,5 +1,8 @@
 """Tests for the statistics substrate (t-tests, FDR, flags)."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from repro.stats import (
     reject,
     t_sf,
 )
+from tests.oracles import t_sf_reference
 
 
 class TestTSF:
@@ -33,6 +37,96 @@ class TestTSF:
     def test_invalid_df(self):
         with pytest.raises(ValueError):
             t_sf(1.0, 0)
+
+
+def t_sf_finite_sum(t, df):
+    """P(T > t) from the finite sums of Abramowitz & Stegun 26.7.3/26.7.4.
+
+    They give A = P(|T| < t) to a few ulps absolute for every integer
+    ``df`` (not relative: they cancel in the far tail), so they serve
+    as an absolute-accuracy oracle near t = 0, where scipy's tail
+    rounds ``df/(df+t^2)`` to 1.
+    """
+    theta = math.atan(abs(t) / math.sqrt(df))
+    cos2 = math.cos(theta) ** 2
+    if df % 2:
+        term, total = 1.0, 0.0
+        for j in range(1, (df - 1) // 2):
+            term *= cos2 * (2 * j) / (2 * j + 1)
+            total += term
+        inside = theta + (
+            math.sin(theta) * math.cos(theta) * (1.0 + total) if df > 1 else 0.0
+        )
+        inside *= 2.0 / math.pi
+    else:
+        term = total = 1.0
+        for j in range(1, df // 2):
+            term *= cos2 * (2 * j - 1) / (2 * j)
+            total += term
+        inside = math.sin(theta) * total
+    return 0.5 - math.copysign(0.5 * inside, t)
+
+
+SIGNED_T = [sign * t for t in (1e-8, 1e-4, 1.0, 1e3) for sign in (1, -1)]
+
+
+class TestTSFAccuracy:
+    @pytest.mark.parametrize("t", SIGNED_T)
+    def test_df1_closed_form(self, t):
+        assert t_sf(t, 1) == pytest.approx(0.5 - math.atan(t) / math.pi, abs=1e-15)
+
+    @pytest.mark.parametrize("t", SIGNED_T)
+    def test_df2_closed_form(self, t):
+        exact = 0.5 - t / (2.0 * math.sqrt(2.0 + t * t))
+        assert t_sf(t, 2) == pytest.approx(exact, abs=1e-15)
+
+    def test_finite_sums_near_zero(self):
+        for df in range(1, 41):
+            for t in np.logspace(-8, 0, 17):
+                for signed in (t, -t):
+                    assert t_sf(signed, df) == pytest.approx(
+                        t_sf_finite_sum(signed, df), abs=1e-14
+                    ), (signed, df)
+
+    def test_reference_absolute(self):
+        # below |t| = 1e-3 the reference itself drifts (up to 8e-12 at
+        # 1e-4, df 39) because it rounds df/(df+t^2); the finite sums
+        # cover that band
+        for df in range(1, 41):
+            for t in np.logspace(-3, 3, 25):
+                for signed in (t, -t):
+                    assert t_sf(signed, df) == pytest.approx(
+                        t_sf_reference(signed, df), abs=1e-12
+                    ), (signed, df)
+
+    def test_reference_relative_tail(self):
+        for df in range(1, 41):
+            for t in np.logspace(0, 3, 25):
+                assert t_sf(t, df) == pytest.approx(
+                    t_sf_reference(t, df), rel=1e-10, abs=0.0
+                ), (t, df)
+
+    def test_zero_is_half(self):
+        for df in (1, 2, 19, 40, 199):
+            assert t_sf(0.0, df) == 0.5
+
+    def test_nan_statistic(self):
+        assert math.isnan(t_sf(math.nan, 19))
+
+    def test_numpy_scalars_at_the_ends(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert t_sf(np.float64(np.inf), 5) == 0.0
+            assert t_sf(np.float64(-np.inf), 5) == 1.0
+            assert t_sf(np.float64(1e200), 5) == 0.0
+            assert t_sf(np.float64(1e-200), 5) == 0.5
+
+    def test_symmetry_and_range(self):
+        for df in (1, 2, 3, 19, 40, 99, 199):
+            for t in np.logspace(-8, 3, 45):
+                upper = t_sf(t, df)
+                assert t_sf(-t, df) == 1.0 - upper
+                assert 0.0 <= upper <= 0.5
 
 
 class TestPairedTTest:
