@@ -31,8 +31,18 @@ perfbench workload) through the KNN fold workspace and through the
 oracle path (``tests/oracles/knn.py``: the allocating distance
 expression once, then one ``argpartition`` and one per-class vote loop
 per candidate), and gates ``knn_bit_identical``: every candidate's
-predictions must match.  Everything lands in ``BENCH_tuning_kernel.json``
-at the repository root.
+predictions must match.  A fourth arm, ``knn_blocked_select``, gates
+``selection_bit_identical``: the row-blocked ``_select_neighbors`` must
+return the bytes of one whole-matrix ``argpartition``
+(``select_neighbors_reference``) on a Credit split's fold and test-set
+distance matrices, as computed and with ties forced by rounding.  It
+also reports the minor page faults (``ru_minflt``) and system time
+(``ru_stime``) of a serial Credit study in a fresh interpreter, where
+the selections interleave with everything else a cell allocates, once
+with the whole-matrix selection swapped in and once as shipped; fault
+counts follow the allocator, so they are reported, never gated.
+Everything lands in
+``BENCH_tuning_kernel.json`` at the repository root.
 
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
 pytest; ``--tiny`` shrinks splits/rows/search for the CI smoke, which
@@ -43,13 +53,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig
 from repro.datasets import load_dataset
+from repro.ml import knn as knn_kernel
 from repro.ml import (
     KNeighborsClassifier,
     LogisticRegression,
@@ -70,6 +86,7 @@ from tests.oracles import (
     logistic_fit_reference,
     pairwise_sq_distances_reference,
     random_search_reference,
+    select_neighbors_reference,
 )
 
 SEARCH_MODELS = ("knn", "naive_bayes", "decision_tree")
@@ -100,6 +117,13 @@ LINEAR_REPEATS = 5
 #: fold shape of a ``one_split_cells`` Credit split
 KNN_ROWS = 1750
 KNN_REPEATS = 7
+
+#: Credit rows of the selection arm: a 70/30 split gives the 750 x 1750
+#: test-set matrix and the 350 x 1400 fold matrices of a
+#: ``one_split_cells`` Credit split (the fault study's rows too)
+SELECT_ROWS = 2500
+#: fault-study runs per arm, alternating
+SELECT_ROUNDS = 3
 
 METHODS = (
     ("SD", "mean"),
@@ -305,6 +329,129 @@ def time_knn_select(X, y, n_folds: int, repeats: int) -> dict:
     }
 
 
+#: One serial Credit x outliers study (KNN + naive Bayes, searched, at
+#: cell granularity like ``one_split_cells``) in a fresh interpreter,
+#: printing the minor faults and system time of ``run``.  The ``oracle``
+#: arm swaps the whole-matrix selection in for ``_select_neighbors``.
+FAULT_STUDY = """
+import json, resource, sys
+import numpy as np
+from repro.cleaning import OUTLIERS
+from repro.core import CleanMLStudy, StudyConfig
+from repro.datasets import load_dataset
+from repro.ml import knn
+from tests.oracles import select_neighbors_reference
+
+arm, n_rows = sys.argv[1], int(sys.argv[2])
+if arm == "oracle":
+    knn._select_neighbors = lambda d, k: np.ascontiguousarray(
+        select_neighbors_reference(d, k)
+    )
+study = CleanMLStudy(StudyConfig(
+    n_splits=2, cv_folds=5, search_iters=5, models=("knn", "naive_bayes"),
+    seed=1, granularity="cell",
+))
+study.add(load_dataset("Credit", seed=1, n_rows=n_rows), OUTLIERS)
+before = resource.getrusage(resource.RUSAGE_SELF)
+study.run(n_jobs=1)
+after = resource.getrusage(resource.RUSAGE_SELF)
+print(json.dumps({
+    "minflt": after.ru_minflt - before.ru_minflt,
+    "stime_s": after.ru_stime - before.ru_stime,
+}))
+"""
+
+
+def study_faults(arm: str, n_rows: int) -> dict:
+    """Faults and system time of one :data:`FAULT_STUDY` run."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", FAULT_STUDY, arm, str(n_rows)],
+        env=env,
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def time_knn_blocked_select(X, y, n_folds: int, rounds: int, study_rows: int) -> dict:
+    """Blocked neighbor selection vs one whole-matrix ``argpartition``.
+
+    The gate's matrices are a study's: a 70/30 split of ``(X, y)``, the
+    validation distances of each CV fold of its training part, and the
+    test-set distances of the full training part.  Every distinct ``k``
+    of the search space selects from each fold matrix, ``k = 5`` (the
+    default) from the test matrix, on the matrices as computed and
+    rounded to whole numbers (ties at every ``k``); every selection
+    must equal the oracle's.  The fault figures come from whole serial
+    studies (:data:`FAULT_STUDY`), where the selections interleave with
+    everything else a cell allocates: ``rounds`` runs per arm, the arms
+    alternating, medians reported.
+    """
+    n_test = int(round(0.3 * len(y)))
+    order = np.random.default_rng(0).permutation(len(y))
+    X_train, y_train = X[order[n_test:]], y[order[n_test:]]
+    X_test = X[order[:n_test]]
+    folds = kfold_plan(len(y_train), n_folds, seed=42)
+    matrices = []
+    for train, val in folds:
+        model = KNeighborsClassifier().fit(X_train[train], y_train[train])
+        matrices.append((model._pairwise_sq_distances(X_train[val]), len(train)))
+    model = KNeighborsClassifier().fit(X_train, y_train)
+    test_distances = model._pairwise_sq_distances(X_test)
+    cases = [
+        (distances, min(k, n_train))
+        for distances, n_train in matrices
+        for k in sorted(set(search_space("knn")["n_neighbors"]))
+    ] + [(test_distances, 5)]
+    identical = True
+    for distances, k in cases:
+        for matrix in (distances, np.round(distances)):
+            want = select_neighbors_reference(matrix, k)
+            got = knn_kernel._select_neighbors(matrix, k)
+            identical = identical and got.tobytes() == want.tobytes()
+
+    runs = {"oracle": [], "kernel": []}
+    for round_index in range(rounds):
+        for arm in sorted(runs, reverse=bool(round_index % 2)):
+            runs[arm].append(study_faults(arm, study_rows))
+    val_rows = len(folds[0][1])
+    return {
+        "matrices": (
+            f"{len(folds)} folds of {val_rows}x{len(y_train) - val_rows} and "
+            f"a {n_test}x{len(y_train)} test set of {X.shape[0]}x{X.shape[1]} "
+            "encoded (Credit dirty)"
+        ),
+        "selections_checked": 2 * len(cases),
+        "study_faults": {
+            "study": (
+                f"serial Credit x outliers, {study_rows} rows, 2 splits, "
+                "knn+naive_bayes searched, cell granularity"
+            ),
+            "runs_per_arm": rounds,
+            **{
+                arm: {
+                    "minflt": int(statistics.median(r["minflt"] for r in arm_runs)),
+                    "stime_s": round(
+                        statistics.median(r["stime_s"] for r in arm_runs), 3
+                    ),
+                }
+                for arm, arm_runs in runs.items()
+            },
+        },
+        "selection_bit_identical": bool(identical),
+    }
+
+
 def run_tuning_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else KERNEL_CONFIG
     n_rows = TINY_ROWS if tiny else N_ROWS
@@ -351,6 +498,12 @@ def run_tuning_bench(tiny: bool = False) -> dict:
             config.cv_folds,
             repeats=2 if tiny else KNN_REPEATS,
         ),
+        "knn_blocked_select": time_knn_blocked_select(
+            *encoded_matrix(SELECT_ROWS, "Credit"),
+            config.cv_folds,
+            rounds=1 if tiny else SELECT_ROUNDS,
+            study_rows=TINY_ROWS if tiny else SELECT_ROWS,
+        ),
         "reference_digest": reference_digest,
         "results_bit_identical": digest == reference_digest,
         "parallel_bit_identical": parallel_digest == digest,
@@ -365,6 +518,8 @@ def publish_report(report: dict) -> None:
     tuning = report["tuning_search"]
     linear = report["linear_fit"]
     knn = report["knn_select"]
+    select = report["knn_blocked_select"]
+    faults = select["study_faults"]
     cited = report["cited_reference"]
     per_model = "  ".join(
         f"{name}: {entry['speedup']:.2f}x"
@@ -392,6 +547,13 @@ def publish_report(report: dict) -> None:
                 f"  KNN fold workspace: {knn['speedup']:.2f}x over "
                 f"{knn['candidates']} candidates on {knn['fold']} "
                 f"(bit-identical: {knn['knn_bit_identical']})",
+                f"  KNN blocked selection: {select['selections_checked']} "
+                f"selections on {select['matrices']} "
+                f"(bit-identical: {select['selection_bit_identical']}); "
+                f"{faults['study']}: minflt {faults['oracle']['minflt']} -> "
+                f"{faults['kernel']['minflt']}, stime "
+                f"{faults['oracle']['stime_s']:.3f} -> "
+                f"{faults['kernel']['stime_s']:.3f}s",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -417,6 +579,9 @@ def check_report(report: dict) -> None:
     )
     assert report["knn_select"]["knn_bit_identical"], (
         "the KNN fold workspace diverged from its oracle path"
+    )
+    assert report["knn_blocked_select"]["selection_bit_identical"], (
+        "the blocked KNN neighbor selection diverged from one argpartition"
     )
 
 

@@ -67,6 +67,11 @@ class IsolationForest:
         self.random_state = random_state
 
     def fit(self, X: np.ndarray) -> "IsolationForest":
+        self.fit_scores(X)
+        return self
+
+    def fit_scores(self, X: np.ndarray) -> np.ndarray:
+        """Fit, returning the training scores the threshold is drawn from."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError("X must be a non-empty 2-D array")
@@ -83,7 +88,7 @@ class IsolationForest:
         self.threshold_ = float(
             np.quantile(train_scores, 1.0 - self.contamination)
         )
-        return self
+        return train_scores
 
     def _grow(self, X: np.ndarray, depth: int, rng: np.random.Generator) -> _IsolationNode:
         node = _IsolationNode(size=len(X))

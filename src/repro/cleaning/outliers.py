@@ -62,6 +62,11 @@ class OutlierDetector:
         self.random_state = random_state
 
     def fit(self, train: Table) -> "OutlierDetector":
+        self.fit_detect(train)
+        return self
+
+    def fit_detect(self, train: Table) -> dict[str, np.ndarray] | None:
+        """Fit; IF also returns ``detect(train)`` from its threshold's scores."""
         self._columns = train.schema.numeric_features
         self._bounds: dict[str, tuple[float, float]] = {}
         if self.method == "SD":
@@ -85,30 +90,36 @@ class OutlierDetector:
                 n_estimators=50,
                 contamination=self.contamination,
                 random_state=self.random_state,
-            ).fit(matrix)
-        return self
+            )
+            scores = self._forest.fit_scores(matrix)
+            return self._row_masks(train, scores > self._forest.threshold_)
+        return None
 
     def detect(self, table: Table) -> dict[str, np.ndarray]:
         """Per-column boolean masks of outlying cells (missing cells are
         never flagged — they belong to the missing-values error type)."""
         if not hasattr(self, "_columns"):
             raise RuntimeError("detector must be fitted first")
-        masks: dict[str, np.ndarray] = {}
-        if self.method in ("SD", "IQR"):
-            for name in self._columns:
-                values = table.column(name).values
-                low, high = self._bounds[name]
-                with np.errstate(invalid="ignore"):
-                    mask = (values < low) | (values > high)
-                mask[np.isnan(values)] = False
-                masks[name] = mask
-        else:
+        if self.method == "IF":
             matrix = _numeric_matrix(table, self._columns, self._if_means)[0]
-            rows = self._forest.predict_outliers(matrix)
-            for name in self._columns:
-                mask = rows.copy()
-                mask[np.isnan(table.column(name).values)] = False
-                masks[name] = mask
+            return self._row_masks(table, self._forest.predict_outliers(matrix))
+        masks: dict[str, np.ndarray] = {}
+        for name in self._columns:
+            values = table.column(name).values
+            low, high = self._bounds[name]
+            with np.errstate(invalid="ignore"):
+                mask = (values < low) | (values > high)
+            mask[np.isnan(values)] = False
+            masks[name] = mask
+        return masks
+
+    def _row_masks(self, table: Table, rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Row flags expanded to every present numeric feature cell."""
+        masks: dict[str, np.ndarray] = {}
+        for name in self._columns:
+            mask = rows.copy()
+            mask[np.isnan(table.column(name).values)] = False
+            masks[name] = mask
         return masks
 
     def outlier_rows(self, table: Table) -> np.ndarray:
@@ -156,6 +167,13 @@ class OutlierMaskDetector(Detector):
     def fit(self, train: Table) -> "OutlierMaskDetector":
         self._detector.fit(train)
         return self
+
+    def fit_detect(self, train: Table) -> DetectionResult | None:
+        """Fit; for IF, hand the cache the training detection the fit scored."""
+        masks = self._detector.fit_detect(train)
+        if masks is None:
+            return None
+        return DetectionResult(train.n_rows, cell_masks=masks)
 
     def detect(self, table: Table) -> DetectionResult:
         return DetectionResult(

@@ -348,11 +348,14 @@ def _worker_workspace(key: TaskKey) -> SplitWorkspace:
     """The worker's shared workspace for one split (built on first touch).
 
     Sub-units of the same split that land on this worker share detector
-    fits, encodings, and trained models through it; units that land
+    fits, encodings, and dirty-side models through it; units that land
     elsewhere rebuild the identical state (everything in a workspace is
     a pure function of the task key), so the cache affects time, never
     bits.  The registry is least-recently-used: every touch moves the
-    split to the back, and a full registry evicts from the front.
+    split to the back, and a full registry evicts from the front.  Each
+    workspace holds one cleaning method's state at a time (a cell of
+    another method releases it), so a worker holds at most
+    ``_WORKER_WORKSPACE_CAP`` splits' shared state plus one method each.
     """
     workspace = _WORKER_WORKSPACES.pop(key, None)
     if workspace is None:

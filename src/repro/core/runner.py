@@ -574,17 +574,17 @@ class ErrorTypeRun:
         :class:`SplitWorkspace` — the same cells the cell-granularity
         executor schedules one by one — and reduces them with
         :func:`merge_cell_results`, so both granularities share a single
-        per-split code path.  Each method's state is released as soon as
-        its cells are done, which keeps peak memory at one method's
-        footprint instead of the whole split's.
+        per-split code path.  The workspace holds one method's state at a
+        time (a cell of the next method releases the previous one's), so
+        peak memory is one method's footprint, not the whole split's.
         """
         workspace = SplitWorkspace(self, split)
         n_methods = len(workspace.methods())
-        cells = []
-        for index in range(n_methods):
-            for name in self.config.models:
-                cells.append(workspace.cell(index, name))
-            workspace.release(index)
+        cells = [
+            workspace.cell(index, name)
+            for index in range(n_methods)
+            for name in self.config.models
+        ]
         # no later cell can hit the detection cache (it keys on this
         # split's tables): record its peak and release its entries
         workspace.dcache.clear()
@@ -687,10 +687,10 @@ class SplitWorkspace:
     evaluation memo live here with per-workspace scope: within one
     worker's batch they deduplicate exactly as a whole-split run does,
     and across workers they are rebuilt identically because detections
-    and evaluations are pure.  :meth:`release` evicts one method's state
-    once its cells are done; the split path calls it after every method
-    so its peak memory is one method's footprint, while cell units
-    keep a method's state until the executor drops the workspace.
+    and evaluations are pure.  The workspace holds one method's state at
+    a time: :meth:`cell` first releases every other method it holds, so
+    split units and cell units alike peak at one method's footprint.
+    A cell of a released method rebuilds the identical state.
 
     Rebuilds are cheap on the columnar core: ``train_test_split``
     produces zero-copy view tables over the dataset's buffers, and the
@@ -776,7 +776,12 @@ class SplitWorkspace:
         return model
 
     def cell(self, index: int, name: str) -> CellResult:
-        """Run one (method, model) cell and return its contribution."""
+        """Run one (method, model) cell and return its contribution.
+
+        Any other method's state is released first (see :meth:`release`).
+        """
+        for held in [held for held in self._method_data if held != index]:
+            self.release(held)
         method, _ = self.method_data(index)
         clean_test = self.clean_test(index)
         dirty = self.dirty_model(name)
@@ -808,13 +813,13 @@ class SplitWorkspace:
         )
 
     def release(self, index: int) -> None:
-        """Evict one method's state once all of its cells are done.
+        """Evict one method's state; :meth:`cell` calls it on a method switch.
 
         Every memo/cache key that involves the method's cleaned tables or
-        clean models is per-method, so nothing evicted here could ever
-        hit again; the dirty-side models, encodings, and detector fits
-        that later methods share stay.  A later cell of the method would
-        simply rebuild the identical state.
+        clean models is per-method, so nothing evicted here can hit for
+        another method; the dirty-side models, encodings, and detector
+        fits that every method shares stay.  A later cell of the method
+        simply rebuilds the identical state.
         """
         self._method_data.pop(index, None)
         clean_test = self._clean_tests.pop(index, None)

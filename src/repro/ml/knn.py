@@ -18,7 +18,9 @@ same operands in the same order, and elementwise ufuncs round each
 element on its own.  The neighbor indices come from numpy's
 ``argpartition``, whose order among tied distances depends on the SIMD
 target numpy dispatches to on the running CPU; a selection memo reuses
-that call's output, it never reorders it.
+that call's output, it never reorders it.  The selection runs over the
+same row blocks, because the full ``(n_rows, n_train)`` index matrices
+of whole-matrix calls made up most of a study's page faults.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import numpy as np
 from .base import Classifier, check_fit_inputs
 from .cv_kernel import FoldWorkspace
 
-#: float64 elements per row block of the in-place distance pass (128 KiB).
-#: Measured on a 350 x 1400 x 8 fold: 8K to 64K elements run alike, and
-#: about 2.5x faster than one in-place pass over the whole matrix.
+#: elements per row block of the in-place distance pass and of the
+#: neighbor selection (128 KiB of float64 or intp).  Measured on a
+#: 350 x 1400 x 8 fold: 8K to 64K elements run alike, and about 2.5x
+#: faster than one in-place pass over the whole matrix.
 _BLOCK_ELEMENTS = 16384
 
 
@@ -59,10 +62,21 @@ def _vote(
 def _select_neighbors(distances: np.ndarray, k: int) -> np.ndarray:
     """Indices of each row's ``k`` nearest training rows, ``(n_rows, k)``.
 
-    The first ``k`` columns of one ``argpartition``, copied out so the
-    full ``(n_rows, n_train)`` index array can be freed.
+    ``argpartition`` runs over row blocks of ``_BLOCK_ELEMENTS`` into one
+    ``(n_rows, k)`` array.  A whole-matrix call builds an ``(n_rows,
+    n_train)`` index temporary (10.5 MiB on a 750 x 1750 test set), and
+    a study's stream of those was faulted in again and again: about ten
+    times the blocked selection's minor faults.  ``argpartition``
+    partitions each row on its own, so the blocks return the same
+    indices, tie order included (pinned in ``tests/test_knn_kernel.py``).
     """
-    return np.ascontiguousarray(np.argpartition(distances, k - 1, axis=1)[:, :k])
+    n_rows, n_train = distances.shape
+    step = max(1, _BLOCK_ELEMENTS // n_train)
+    out = np.empty((n_rows, k), dtype=np.intp)
+    for start in range(0, n_rows, step):
+        block = distances[start : start + step]
+        out[start : start + step] = np.argpartition(block, k - 1, axis=1)[:, :k]
+    return out
 
 
 def _proba_from_distances(

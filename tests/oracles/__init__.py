@@ -3,7 +3,7 @@
 Every optimized kernel in ``src/`` was written against a plain
 reference implementation: the per-row encoder transform, the
 per-feature CART and XGBoost split searches, the allocating KNN
-distance expression and its per-call neighbor selection and per-class
+distance expression, its whole-matrix neighbor selection and per-class
 vote, the eager copy-on-``take`` column, the set-based ``drop_rows``,
 the candidate-major cross-validation loop, the allocating
 LogisticRegression loop and row softmax, ZeroER's per-pair blocking
@@ -24,6 +24,7 @@ from .io import read_csv_reference, write_csv_reference
 from .knn import (
     knn_proba_reference,
     pairwise_sq_distances_reference,
+    select_neighbors_reference,
     vote_reference,
 )
 from .linear import logistic_fit_reference, softmax_reference
@@ -45,6 +46,7 @@ __all__ = [
     "pairwise_sq_distances_reference",
     "random_search_reference",
     "read_csv_reference",
+    "select_neighbors_reference",
     "softmax_reference",
     "table_take_reference",
     "t_sf_reference",

@@ -2,8 +2,10 @@
 
 ``vote_reference`` is the per-class vote loop behind ``_vote``.
 ``pairwise_sq_distances_reference`` is the plain, allocating distance
-expression behind ``KNeighborsClassifier._pairwise_sq_distances``, and
-``knn_proba_reference`` the one-``argpartition``-per-call select-and-vote
+expression behind ``KNeighborsClassifier._pairwise_sq_distances``,
+``select_neighbors_reference`` the one whole-matrix ``argpartition``
+behind the row-blocked ``_select_neighbors``, and
+``knn_proba_reference`` the one-selection-per-call select-and-vote
 path behind ``_select_neighbors`` + ``_proba_from_distances`` and the
 fold workspace's memos.
 """
@@ -28,6 +30,11 @@ def pairwise_sq_distances_reference(model, X: np.ndarray) -> np.ndarray:
     return np.maximum(query_norms + model._sq_norms[None, :] - 2.0 * cross, 0.0)
 
 
+def select_neighbors_reference(distances: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``k`` nearest columns from one whole-matrix ``argpartition``."""
+    return np.argpartition(distances, k - 1, axis=1)[:, :k]
+
+
 def knn_proba_reference(
     distances: np.ndarray,
     train_labels: np.ndarray,
@@ -36,7 +43,7 @@ def knn_proba_reference(
     weights: str,
 ) -> np.ndarray:
     """Class probabilities of a fresh ``k``-neighbor selection and vote."""
-    neighbor_idx = np.argpartition(distances, k - 1, axis=1)[:, :k]
+    neighbor_idx = select_neighbors_reference(distances, k)
     neighbor_labels = train_labels[neighbor_idx]
 
     if weights == "uniform":

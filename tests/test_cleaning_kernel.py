@@ -264,6 +264,32 @@ class TestDetectors:
         fresh = ZeroERDetector().fit(table).detect(table)
         assert byproduct.pairs == fresh.pairs
 
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    def test_isolation_forest_fit_detect_matches_detect(self):
+        # NaN cells stay unflagged per column; an all-NaN column is
+        # mean-filled with 0 for the forest and never flagged
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=120)
+        x[[3, 50]] = 40.0
+        z = rng.normal(size=120)
+        x[[5, 3, 77]] = np.nan
+        z[[3, 50, 90]] = np.nan
+        schema = make_schema(numeric=["x", "z", "empty"], label="y")
+        table = Table.from_dict(
+            schema,
+            {"x": x, "z": z, "empty": [np.nan] * 120, "y": ["p", "n"] * 60},
+        )
+        byproduct = OutlierMaskDetector("IF", random_state=7).fit_detect(table)
+        fresh = OutlierMaskDetector("IF", random_state=7).fit(table).detect(table)
+        assert list(byproduct.cell_masks) == list(fresh.cell_masks)
+        for name, mask in fresh.cell_masks.items():
+            assert byproduct.cell_masks[name].tobytes() == mask.tobytes()
+            assert not mask[np.isnan(table.column(name).values)].any()
+        assert fresh.cell_masks["x"].any()  # the pin is not vacuous
+        assert not fresh.cell_masks["empty"].any()
+        for method in ("SD", "IQR"):
+            assert OutlierMaskDetector(method).fit_detect(table) is None
+
     def test_fingerprint_detector_payload(self):
         schema = make_schema(categorical=["c"], label="y")
         table = Table.from_dict(
@@ -392,6 +418,14 @@ class TestDetectionCache:
         cache = DetectionCache()
         detector = cache.fit(OutlierMaskDetector("SD"), table)
         assert cache.detect(detector, table) is not cache.detect(detector, other)
+
+    def test_isolation_forest_training_detection_is_the_fit_byproduct(self):
+        table = self.make_table()
+        cache = DetectionCache()
+        detector = cache.fit(OutlierMaskDetector("IF", random_state=0), table)
+        detection = cache.detect(detector, table)
+        assert cache.hits == 1 and cache.misses == 1  # no second scoring
+        assert detection.cell_masks["x"].tolist()[-1]
 
     def test_fingerprintless_detectors_bypass(self):
         table = self.make_table()

@@ -294,29 +294,40 @@ class TestCacheSemantics:
         assert (result.split, result.r1, result.r2, result.r3) == (3, {}, {}, {})
 
 
-class TestSplitEviction:
-    """``run_split`` releases each method's state before the next one's.
+def live_methods(workspace):
+    """Indices of the methods a workspace holds any state of."""
+    return (
+        set(workspace._method_data)
+        | set(workspace._clean_tests)
+        | {index for index, _ in workspace._clean_models}
+    )
 
-    That eviction keeps a split's peak memory at one method's footprint:
-    no method data, cleaned test table, or clean model of a finished
-    method survives, nor its cleaned test table in the dirty encoding's
-    evaluation cache.
+
+class TestSplitEviction:
+    """A ``SplitWorkspace`` holds one method's state at a time.
+
+    ``SplitWorkspace.cell`` releases every other method before it runs,
+    so split units (``run_split`` walks the cells in method order) and
+    cell units (any order, on per-worker workspaces) alike peak at one
+    method's footprint: no method data, cleaned test table, or clean
+    model of another method survives, nor its cleaned test table in the
+    dirty encoding's evaluation cache.  A cell of a released method
+    rebuilds the identical state.
     """
 
-    def test_workspace_never_holds_two_methods(self, monkeypatch):
+    def build_run(self):
         block = make_study()._queue[0]  # Sensor x outliers, two methods
         run = ErrorTypeRun(
             block.dataset, block.error_type, FAST, methods=list(block.methods)
         )
-        finished = []
-        original_release = SplitWorkspace.release
+        return run, len(block.methods)
 
-        def live_methods(workspace):
-            return (
-                set(workspace._method_data)
-                | set(workspace._clean_tests)
-                | {index for index, _ in workspace._clean_models}
-            )
+    def test_workspace_never_holds_two_methods(self, monkeypatch):
+        run, n_methods = self.build_run()
+        finished = []
+        workspaces = []
+        original_release = SplitWorkspace.release
+        original_cell = SplitWorkspace.cell
 
         def release(self, index):
             # a method's state only grows while its cells run, so the
@@ -330,9 +341,55 @@ class TestSplitEviction:
                 for table, _ in cache.values():
                     assert all(table is not done for done in finished)
 
+        def cell(self, index, name):
+            workspaces.append(self)
+            return original_cell(self, index, name)
+
         monkeypatch.setattr(SplitWorkspace, "release", release)
+        monkeypatch.setattr(SplitWorkspace, "cell", cell)
         run.run_split(0)
-        assert len(finished) == len(block.methods)
+        # every method but the last is released by the next one's first
+        # cell; the last one's state goes with the workspace
+        assert len(finished) == n_methods - 1
+        assert len({id(workspace) for workspace in workspaces}) == 1
+        assert live_methods(workspaces[0]) == {n_methods - 1}
+
+    @pytest.mark.parametrize(
+        "order", ["in_order", "reversed", "repeated", "interleaved"]
+    )
+    def test_any_cell_order_holds_at_most_one_method(self, order):
+        run, n_methods = self.build_run()
+        shared = SplitWorkspace(run, split=0)
+        reference = {
+            (cell.method_index, cell.model): cell
+            for cell in run_block_cells(
+                lambda index, model: shared, run, FAST, n_methods
+            )
+        }
+        keys = list(reference)
+        first, second = FAST.models
+        keys = {
+            "in_order": keys,
+            "reversed": keys[::-1],
+            "repeated": [keys[0], keys[0], keys[-1], keys[-1], keys[0]],
+            "interleaved": [(0, first), (1, first), (0, second), (1, second)],
+        }[order]
+        workspace = SplitWorkspace(run, split=0)
+        for index, model in keys:
+            assert workspace.cell(index, model) == reference[index, model]
+            assert live_methods(workspace) == {index}
+
+    def test_rerun_of_an_evicted_method_returns_an_equal_cell(self):
+        run, _ = self.build_run()
+        model = FAST.models[0]
+        workspace = SplitWorkspace(run, split=0)
+        first = workspace.cell(0, model)
+        evicted = workspace._method_data[0]
+        workspace.cell(1, model)
+        assert 0 not in live_methods(workspace)
+        again = workspace.cell(0, model)
+        assert again == first
+        assert workspace._method_data[0] is not evicted  # rebuilt, not kept
 
 
 class TestWorkerWorkspaces:

@@ -1,11 +1,14 @@
-"""Tests for the KNN kernel: blocked in-place distances and selection memos.
+"""Tests for the KNN kernel: blocked distances, blocked selection, memos.
 
 ``KNeighborsClassifier._pairwise_sq_distances`` runs its elementwise
-passes in place over row blocks of the matmul's buffer, and the fold
-workspace selects neighbors once per capped ``k`` and votes once per
-``(k, weights)``.  Neither may move a bit: distances are pinned byte
-for byte against the allocating expression and every prediction
-against the one-selection-per-call path, both kept as the oracles in
+passes in place over row blocks of the matmul's buffer,
+``_select_neighbors`` runs ``argpartition`` over row blocks of the
+distance matrix, and the fold workspace selects neighbors once per
+capped ``k`` and votes once per ``(k, weights)``.  None may move a bit:
+distances are pinned byte for byte against the allocating expression,
+selections against one whole-matrix ``argpartition`` (also bounded in
+what they allocate) and every prediction against the
+one-selection-per-call path, all kept as the oracles in
 ``tests/oracles/knn.py`` — at the row-block boundaries, on wide and
 registry matrices, on NaN and inf inputs and on tie-heavy matrices
 (duplicated rows, mean-imputed cells), where the order ``argpartition``
@@ -14,6 +17,8 @@ cover repeated candidates, ``n_neighbors`` values that cap to the same
 ``k`` and callers that write into a returned array.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +26,11 @@ import repro.ml.knn as knn
 from repro.datasets import DATASET_NAMES
 from repro.ml import FoldPlanData, KNeighborsClassifier, kfold_plan, search_space
 from repro.ml.knn import _KNNFoldWorkspace
-from tests.oracles import knn_proba_reference, pairwise_sq_distances_reference
+from tests.oracles import (
+    knn_proba_reference,
+    pairwise_sq_distances_reference,
+    select_neighbors_reference,
+)
 from tests.test_tuning_kernel import encoded_dataset
 
 WEIGHTS = ("uniform", "distance")
@@ -97,6 +106,78 @@ class TestBlockBoundaries:
         query, _ = gaussian(3 * self.STEP, 16, seed=8)
         assert_same_predictions(X, y, query[::-2, ::2])
         assert_same_predictions(X, y, np.asfortranarray(query[:, :8]))
+
+
+def assert_same_selection(distances: np.ndarray, k: int) -> np.ndarray:
+    """Pin the blocked selection's bytes against one whole-matrix call."""
+    got = knn._select_neighbors(distances, k)
+    want = select_neighbors_reference(distances, k)
+    assert got.shape == want.shape == (len(distances), k)
+    assert got.dtype == want.dtype
+    assert got.flags.c_contiguous and got.base is None
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestBlockedSelection:
+    N_TRAIN = 300
+    STEP = knn._BLOCK_ELEMENTS // N_TRAIN
+
+    @pytest.mark.parametrize("remainder", [0, 1, STEP - 1])
+    def test_rows_spanning_several_blocks(self, remainder):
+        distances = np.random.default_rng(30).random(
+            (3 * self.STEP + remainder, self.N_TRAIN)
+        )
+        for k in (2, 5, 15):
+            assert_same_selection(distances, k)
+
+    def test_train_rows_wider_than_one_block(self):
+        # one distance row exceeds the budget: every block is one row
+        distances = np.random.default_rng(31).random((6, knn._BLOCK_ELEMENTS + 9))
+        assert max(1, knn._BLOCK_ELEMENTS // distances.shape[1]) == 1
+        for k in (1, 7):
+            assert_same_selection(distances, k)
+
+    def test_heavy_ties(self):
+        # three distinct values per row: every k cuts through a tie
+        rng = np.random.default_rng(32)
+        distances = rng.integers(0, 3, size=(2 * self.STEP + 3, self.N_TRAIN))
+        for k in (1, 5, 15, 150):
+            assert_same_selection(distances.astype(np.float64), k)
+
+    def test_duplicated_training_rows(self):
+        rng = np.random.default_rng(33)
+        base = rng.normal(size=(10, 4))
+        X = base[rng.integers(0, 10, size=self.N_TRAIN)]
+        query = base[rng.integers(0, 10, size=3 * self.STEP + 2)]
+        model = KNeighborsClassifier().fit(X, np.arange(self.N_TRAIN) % 2)
+        distances = model._pairwise_sq_distances(query)
+        for k in (1, 5, 15):
+            assert_same_selection(distances, k)
+
+    @pytest.mark.parametrize("k", [1, N_TRAIN])
+    def test_extreme_k(self, k):
+        distances = np.random.default_rng(34).random(
+            (2 * self.STEP + 1, self.N_TRAIN)
+        )
+        assert_same_selection(distances, k)
+
+    @pytest.mark.parametrize("k", [1, 15])
+    def test_never_allocates_the_full_index_matrix(self, k):
+        # a test-set-sized matrix: the whole-matrix call allocates
+        # n_rows * n_train indices, the blocked one the (n_rows, k)
+        # output plus one block
+        distances = np.random.default_rng(35).random((750, 1750))
+        itemsize = np.dtype(np.intp).itemsize
+        knn._select_neighbors(distances, k)  # warm numpy's own caches
+        tracemalloc.start()
+        try:
+            knn._select_neighbors(distances, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (750 * k + knn._BLOCK_ELEMENTS) * itemsize + 4096
+        assert peak <= bound < 750 * 1750 * itemsize
 
 
 class TestWideAndRegistry:
@@ -237,5 +318,4 @@ class TestWorkspaceMemo:
         neighbors = knn._select_neighbors(distances, 4)
         assert neighbors.shape == (30, 4)
         assert neighbors.flags.c_contiguous and neighbors.base is None
-        full = np.argpartition(distances, 3, axis=1)[:, :4]
-        assert np.array_equal(neighbors, full)
+        assert np.array_equal(neighbors, select_neighbors_reference(distances, 4))
