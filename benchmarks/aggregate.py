@@ -34,8 +34,6 @@ HEADLINE_KEYS = (
     "n_tasks",
     "recovery_overhead",
     "faults_recovered",
-    "rss_ratio",
-    "verification_overhead",
     "observability_overhead",
 )
 

@@ -13,28 +13,9 @@ Table 2 stage.  Repairs:
   :mod:`repro.cleaning.holoclean`, registered via the registry).
 
 All imputation statistics come from the training split.
-
-Out-of-core fits (ISSUE 10)
----------------------------
-On a memory-mapped table the naive fit/detect paths were the one place
-the cleaning layer still materialized whole columns: ``column.mean()``
-(and friends) caches the view's gathered values inside the table's
-column objects, pinning the full column resident and defeating the PR 8
-out-of-core discipline.  File-backed columns therefore compute their
-fill statistics and missing masks through :meth:`Table.iter_chunks` —
-per-chunk present values / masks are assembled *in row order* into one
-contiguous array, so ``np.mean`` / ``np.median`` / the mode scan see
-exactly the element sequence the resident path sees and the statistics
-stay bit-identical (the mapped-vs-eager parity suite pins this).
-Resident columns keep the original code path untouched.  The chunk and
-full-column gather counts are exported as metrics
-(``cleaning.fit_chunk_gathers`` / ``cleaning.fit_full_gathers``) so a
-regression back to whole-column gathers is visible in any run report.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 
@@ -53,75 +34,6 @@ CATEGORICAL_STRATEGIES = ("mode", "dummy")
 
 #: the placeholder category used by dummy imputation
 DUMMY_VALUE = "missing"
-
-#: rows per chunk when fitting statistics on a file-backed column —
-#: each chunk's gather is transient, so peak residency is one chunk
-#: plus the accumulated present values, never the cached column
-FIT_CHUNK_ROWS = 8192
-
-#: metrics hook, push-installed by :func:`repro.core.observability.install`
-_metrics = None
-
-
-def _present_training_values(table: Table, name: str) -> np.ndarray:
-    """``table.column(name).present_values()`` without caching the column.
-
-    For a file-backed column the present values are assembled
-    chunk-by-chunk in row order — element-for-element the array the
-    resident path produces, so every statistic computed on it is
-    bit-identical — while the table's column object stays an
-    unmaterialized view over the map.  Resident columns take the
-    original path.
-    """
-    column = table.column(name)
-    if not column.is_file_backed:
-        if _metrics is not None:
-            _metrics.count("cleaning.fit_full_gathers")
-        return column.present_values()
-    pieces = []
-    for chunk in table.iter_chunks(FIT_CHUNK_ROWS):
-        pieces.append(chunk.column(name).present_values())
-    if _metrics is not None:
-        _metrics.count("cleaning.fit_chunk_gathers", len(pieces))
-        _metrics.count("cleaning.fit_streamed_columns")
-    if not pieces:
-        dtype = np.float64 if column.is_numeric else object
-        return np.empty(0, dtype=dtype)
-    return np.concatenate(pieces)
-
-
-def _mode_value(present: np.ndarray, numeric: bool):
-    """:meth:`Column.mode` semantics over an assembled present array
-    (ties broken by first occurrence, missing-only columns map to
-    NaN / ``None``)."""
-    if len(present) == 0:
-        return float("nan") if numeric else None
-    counts = Counter(present.tolist())
-    best_count = max(counts.values())
-    for value in present.tolist():
-        if counts[value] == best_count:
-            return value
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-def _column_missing_mask(table: Table, name: str) -> np.ndarray:
-    """``table.column(name).missing_mask()`` without caching the column.
-
-    The chunked masks concatenate in row order to exactly the mask the
-    resident path computes; only file-backed columns stream.
-    """
-    column = table.column(name)
-    if not column.is_file_backed:
-        return column.missing_mask()
-    masks = [
-        chunk.column(name).missing_mask()
-        for chunk in table.iter_chunks(FIT_CHUNK_ROWS)
-    ]
-    if _metrics is not None:
-        _metrics.count("cleaning.detect_chunk_gathers", len(masks))
-    if not masks:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(masks)
 
 
 def detect_missing_rows(table: Table) -> np.ndarray:
@@ -149,7 +61,7 @@ class MissingValueDetector(Detector):
     def detect(self, table: Table) -> DetectionResult:
         check_fitted(self, "_fitted")
         cell_masks = {
-            name: _column_missing_mask(table, name)
+            name: table.column(name).missing_mask()
             for name in table.schema.feature_names
         }
         if cell_masks:
@@ -210,21 +122,19 @@ class ImputationRepair(Repair):
         self._numeric_fill: dict[str, float] = {}
         self._categorical_fill: dict[str, str | None] = {}
         for name in train.schema.numeric_features:
-            present = _present_training_values(train, name)
+            column = train.column(name)
             if self.numeric == "mean":
-                value = float(np.mean(present)) if len(present) else float("nan")
+                value = column.mean()
             elif self.numeric == "median":
-                value = float(np.median(present)) if len(present) else float("nan")
+                value = column.median()
             else:
-                value = _mode_value(present, numeric=True)
+                value = column.mode()
             self._numeric_fill[name] = 0.0 if _is_nan(value) else float(value)
         for name in train.schema.categorical_features:
             if self.categorical == "dummy":
                 self._categorical_fill[name] = DUMMY_VALUE
             else:
-                mode = _mode_value(
-                    _present_training_values(train, name), numeric=False
-                )
+                mode = train.column(name).mode()
                 self._categorical_fill[name] = DUMMY_VALUE if mode is None else mode
         return self
 
@@ -236,9 +146,6 @@ class ImputationRepair(Repair):
             if not mask.any():
                 continue
             column = out.column(name)
-            # gather() yields the same bits values.copy() did, without
-            # caching a resident materialization inside the (possibly
-            # memory-mapped) input table's column object
             values = column.gather()
             values[mask] = fill
             out = out.with_column(name, Column(values, column.ctype))

@@ -20,6 +20,8 @@ paper ("we consider only numerical outliers").
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from ..table import Column, Table
@@ -278,7 +280,11 @@ def _numeric_matrix(
         [table.column(name).values for name in columns]
     ) if columns else np.zeros((table.n_rows, 0))
     if means is None:
-        with np.errstate(invalid="ignore"):
+        with warnings.catch_warnings():
+            # an all-NaN column's mean is NaN (filled with 0 below);
+            # nanmean reports it through warnings.warn, which
+            # np.errstate does not reach
+            warnings.simplefilter("ignore", RuntimeWarning)
             means = np.nanmean(matrix, axis=0) if matrix.size else np.zeros(0)
         means = np.nan_to_num(means)
     holes = np.isnan(matrix)

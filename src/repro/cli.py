@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .cleaning.base import ERROR_TYPES
 from .core import (
@@ -50,7 +49,6 @@ from .datasets import (
     render_audits,
 )
 from .ml.registry import MODEL_NAMES
-from .table import set_store_verification
 from .table.ops import summarize
 
 
@@ -116,25 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "recorded in the checkpoint ledger and its "
                           "(dataset, error type) block dropped from the "
                           "results — instead of aborting")
-    run.add_argument("--mmap-dir", default=None, metavar="PATH",
-                     help="spill every dataset to a columnar store under "
-                          "PATH and run the study on memory-mapped tables "
-                          "(workers re-open the maps instead of receiving "
-                          "buffers; results are byte-identical)")
-    run.add_argument("--verify-store", default="lazy",
-                     choices=("off", "lazy", "eager"),
-                     help="columnar-store integrity checking: lazy "
-                          "(default) verifies each column's sha256 digest "
-                          "on first materialization, eager verifies every "
-                          "digest at load time, off skips the shape and "
-                          "digest checks")
     run.add_argument("--metrics", default=None, metavar="PATH",
                      help="write a JSON run report (cache hit rates, "
-                          "supervisor recovery ledger, store "
-                          "verifications, trace spans) to PATH; "
-                          "collection never changes results — persisted "
-                          "study output is byte-identical with or "
-                          "without it")
+                          "supervisor recovery ledger, trace spans) to "
+                          "PATH; collection never changes results — "
+                          "persisted study output is byte-identical with "
+                          "or without it")
     run.add_argument("--trace", default="off", choices=TRACE_LEVELS,
                      help="trace-span verbosity for the run report: off "
                           "(counters only), phase (study phases), unit "
@@ -226,11 +211,6 @@ def command_run(args) -> int:
             print(f"unknown dataset {args.dataset!r}", file=sys.stderr)
             return 2
         population = [load_dataset(args.dataset, seed=args.seed, **overrides)]
-
-    set_store_verification(args.verify_store)
-    if args.mmap_dir:
-        root = Path(args.mmap_dir)
-        population = [d.spilled(root / d.name) for d in population]
 
     observe = metrics_path is not None or args.trace != "off"
     if observe:

@@ -80,17 +80,11 @@ from __future__ import annotations
 
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 
 from ..cleaning.base import CleaningMethod
 from ..cleaning.registry import methods_for
 from ..datasets.base import Dataset
-from ..table.store import (
-    StoreCorruptionError,
-    load_columnar,
-    recover_store,
-    table_store_path,
-)
 from .runner import (
     GRANULARITIES,
     CellResult,
@@ -325,9 +319,7 @@ def _unit_errors(kind: str, key: tuple):
         yield
     except (KeyboardInterrupt, SystemExit):
         raise
-    except (UnitExecutionError, faults.InjectedFault, StoreCorruptionError):
-        # StoreCorruptionError crosses the pool boundary unwrapped so
-        # the supervisor-side recovery ladder can read its .store path
+    except (UnitExecutionError, faults.InjectedFault):
         raise
     except Exception as error:
         raise UnitExecutionError(
@@ -578,74 +570,6 @@ def _clear_worker_state() -> None:
     _WORKER_CONFIG = None
 
 
-def _refresh_dataset(dataset: Dataset) -> Dataset:
-    """Re-open ``dataset``'s file-backed tables after a store rebuild.
-
-    Every file-backed table is reloaded so the new generation's maps
-    (fresh manifest mtime) replace any stale cells.  A table whose own
-    store is *also* corrupt is left as-is — its units will fail and
-    route through their own recovery.
-    """
-
-    def refresh(table):
-        store_dir = table_store_path(table)
-        if store_dir is None:
-            return table
-        try:
-            return load_columnar(store_dir)
-        except (OSError, StoreCorruptionError):
-            return table
-
-    dirty = refresh(dataset.dirty)
-    clean = refresh(dataset.clean)
-    if dirty is dataset.dirty and clean is dataset.clean:
-        return dataset
-    return dataclass_replace(dataset, dirty=dirty, clean=clean)
-
-
-def _make_store_recovery(sup, jobs, blocks, by_block, config, manifest):
-    """The supervisor recovery hook for :class:`StoreCorruptionError`.
-
-    Runs in the parent between drain events.  Diagnoses the corrupt
-    store and rebuilds it under a new generation, then re-broadcasts a
-    payload built from refreshed datasets so retried units map the
-    healed generation instead of the corrupt bytes.  A store that
-    cannot be rebuilt yet (no source, or the rebuild failed) leaves the
-    unit to the ordinary retry path, which runs this hook again; a unit
-    that exhausts its retries is quarantined.
-    """
-    current: dict[tuple[str, str], Dataset] = {}
-
-    def recover(unit, error) -> None:
-        store_dir = getattr(error, "store", None)
-        if not store_dir:
-            return
-        action = recover_store(store_dir)
-        if action == "clean":
-            # a sibling unit's recovery already healed this generation;
-            # the plain retry will re-open the fresh maps
-            return
-        if action == "unrecoverable":
-            manifest.count("store_unrecoverable")
-            return
-        manifest.count("store_rebuilds")
-        payload = []
-        for block in blocks:
-            block_key = (block.dataset.name, block.error_type)
-            if not by_block.get(block_key):
-                continue
-            base = current.get(block_key, block.dataset)
-            refreshed = _refresh_dataset(base)
-            current[block_key] = refreshed
-            payload.append((refreshed, block.error_type, block.methods))
-        if jobs == 1:
-            _register_blocks(payload, config)
-        else:
-            sup.rebroadcast(payload)
-
-    return recover
-
-
 @contextmanager
 def _supervised(jobs, blocks, by_block, config, sup_config, manifest):
     """A :class:`Supervisor` over the pending blocks' broadcast payload.
@@ -654,18 +578,13 @@ def _supervised(jobs, blocks, by_block, config, sup_config, manifest):
     the block registry is installed here (and cleared afterwards) the
     way the pool initializer installs it in workers — one lazily built
     ``ErrorTypeRun`` per block, exactly the sequential path's
-    one-run-per-block structure.  Either way the storage-integrity
-    recovery hook is armed: corrupt-store failures heal the store and
-    refresh the broadcast before the unit retries.
+    one-run-per-block structure.
     """
     payload = _broadcast_payload(blocks, by_block)
     if jobs == 1:
         _register_blocks(payload, config)
     try:
         with Supervisor(jobs, payload, config, sup_config, manifest) as sup:
-            sup.set_recovery(
-                _make_store_recovery(sup, jobs, blocks, by_block, config, manifest)
-            )
             yield sup
     finally:
         if jobs == 1:

@@ -39,37 +39,14 @@ any supervisor with ``max_retries >= faulty_attempts`` is *guaranteed*
 to retry its way to completion — the property the bit-identity gates
 rely on.  ``poison`` keys are the exception: they fail every attempt,
 driving the degradation/quarantine paths.
-
-Disk-fault family (ISSUE 9)
----------------------------
-
-The storage-integrity layer gets the same treatment in two halves:
-
-* **Static corruption appliers** — :func:`corrupt_store` deterministically
-  damages a columnar store on disk (``torn_column`` truncates a column
-  payload, ``bit_flip`` XORs one payload byte at a seed-derived offset,
-  ``manifest_corrupt`` truncates ``manifest.json`` mid-JSON).  Tests
-  apply these between spill and study to drive the
-  :class:`~repro.table.store.StoreCorruptionError` → recovery-ladder
-  path.
-* **Injected I/O errors** — ``enospc_rate`` / ``eio_rate`` schedule
-  ``OSError(ENOSPC)`` on store writes and ``OSError(EIO)`` on
-  verification reads through the store's I/O-fault hook, decided by the
-  same single-uniform-draw discipline (seeded
-  ``derive_seed(seed, "chaos-io", op, key, attempt)``, where the
-  attempt is a per-process per-``(op, key)`` call counter).  I/O faults
-  fire only while ``attempt < io_faulty_attempts``, mirroring the
-  retryable-by-construction contract above.
 """
 
 from __future__ import annotations
 
-import errno
 import os
 import random
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 from .runner import derive_seed
 
@@ -77,16 +54,6 @@ from .runner import derive_seed
 CRASH = "crash"
 HANG = "hang"
 EXCEPTION = "exception"
-
-#: disk-fault identifiers (``corrupt_store`` kinds / ``decide_io`` returns)
-TORN_COLUMN = "torn_column"
-BIT_FLIP = "bit_flip"
-MANIFEST_CORRUPT = "manifest_corrupt"
-ENOSPC = "enospc"
-EIO = "eio"
-
-#: the static corruption kinds ``corrupt_store`` understands
-DISK_FAULTS = (TORN_COLUMN, BIT_FLIP, MANIFEST_CORRUPT)
 
 
 class InjectedFault(RuntimeError):
@@ -124,9 +91,6 @@ class FaultPlan:
     hang_seconds: float = 30.0
     faulty_attempts: int = 1
     poison: tuple[tuple, ...] = ()
-    enospc_rate: float = 0.0
-    eio_rate: float = 0.0
-    io_faulty_attempts: int = 1
 
     def decide(self, kind: str, key: tuple, attempt: int) -> str | None:
         """Which fault (if any) fires for this unit execution."""
@@ -152,55 +116,17 @@ class FaultPlan:
         draw = random.Random(derive_seed(self.seed, "torn", *key)).random()
         return draw < self.torn_write_rate
 
-    def decide_io(self, op: str, key: str, attempt: int) -> str | None:
-        """Which injected I/O error (if any) fires for this store access.
-
-        ``op`` is ``"write"`` (store writes raise ``ENOSPC``) or
-        ``"read"`` (verification reads raise ``EIO``); ``key`` is the
-        store's stable identity and ``attempt`` a per-process access
-        counter, so retries beyond ``io_faulty_attempts`` always pass.
-        """
-        rate = self.enospc_rate if op == "write" else self.eio_rate
-        if rate <= 0.0 or attempt >= self.io_faulty_attempts:
-            return None
-        draw = random.Random(
-            derive_seed(self.seed, "chaos-io", op, key, attempt)
-        ).random()
-        if draw < rate:
-            return ENOSPC if op == "write" else EIO
-        return None
-
-    @property
-    def wants_io_hook(self) -> bool:
-        return self.enospc_rate > 0.0 or self.eio_rate > 0.0
-
 
 # The active plan is process-global: workers receive it through the pool
 # initializer, the parent installs it for the duration of a supervised
 # study (in-process units and ledger appends both run in the parent).
 _ACTIVE_PLAN: FaultPlan | None = None
 
-#: (op, store key) -> how many times this process has attempted that
-#: access; the attempt number fed to ``decide_io``
-_IO_ATTEMPTS: dict[tuple[str, str], int] = {}
-
 
 def install_plan(plan: FaultPlan | None) -> None:
-    """Install ``plan`` as this process's active fault plan.
-
-    Plans with I/O-fault rates also hook the columnar store's
-    read/write paths (and a plan without them unhooks, so chaos never
-    leaks past the study that asked for it).
-    """
+    """Install ``plan`` as this process's active fault plan."""
     global _ACTIVE_PLAN
     _ACTIVE_PLAN = plan
-    _IO_ATTEMPTS.clear()
-    from ..table.store import set_io_fault_hook
-
-    if plan is not None and plan.wants_io_hook:
-        set_io_fault_hook(maybe_inject_io)
-    else:
-        set_io_fault_hook(None)
 
 
 def clear_plan() -> None:
@@ -240,80 +166,6 @@ def maybe_inject(kind: str, key: tuple, attempt: int, in_process: bool) -> None:
             return
         raise InjectedHang(f"injected hang in {context}")
     raise InjectedFault(f"injected exception in {context}")
-
-
-def maybe_inject_io(op: str, key: str) -> None:
-    """Fire the scheduled I/O error (if any) for one store access.
-
-    Installed as the store's I/O-fault hook by :func:`install_plan`;
-    the store calls it once per chunk write / finalize (``op="write"``)
-    and once per digest verification (``op="read"``).  Raises plain
-    ``OSError`` — exactly what a failing disk raises — so the recovery
-    ladder is exercised on the real exception type.
-    """
-    plan = _ACTIVE_PLAN
-    if plan is None:
-        return
-    counter_key = (op, key)
-    attempt = _IO_ATTEMPTS.get(counter_key, 0)
-    _IO_ATTEMPTS[counter_key] = attempt + 1
-    fault = plan.decide_io(op, key, attempt)
-    if fault is None:
-        return
-    if fault == ENOSPC:
-        raise OSError(
-            errno.ENOSPC,
-            f"injected ENOSPC writing store {key} (attempt {attempt})",
-        )
-    raise OSError(
-        errno.EIO, f"injected EIO reading store {key} (attempt {attempt})"
-    )
-
-
-def corrupt_store(
-    path: str | Path,
-    fault: str,
-    *,
-    column_file: str | None = None,
-    seed: int = 0,
-) -> Path:
-    """Deterministically damage a columnar store on disk; returns the file hit.
-
-    ``torn_column`` truncates a column file to half its payload (the
-    short-write a crashed spill leaves behind); ``bit_flip`` XORs one
-    payload byte at an offset derived from ``seed`` (silent media
-    corruption — only a content digest can see it); ``manifest_corrupt``
-    truncates ``manifest.json`` mid-JSON (a torn manifest replace).
-    ``column_file`` defaults to the first column file in name order.
-    """
-    from ..table.store import _HEADER_SIZE, MANIFEST_NAME
-
-    path = Path(path)
-    if fault == MANIFEST_CORRUPT:
-        manifest = path / MANIFEST_NAME
-        data = manifest.read_bytes()
-        manifest.write_bytes(data[: max(1, len(data) // 2)])
-        return manifest
-    if column_file is None:
-        candidates = sorted(p.name for p in path.glob("*.npy"))
-        if not candidates:
-            raise ValueError(f"no column files to corrupt in {path}")
-        column_file = candidates[0]
-    target = path / column_file
-    data = target.read_bytes()
-    payload = len(data) - _HEADER_SIZE
-    if payload <= 0:
-        raise ValueError(f"column file {target} has no payload to corrupt")
-    if fault == TORN_COLUMN:
-        target.write_bytes(data[: _HEADER_SIZE + payload // 2])
-    elif fault == BIT_FLIP:
-        offset = _HEADER_SIZE + derive_seed(seed, "bit-flip", column_file) % payload
-        flipped = bytearray(data)
-        flipped[offset] ^= 0x40
-        target.write_bytes(bytes(flipped))
-    else:
-        raise ValueError(f"unknown disk fault {fault!r}")
-    return target
 
 
 def torn_write_fragment(key: tuple) -> str | None:

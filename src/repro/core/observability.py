@@ -1,11 +1,11 @@
 """Run-report observability: metrics, trace spans, diagnostics (ISSUE 10).
 
-Nine PRs built a fast, fault-tolerant, out-of-core execution stack that
-was a black box at runtime: cache hit rates, supervisor recovery events,
-store verifications and per-phase timings were visible only through
-ad-hoc benchmark scripts.  This module makes them first-class — a
-zero-dependency metrics + tracing subsystem threaded through every
-layer, reported as one JSON :class:`RunReport` per study.
+Nine PRs built a fast, fault-tolerant execution stack that was a black
+box at runtime: cache hit rates, supervisor recovery events and
+per-phase timings were visible only through ad-hoc benchmark scripts.
+This module makes them first-class — a zero-dependency metrics +
+tracing subsystem threaded through every layer, reported as one JSON
+:class:`RunReport` per study.
 
 Design constraints, in priority order:
 
@@ -77,11 +77,9 @@ REPORT_SCHEMA = "repro-run-report/1"
 #: ``_metrics`` hook (see the module docstring for why push, not pull)
 _HOOKED_MODULES = (
     "repro.cleaning.base",
-    "repro.cleaning.missing",
     "repro.core.runner",
     "repro.ml.cv_kernel",
     "repro.table.encode",
-    "repro.table.store",
 )
 
 
@@ -93,12 +91,12 @@ SCHEDULE_DEPENDENT = "schedule-dependent"
 
 #: Every counter and gauge name a run report can carry, with its class.
 #: Classes were assigned by measurement: repeated ``n_jobs=2`` runs at
-#: split and cell granularity of plain, searched and memory-mapped
-#: studies and of the supervisor and disk-fault chaos plans, on a 2-core
-#: machine.  A name is invariant only if every measured run at one
-#: granularity gave one value and the count is fixed by the study's
-#: units, not by which process or workspace did the work.  At
-#: ``n_jobs=1`` every counter repeats exactly.
+#: split and cell granularity of plain and searched studies and of the
+#: supervisor chaos plans, on a 2-core machine.  A name is invariant
+#: only if every measured run at one granularity gave one value and the
+#: count is fixed by the study's units, not by which process or
+#: workspace did the work.  At ``n_jobs=1`` every counter repeats
+#: exactly.
 METRIC_CLASSES = {
     # per-workspace caches: a cell stolen by another worker rebuilds
     # the split's workspace, which refits detectors, re-encodes tables
@@ -106,10 +104,6 @@ METRIC_CLASSES = {
     "cleaning.detection_cache.hits": SCHEDULE_DEPENDENT,
     "cleaning.detection_cache.misses": SCHEDULE_DEPENDENT,
     "cleaning.detection_cache.peak_entries": SCHEDULE_DEPENDENT,
-    "cleaning.detect_chunk_gathers": SCHEDULE_DEPENDENT,
-    "cleaning.fit_chunk_gathers": SCHEDULE_DEPENDENT,
-    "cleaning.fit_full_gathers": SCHEDULE_DEPENDENT,
-    "cleaning.fit_streamed_columns": SCHEDULE_DEPENDENT,
     "encode.code_cache.hits": SCHEDULE_DEPENDENT,
     "encode.code_cache.misses": SCHEDULE_DEPENDENT,
     "encode.matrix_cells": SCHEDULE_DEPENDENT,
@@ -128,23 +122,14 @@ METRIC_CLASSES = {
     # every evaluation-memo key is one cell's (model, table) pair
     "runner.eval_memo.hits": SCHEDULE_INVARIANT,
     "runner.eval_memo.misses": SCHEDULE_INVARIANT,
-    # store digests are verified once per process
-    "store.bytes_verified": SCHEDULE_DEPENDENT,
-    "store.digest_failures": SCHEDULE_DEPENDENT,
-    "store.digest_memo_hits": SCHEDULE_DEPENDENT,
-    "store.digest_verifications": SCHEDULE_DEPENDENT,
     # supervisor ledger, counted in the parent: one event per poisoned
-    # unit, hung attempt or healed store generation; retries and
-    # recovery calls also count siblings that read a corrupt store
-    # before it was healed, and one pool kill takes down every crashing
-    # unit in flight
+    # unit or hung attempt; retries and resurrections depend on the
+    # schedule because one pool kill takes down every crashing unit in
+    # flight
     "supervisor.degraded_cells": SCHEDULE_INVARIANT,
     "supervisor.quarantined": SCHEDULE_INVARIANT,
-    "supervisor.recovery_errors": SCHEDULE_DEPENDENT,
     "supervisor.resurrections": SCHEDULE_DEPENDENT,
     "supervisor.retries": SCHEDULE_DEPENDENT,
-    "supervisor.store_rebuilds": SCHEDULE_INVARIANT,
-    "supervisor.store_unrecoverable": SCHEDULE_DEPENDENT,
     "supervisor.timeouts": SCHEDULE_INVARIANT,
 }
 

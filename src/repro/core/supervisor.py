@@ -185,8 +185,8 @@ class Unit:
 def _init_worker(payload, config, plan, obs_config=None) -> None:
     """Pool initializer: arm observability, broadcast blocks, arm chaos.
 
-    Observability installs first so block registration itself (store
-    attach, digest verification) is already metered.
+    Observability installs first so block registration itself is
+    already metered.
     """
     from .executor import _register_blocks
 
@@ -301,34 +301,6 @@ class Supervisor:
         self._in_flight: dict[Future, tuple[Unit, float | None]] = {}
         #: keys of units completed since the last pump, one per freed slot
         self._freed: list[tuple] = []
-        self._recovery: Callable[[Unit, BaseException], None] | None = None
-        self._stale_pool = False
-
-    # -- recovery ------------------------------------------------------
-
-    def set_recovery(self, handler: Callable[[Unit, BaseException], None] | None) -> None:
-        """Install an environment-repair hook run before retry accounting.
-
-        The executor uses this for the storage-integrity ladder: when a
-        unit fails with a :class:`~repro.table.store.StoreCorruptionError`,
-        the handler rebuilds the store *before* the unit's retry is
-        scheduled, so the retry lands on healed data.  Handler
-        exceptions are counted, never propagated — a broken repair must
-        not take down the drain loop.
-        """
-        self._recovery = handler
-
-    def rebroadcast(self, payload) -> None:
-        """Replace the worker-broadcast payload for future pool builds.
-
-        The current pool keeps serving its in-flight futures; it is torn
-        down (and lazily rebuilt with the new payload through the usual
-        initializer) as soon as it drains, so retried units re-register
-        the refreshed blocks.  In-process (``jobs == 1``) callers update
-        the registry directly instead.
-        """
-        self._initargs = (payload,) + self._initargs[1:]
-        self._stale_pool = True
 
     # -- lifecycle -----------------------------------------------------
 
@@ -470,11 +442,6 @@ class Supervisor:
             self._queue.extend(due)
 
     def _pump(self) -> None:
-        if self._stale_pool and not self._in_flight:
-            # a rebroadcast landed; rebuild the pool so workers
-            # re-initialize with the refreshed payload
-            self._kill_pool()
-            self._stale_pool = False
         while self._queue and len(self._in_flight) < self.jobs:
             # a unit submitted right after a completion goes to the
             # worker that just went idle: route it by that worker's split
@@ -516,13 +483,6 @@ class Supervisor:
 
     def _after_failure(self, unit: Unit, error: BaseException, in_process: bool):
         """Retry with backoff, or emit the terminal failure event."""
-        if self._recovery is not None:
-            try:
-                self._recovery(unit, error)
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                self.manifest.count("recovery_errors")
         if unit.attempt < self.config.max_retries:
             self.manifest.count("retries")
             retried = replace(unit, attempt=unit.attempt + 1)

@@ -11,31 +11,17 @@ shuffles.
 A :class:`Dataset` bundles the pair with its metadata: which error types
 it carries, whether it is class-imbalanced (→ F1 instead of accuracy,
 paper §IV-A step 4), and optional human cleaning rules (paper §VII-C).
-:meth:`Dataset.spilled` moves both tables into memory-mapped columnar
-stores, each registered with a rebuild so on-disk corruption heals
-mid-study.
 """
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cleaning.base import ERROR_TYPES
 from ..cleaning.human import ROW_ID
-from ..table import (
-    ColumnSpec,
-    ColumnType,
-    Table,
-    recover_store,
-    register_store_source,
-    save_columnar,
-    spill_table,
-)
-from ..table.store import table_store_path
+from ..table import ColumnSpec, ColumnType, Table
 
 
 @dataclass(frozen=True)
@@ -101,49 +87,6 @@ class Dataset:
             description=self.description,
             rules=self.rules,
         )
-
-    def spilled(self, directory: str | Path, chunk_rows: int | None = None) -> "Dataset":
-        """A file-backed variant: both tables spilled to columnar stores.
-
-        ``dirty`` and ``clean`` stream into ``directory/dirty`` and
-        ``directory/clean`` and come back memory-mapped, so study runs
-        over the result keep the base buffers on disk — pool workers
-        re-open the maps instead of receiving buffer bytes.  Study
-        output is byte-identical to the resident dataset's.
-
-        Each store is registered with a rebuild from the table it was
-        spilled from (see :func:`_rebuild_from`), so on-disk corruption
-        detected mid-study heals in place under a new generation
-        through :func:`~repro.table.store.recover_store`.
-        """
-        directory = Path(directory)
-        spilled = {}
-        for role, table in (("dirty", self.dirty), ("clean", self.clean)):
-            store = directory / role
-            spilled[role] = spill_table(table, store, chunk_rows)
-            register_store_source(store, _rebuild_from(table, chunk_rows))
-        return replace(self, dirty=spilled["dirty"], clean=spilled["clean"])
-
-
-def _rebuild_from(table: Table, chunk_rows: int | None):
-    """How to rewrite a store that was spilled from ``table``.
-
-    A resident table is simply saved again.  A mapped one (a dataset
-    spilled a second time) has its own store healed and re-opened at
-    the current generation first, so the copy never turns a corrupt or
-    stale mapping into a store whose digests verify.
-    """
-    source = table_store_path(table)
-    if source is None:
-        return lambda target: save_columnar(table, target, chunk_rows)
-    provenance = pickle.dumps(table)  # store paths and view indices, no data
-
-    def rebuild(target: Path) -> None:
-        if recover_store(source) == "unrecoverable":
-            raise OSError(f"source store {source} is corrupt and cannot be rebuilt")
-        save_columnar(pickle.loads(provenance), target, chunk_rows)
-
-    return rebuild
 
 
 def attach_row_ids(table: Table) -> Table:

@@ -3,21 +3,6 @@
 from .column import Column
 from .encode import FeatureEncoder, LabelEncoder, encode_pair
 from .io import read_csv, stream_csv, write_csv
-from .store import (
-    DEFAULT_CHUNK_ROWS,
-    ColumnarWriter,
-    StoreCorruptionError,
-    diagnose_store,
-    load_columnar,
-    recover_store,
-    register_store_source,
-    save_columnar,
-    set_store_verification,
-    spill_table,
-    store_info,
-    store_verification,
-    store_verification_mode,
-)
 from .ops import (
     class_distribution,
     filter_rows,
@@ -42,15 +27,11 @@ __all__ = [
     "Column",
     "ColumnSpec",
     "ColumnType",
-    "ColumnarWriter",
-    "DEFAULT_CHUNK_ROWS",
     "FeatureEncoder",
     "LabelEncoder",
     "Schema",
-    "StoreCorruptionError",
     "Table",
     "class_distribution",
-    "diagnose_store",
     "encode_pair",
     "filter_rows",
     "group_indices",
@@ -58,20 +39,11 @@ __all__ = [
     "is_imbalanced",
     "kfold_indices",
     "majority_class",
-    "load_columnar",
     "make_schema",
     "minority_class",
     "read_csv",
-    "recover_store",
-    "register_store_source",
-    "save_columnar",
-    "set_store_verification",
     "sort_by",
-    "spill_table",
     "split_indices",
-    "store_info",
-    "store_verification",
-    "store_verification_mode",
     "stratified_split_indices",
     "stream_csv",
     "summarize",

@@ -28,18 +28,9 @@ The pre-view, copy-on-``take`` implementation lives on as a test
 oracle (``tests/oracles/table.py``), pinned value-for-value against the
 view path by the table-view tests.
 
-Out-of-core buffers (ISSUE 8)
------------------------------
-A column's buffer no longer has to be resident.  Columns loaded from a
-columnar store (:mod:`repro.table.store`) are **file-backed**: numeric
-buffers are ``numpy`` memory-maps opened read-only straight off the
-``.npy`` file, and categorical buffers are :class:`_LazyBuffer` cells
-that decode an int32 code array through the store's value dictionary on
-first touch.  Both plug into the view machinery unchanged — a view of a
-mapped buffer carries an index array over the map, never a resident
-copy — and both remember their ``(store, column)`` **source**, so
-pickling a file-backed column ships the path and the worker re-opens
-the memmap instead of receiving the buffer bytes.
+Pickling ships ``(ctype, indices, buffer)``, so views of one buffer
+pickled in one payload (a pool broadcast, say) share a single copy of
+that buffer on the receiving side.
 """
 
 from __future__ import annotations
@@ -49,40 +40,6 @@ from collections import Counter
 import numpy as np
 
 from .schema import ColumnType
-
-class _LazyBuffer:
-    """A shared one-shot cell that loads a column buffer on first touch.
-
-    The columnar store uses this for categorical columns: the loader
-    decodes the on-disk int32 code array through the value dictionary,
-    and every view taken before materialization shares the same cell,
-    so the decode happens at most once per process.  The loaded array
-    is locked read-only immediately — it plays the role of a shared
-    base buffer from the moment it exists.
-    """
-
-    __slots__ = ("_loader", "_length", "_array")
-
-    def __init__(self, loader, length: int) -> None:
-        self._loader = loader
-        self._length = int(length)
-        self._array: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self._length
-
-    def get(self) -> np.ndarray:
-        if self._array is None:
-            array = self._loader()
-            if len(array) != self._length:
-                raise ValueError(
-                    f"lazy buffer loader returned {len(array)} rows, "
-                    f"expected {self._length}"
-                )
-            array.setflags(write=False)
-            self._array = array
-            self._loader = None
-        return self._array
 
 
 class Column:
@@ -97,12 +54,6 @@ class Column:
     array for a zero-copy view produced by :meth:`take`.  :attr:`values`
     always returns the materialized row-ordered array, gathering (and
     caching) lazily for views.
-
-    File-backed columns additionally carry a ``_source`` —
-    ``(store directory, column name)`` — and may defer their buffer to
-    a shared :class:`_LazyBuffer` cell (``_buffer is None`` until the
-    cell is touched).  Pickling a sourced column ships only the source
-    and the view indices; the receiving process re-opens the store.
     """
 
     def __init__(self, values, ctype: ColumnType) -> None:
@@ -112,81 +63,34 @@ class Column:
         else:
             self._buffer = _as_categorical(values)
         self._indices: np.ndarray | None = None
-        self._lazy: _LazyBuffer | None = None
-        self._source: tuple[str, str] | None = None
 
     @classmethod
-    def from_buffer(
-        cls,
-        buffer: np.ndarray,
-        ctype: ColumnType,
-        *,
-        source: tuple[str, str] | None = None,
-    ) -> "Column":
+    def from_buffer(cls, buffer: np.ndarray, ctype: ColumnType) -> "Column":
         """Wrap an already-normalized buffer without copying or converting.
 
         The caller vouches that ``buffer`` matches the columnar
-        representation contract (float64 / object-of-str).  ``source``
-        marks the column file-backed: ``(store directory, column name)``
-        provenance that pickling round-trips through instead of the
-        buffer bytes.
+        representation contract (float64 / object-of-str).
         """
         column = cls.__new__(cls)
         column.ctype = ctype
         column._buffer = buffer
         column._indices = None
-        column._lazy = None
-        column._source = source
-        return column
-
-    @classmethod
-    def from_lazy(
-        cls,
-        lazy: _LazyBuffer,
-        ctype: ColumnType,
-        *,
-        source: tuple[str, str] | None = None,
-    ) -> "Column":
-        """A column whose buffer loads on first touch (see ``_LazyBuffer``)."""
-        column = cls.__new__(cls)
-        column.ctype = ctype
-        column._buffer = None
-        column._indices = None
-        column._lazy = lazy
-        column._source = source
         return column
 
     # -- basic protocol ----------------------------------------------------
-
-    def _storage(self) -> np.ndarray:
-        """The base buffer, loading the lazy cell if necessary."""
-        if self._buffer is None:
-            self._buffer = self._lazy.get()
-        return self._buffer
 
     @property
     def values(self) -> np.ndarray:
         """The column's materialized values (lazy for views, then cached)."""
         if self._indices is not None:
-            # materializing a view yields a private resident array; it is
-            # no longer the stored column, so drop the provenance
-            self._buffer = self._storage()[self._indices]
+            self._buffer = self._buffer[self._indices]
             self._indices = None
-            self._lazy = None
-            self._source = None
-        elif self._buffer is None:
-            self._buffer = self._lazy.get()
         return self._buffer
 
     @property
     def is_view(self) -> bool:
         """True while this column is an unmaterialized zero-copy view."""
         return self._indices is not None
-
-    @property
-    def is_file_backed(self) -> bool:
-        """True when this column's buffer lives in a columnar store."""
-        return self._source is not None
 
     @property
     def base_buffer(self) -> np.ndarray:
@@ -196,7 +100,7 @@ class Column:
         the parent's buffer — which is what the no-copy identity checks
         in the table-core benchmark assert on.
         """
-        return self._storage()
+        return self._buffer
 
     @property
     def view_indices(self) -> np.ndarray | None:
@@ -206,9 +110,7 @@ class Column:
     def __len__(self) -> int:
         if self._indices is not None:
             return len(self._indices)
-        if self._buffer is not None:
-            return len(self._buffer)
-        return len(self._lazy)
+        return len(self._buffer)
 
     def __getitem__(self, index):
         return self.values[index]
@@ -237,8 +139,6 @@ class Column:
         clone.ctype = self.ctype
         clone._buffer = self.gather()
         clone._indices = None
-        clone._lazy = None
-        clone._source = None
         return clone
 
     def gather(self) -> np.ndarray:
@@ -247,14 +147,11 @@ class Column:
         For a view this is one ``buffer[indices]`` gather (the same
         bits :attr:`values` would cache); for a base column, a plain
         copy.  The result never aliases the shared buffer, so callers
-        may mutate it freely — this is the encoder's fast path.  For a
-        file-backed base column the copy is the read off disk into a
-        resident array.
+        may mutate it freely — this is the encoder's fast path.
         """
-        storage = self._storage()
         if self._indices is not None:
-            return np.asarray(storage[self._indices])
-        return np.array(storage)
+            return self._buffer[self._indices]
+        return np.array(self._buffer)
 
     def take(self, indices) -> "Column":
         """New column containing the rows at ``indices`` (in order).
@@ -262,8 +159,7 @@ class Column:
         This is zero-copy: the result shares this column's buffer and only carries the (composed) index array.
         The buffer is locked read-only the moment it becomes shared, so
         an accidental in-place write through one alias cannot corrupt
-        the others.  Views of memory-mapped buffers stay on the map —
-        the index array is the only resident allocation.
+        the others.
         """
         indices = np.asarray(indices)
         if indices.dtype == bool:
@@ -274,14 +170,11 @@ class Column:
             # view-of-view: fold to a single indirection over the base
             # buffer with index arithmetic — no value gather
             indices = self._indices[indices]
-        if self._buffer is not None:
-            self._buffer.setflags(write=False)
+        self._buffer.setflags(write=False)
         view = Column.__new__(Column)
         view.ctype = self.ctype
         view._buffer = self._buffer
         view._indices = indices
-        view._lazy = self._lazy
-        view._source = self._source
         return view
 
     def aliases(self, other: "Column") -> bool:
@@ -294,15 +187,7 @@ class Column:
         """
         if self is other:
             return True
-        if self.ctype is not other.ctype:
-            return False
-        if self._lazy is not None or other._lazy is not None:
-            # unmaterialized lazy buffers compare by cell identity; two
-            # distinct cells may decode the same bits, but "False" is
-            # always a safe answer for this check
-            if self._lazy is not other._lazy:
-                return False
-        elif self._buffer is not other._buffer:
+        if self.ctype is not other.ctype or self._buffer is not other._buffer:
             return False
         if self._indices is None and other._indices is None:
             return True
@@ -311,39 +196,13 @@ class Column:
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self):
-        if self._source is not None:
-            # file-backed: ship provenance, not bytes — the receiving
-            # process (e.g. a pool worker) re-opens the memmap locally.
-            # base_rows is the base-buffer length, which lets the worker
-            # defer a StoreCorruptionError found at attach time to first
-            # materialization instead of dying in the pool initializer
-            return {
-                "ctype": self.ctype.value,
-                "indices": self._indices,
-                "source": self._source,
-                "base_rows": (
-                    len(self._buffer)
-                    if self._buffer is not None
-                    else len(self._lazy)
-                ),
-            }
-        return {
-            "ctype": self.ctype.value,
-            "indices": self._indices,
-            "buffer": self._storage(),
-        }
+        # views ship their indices and the base buffer, so views of one
+        # buffer pickled together share a single copy of it
+        return (self.ctype.value, self._indices, self._buffer)
 
     def __setstate__(self, state) -> None:
-        self.ctype = ColumnType(state["ctype"])
-        self._indices = state["indices"]
-        self._lazy = None
-        self._source = None
-        if "source" in state:
-            from .store import attach_source
-
-            attach_source(self, state["source"], state.get("base_rows"))
-        else:
-            self._buffer = state["buffer"]
+        ctype, self._indices, self._buffer = state
+        self.ctype = ColumnType(ctype)
 
     # -- missing values ----------------------------------------------------
 

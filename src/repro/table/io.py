@@ -9,17 +9,13 @@ Ingestion is **column-major and chunk-streamed**: :func:`stream_csv`
 yields fixed-size row chunks parsed straight into typed column buffers
 (one ``np.fromiter`` per numeric column, one object buffer per
 categorical column — no row-major Python list of lists is ever built),
-and :func:`read_csv` either concatenates the chunks or, given
-``spill=``, forwards them to a :class:`~repro.table.store.ColumnarWriter`
-and returns the memory-mapped table, so ingesting a
-larger-than-memory CSV peaks at one chunk of residency.  Writing is
-vectorized the same way: each column is formatted once, rows go out via
-``writer.writerows``.
+and :func:`read_csv` concatenates the chunks' buffers once per column.
+Writing is vectorized the same way: each column is formatted once, rows
+go out via ``writer.writerows``.
 
 The historical row-major reader/writer are test oracles
 (``tests/oracles/io.py``): the tests pin both paths byte-for-byte
-against them, and ``benchmarks/bench_out_of_core.py`` times the reader
-as its "before" arm.
+against them.
 """
 
 from __future__ import annotations
@@ -32,8 +28,10 @@ import numpy as np
 
 from .column import Column
 from .schema import ColumnSpec, ColumnType, Schema
-from .store import ColumnarWriter, DEFAULT_CHUNK_ROWS, load_columnar
 from .table import Table
+
+#: rows per chunk :func:`stream_csv` parses at a time
+DEFAULT_CHUNK_ROWS = 65536
 
 _MISSING_TOKEN = ""
 
@@ -98,37 +96,12 @@ def _header_cells(schema: Schema) -> list[str]:
 # -- reading ----------------------------------------------------------------
 
 
-def read_csv(
-    path: str | Path,
-    *,
-    chunk_rows: int | None = None,
-    spill: str | Path | None = None,
-) -> Table:
+def read_csv(path: str | Path, *, chunk_rows: int | None = None) -> Table:
     """Read a table previously written by :func:`write_csv`.
 
     Parses chunk-streamed and column-major (see :func:`stream_csv`).
-    With ``spill=`` the chunks stream into a columnar store at that
-    directory and the returned table is memory-mapped — the whole CSV
-    is never resident at once.
     """
     chunks = stream_csv(path, chunk_rows or DEFAULT_CHUNK_ROWS)
-    if spill is not None:
-        # the manifest records the CSV origin so recover_store can
-        # re-spill the store after on-disk corruption, even from a
-        # process that never saw this call
-        source = {
-            "kind": "csv",
-            "path": str(Path(path).resolve()),
-            "chunk_rows": chunk_rows or DEFAULT_CHUNK_ROWS,
-        }
-        first = next(chunks)
-        with ColumnarWriter(spill, first.schema, source=source) as writer:
-            writer.append(first)
-            for chunk in chunks:
-                writer.append(chunk)
-            writer.finalize()
-        return load_columnar(spill)
-
     first = next(chunks)
     parts: dict[str, list[np.ndarray]] = {
         name: [first.column(name).base_buffer] for name in first.schema.names

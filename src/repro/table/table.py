@@ -5,11 +5,10 @@ A ``Table`` is an immutable-by-convention, column-oriented relation: a
 Every cleaning operator consumes a table and produces a *new* table, so
 dirty and cleaned versions can coexist during an experiment.
 
-Row selection (``take`` / ``mask`` / ``drop_rows`` / ``iter_chunks``,
-and everything built on them — train/test splitting, fold slicing,
-``features_table``) is **zero-copy**: the result shares each column's
-buffer and carries only an index array, materializing lazily on first
-value access (see :mod:`repro.table.column` for the memory model).
+Row selection (``take`` / ``mask`` / ``drop_rows``, and everything
+built on them — train/test splitting, fold slicing, ``features_table``)
+is **zero-copy**: the result shares each column's buffer and carries
+only an index array, materializing lazily on first value access (see :mod:`repro.table.column` for the memory model).
 """
 
 from __future__ import annotations
@@ -88,18 +87,6 @@ class Table:
     def n_columns(self) -> int:
         return len(self._columns)
 
-    @property
-    def file_backed(self) -> bool:
-        """True when every column's base buffer lives in a columnar store.
-
-        File-backed tables pickle as store paths plus view indices —
-        pool workers re-open the memmaps locally instead of receiving
-        the buffers over the pipe (see :mod:`repro.table.store`).
-        """
-        return bool(self._columns) and all(
-            column.is_file_backed for column in self._columns.values()
-        )
-
     def __len__(self) -> int:
         return self.n_rows
 
@@ -175,19 +162,6 @@ class Table:
         drop = np.array(sorted({int(i) for i in indices}), dtype=np.int64)
         keep = np.isin(np.arange(self.n_rows), drop, invert=True)
         return self.mask(keep)
-
-    def iter_chunks(self, chunk_rows: int):
-        """Yield consecutive row blocks of at most ``chunk_rows`` rows.
-
-        Each block is a zero-copy view table (buffer-sharing ``take``),
-        so streaming pipelines — inject → split → clean → encode — can
-        walk a large table without ever holding a second full copy.
-        """
-        if chunk_rows <= 0:
-            raise ValueError("chunk_rows must be positive")
-        for start in range(0, self.n_rows, chunk_rows):
-            stop = min(start + chunk_rows, self.n_rows)
-            yield self.take(np.arange(start, stop))
 
     def concat(self, other: "Table") -> "Table":
         """Vertical concatenation; schemas must match exactly."""

@@ -2,9 +2,7 @@
 
 ``read_csv``/``write_csv`` parse and format one column at a time in
 row chunks.  These per-cell, fully resident versions are what they
-replaced: the tests pin both production paths to them byte for byte,
-and ``benchmarks/bench_out_of_core.py`` runs the reader as the eager
-"before" arm of its ingest-throughput and peak-RSS gates.
+replaced: the tests pin both production paths to them byte for byte.
 """
 
 import csv

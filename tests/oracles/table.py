@@ -11,13 +11,7 @@ def take_reference(column: Column, indices) -> Column:
     The zero-copy view ``column.take(indices)`` must match it value for
     value.
     """
-    clone = Column.__new__(Column)
-    clone.ctype = column.ctype
-    clone._buffer = column.values[np.asarray(indices)]
-    clone._indices = None
-    clone._lazy = None
-    clone._source = None
-    return clone
+    return Column.from_buffer(column.values[np.asarray(indices)], column.ctype)
 
 
 def table_take_reference(table: Table, indices) -> Table:

@@ -264,7 +264,7 @@ class TestDetectors:
         fresh = ZeroERDetector().fit(table).detect(table)
         assert byproduct.pairs == fresh.pairs
 
-    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_isolation_forest_fit_detect_matches_detect(self):
         # NaN cells stay unflagged per column; an all-NaN column is
         # mean-filled with 0 for the forest and never flagged

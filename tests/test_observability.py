@@ -12,10 +12,6 @@ identical schedule-invariant counters no matter the work-stealing order
 resurrections, degradation, quarantine — surfaces in the
 :class:`RunReport` with counts that exactly match the failure manifest,
 pinned under deterministic chaos plans.
-
-The out-of-core classes pin the satellite bugfix: detector/repair fits
-on memory-mapped tables stream through ``Table.iter_chunks`` with
-bit-identical statistics, and the mapped columns stay unmaterialized.
 """
 
 import pytest
@@ -28,7 +24,6 @@ from repro.cleaning import (
     OutlierCleaning,
 )
 from repro.cleaning.base import DetectionCache
-from repro.cleaning.missing import ImputationRepair, MissingValueDetector
 from repro.core import (
     CleanMLStudy,
     FaultPlan,
@@ -49,7 +44,6 @@ from repro.core.observability import (
     validate_metrics_path,
 )
 from repro.datasets import load_dataset
-from repro.table import Table, make_schema, spill_table
 
 FAST = StudyConfig(
     n_splits=2,
@@ -183,8 +177,8 @@ class TestMergeDeterminism:
             assert first.counters == second.counters
             assert first.gauges == second.gauges
 
-    def test_every_metric_name_is_registered(self, tmp_path):
-        """A searched, memory-mapped study reports only declared names."""
+    def test_every_metric_name_is_registered(self):
+        """A searched study reports only declared names."""
         config = StudyConfig(
             n_splits=2,
             cv_folds=2,
@@ -194,9 +188,7 @@ class TestMergeDeterminism:
         )
         study = CleanMLStudy(config)
         study.add(
-            load_dataset("Titanic", seed=0, n_rows=100).spilled(
-                tmp_path / "titanic", chunk_rows=16
-            ),
+            load_dataset("Titanic", seed=0, n_rows=100),
             MISSING_VALUES,
             methods=[
                 ImputationCleaning("mean", "mode"),
@@ -206,7 +198,7 @@ class TestMergeDeterminism:
         with observing(OBSERVE_ALL):
             study.run(n_jobs=2, granularity="cell")
             report = build_report()
-        for layer in ("cleaning.", "encode.", "runner.", "store.", "tuning."):
+        for layer in ("cleaning.", "encode.", "runner.", "tuning."):
             assert any(name.startswith(layer) for name in report.counters), layer
         assert_registered(report)
 
@@ -402,85 +394,6 @@ class TestTraceSpans:
     def test_invalid_trace_level_rejected(self):
         with pytest.raises(ValueError):
             ObservabilityConfig(enabled=True, trace="verbose")
-
-
-@pytest.fixture
-def missing_table():
-    schema = make_schema(
-        numeric=["age", "income"],
-        categorical=["city"],
-        label="y",
-        keys=("city",),
-    )
-    return Table.from_dict(
-        schema,
-        {
-            "age": [25.5, None, 40.0, 33.0, 29.0],
-            "income": [1000.0, 2000.0, None, 1500.0, 900.0],
-            "city": ["NY", None, "SF", "NY", "LA"],
-            "y": ["yes", "no", "yes", "no", "yes"],
-        },
-    )
-
-
-class TestOutOfCoreFits:
-    """Satellite bugfix: detector/repair fits stream on mapped tables."""
-
-    @pytest.mark.parametrize("categorical", ["mode", "dummy"])
-    @pytest.mark.parametrize("numeric", ["mean", "median", "mode"])
-    def test_mapped_fit_statistics_bit_identical(
-        self, tmp_path, missing_table, numeric, categorical, monkeypatch
-    ):
-        from repro.cleaning import missing
-
-        # stream in 2-row chunks so the assembled arrays genuinely cross
-        # chunk boundaries (the default chunk dwarfs this fixture)
-        monkeypatch.setattr(missing, "FIT_CHUNK_ROWS", 2)
-        mapped = spill_table(missing_table, tmp_path / "t", chunk_rows=2)
-        eager = ImputationRepair(numeric, categorical).fit(missing_table, None)
-        streamed = ImputationRepair(numeric, categorical).fit(mapped, None)
-        assert streamed._numeric_fill == eager._numeric_fill
-        assert streamed._categorical_fill == eager._categorical_fill
-
-    def test_mapped_fit_leaves_columns_unmaterialized(
-        self, tmp_path, missing_table
-    ):
-        mapped = spill_table(missing_table, tmp_path / "t", chunk_rows=2)
-        ImputationRepair("mean", "mode").fit(mapped, None)
-        MissingValueDetector().fit(mapped).detect(mapped)
-        # the fix under test: fitting used to call column.mean()/.mode()
-        # (and detect column.missing_mask()), whose .values access caches
-        # a full resident materialization inside the mapped table
-        for name in ("age", "income", "city"):
-            assert mapped.column(name).is_file_backed
-
-    def test_mapped_detect_matches_resident(self, tmp_path, missing_table):
-        mapped = spill_table(missing_table, tmp_path / "t", chunk_rows=2)
-        detector = MissingValueDetector().fit(missing_table)
-        eager = detector.detect(missing_table)
-        streamed = detector.detect(mapped)
-        for name, mask in eager.cell_masks.items():
-            assert (streamed.cell_masks[name] == mask).all()
-        assert (streamed.row_mask == eager.row_mask).all()
-
-    def test_gather_metrics_distinguish_paths(
-        self, tmp_path, missing_table, monkeypatch
-    ):
-        from repro.cleaning import missing
-
-        monkeypatch.setattr(missing, "FIT_CHUNK_ROWS", 2)
-        mapped = spill_table(missing_table, tmp_path / "t", chunk_rows=2)
-        with observing() as collector:
-            ImputationRepair("mean", "mode").fit(mapped, None)
-            # age, income, city all streamed; 5 rows / 2-row fit chunks
-            # = 3 chunk gathers per column
-            assert collector.counters["cleaning.fit_streamed_columns"] == 3
-            assert collector.counters["cleaning.fit_chunk_gathers"] == 9
-            assert "cleaning.fit_full_gathers" not in collector.counters
-        with observing() as collector:
-            ImputationRepair("mean", "mode").fit(missing_table, None)
-            assert collector.counters["cleaning.fit_full_gathers"] == 3
-            assert "cleaning.fit_streamed_columns" not in collector.counters
 
 
 class TestRunReport:

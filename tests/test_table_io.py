@@ -112,13 +112,6 @@ class TestStreamingParity:
         write_csv(table, path)
         assert read_csv(path, chunk_rows=2) == table
 
-    def test_spill_returns_file_backed_table(self, tmp_path, table):
-        path = tmp_path / "t.csv"
-        write_csv(table, path)
-        loaded = read_csv(path, chunk_rows=2, spill=tmp_path / "store")
-        assert loaded == table
-        assert loaded.file_backed
-
     def test_stream_csv_yields_typed_chunks(self, tmp_path, table):
         path = tmp_path / "t.csv"
         write_csv(table, path)

@@ -12,6 +12,8 @@ eager oracle patched in for ``Column.take`` ("views off") and with the
 zero-copy views ("views on"), across the full
 ``(n_jobs 1/2) x (split/cell)`` execution matrix.
 """
+import pickle
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,39 @@ class TestViewMechanics:
             assert taken.column(name).base_buffer is small.column(name).base_buffer
         assert taken.row(0) == small.row(3)
 
+    def test_pickled_views_share_one_buffer_per_column(self):
+        # a pool broadcast pickles several views of one table together;
+        # the receiving side must get one copy of each buffer, not one
+        # per view
+        rng = np.random.default_rng(0)
+        n = 20_000
+        age = rng.normal(size=n)
+        age[rng.random(n) < 0.1] = np.nan
+        city = rng.choice(["NY", "SF", "LA", ""], size=n).tolist()
+        schema = make_schema(numeric=["age"], categorical=["city"], label="y")
+        table = Table.from_dict(
+            schema, {"age": age, "city": city, "y": ["p", "n"] * (n // 2)}
+        )
+        order = rng.permutation(n)
+        a, b = order[: n * 3 // 5], order[n * 3 // 5 :]
+        views = (table.take(a), table.take(b))
+        payload = pickle.dumps(views)
+        loaded = pickle.loads(payload)
+        bound = len(pickle.dumps(table)) + a.nbytes + b.nbytes
+        assert len(payload) < 1.10 * bound
+        for name in schema.names:
+            first, second = (view.column(name) for view in loaded)
+            assert first.is_view and second.is_view
+            assert first.base_buffer is second.base_buffer
+            for view, indices in zip(loaded, (a, b)):
+                column = view.column(name)
+                assert column.view_indices.tolist() == indices.tolist()
+                expected = table.column(name).missing_mask()[indices]
+                assert (column.missing_mask() == expected).all()
+                assert expected.any() == (name != "y")
+        for view, original in zip(loaded, views):
+            assert view == original
+
 
 class TestViewEdgeCases:
     def test_zero_row_view(self, small):
@@ -154,18 +189,6 @@ class TestViewEdgeCases:
         assert view.mean() == eager.mean()
         assert view.std() == eager.std()
         assert view.quantile(0.25) == eager.quantile(0.25)
-
-    def test_iter_chunks_covers_all_rows_as_views(self, small):
-        chunks = list(small.iter_chunks(3))
-        assert [c.n_rows for c in chunks] == [3, 1]
-        for chunk in chunks:
-            assert chunk.column("age").is_view
-        rebuilt = chunks[0].concat(chunks[1])
-        assert rebuilt == small
-
-    def test_iter_chunks_rejects_nonpositive(self, small):
-        with pytest.raises(ValueError):
-            list(small.iter_chunks(0))
 
 
 class TestDropRowsParity:
