@@ -69,6 +69,7 @@ def summarize(report_paths) -> dict:
             ("linear_fit", "linear"),
             ("knn_select", "knn"),
             ("zeroer_features", "zeroer"),
+            ("prediction_reuse", "prediction_reuse"),
         ):
             section = report.get(arm)
             if isinstance(section, dict) and "speedup" in section:

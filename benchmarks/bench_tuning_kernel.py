@@ -41,7 +41,13 @@ also reports the minor page faults (``ru_minflt``) and system time
 the selections interleave with everything else a cell allocates, once
 with the whole-matrix selection swapped in and once as shipped; fault
 counts follow the allocator, so they are reported, never gated.
-Everything lands in
+A fifth arm, ``prediction_reuse``, gates
+``prediction_reuse_bit_identical``: on a Credit x outliers split, the
+dirty-trained KNN model predicts every method's cleaned test set once
+whole and once through its raw-test anchor (``TrainedModel.evaluate``'s
+row reuse, which recomputes only the rows cleaning changed), and every
+probability matrix must be equal; it reports the query rows each arm
+ran the neighbor selection on.  Everything lands in
 ``BENCH_tuning_kernel.json`` at the repository root.
 
 Run directly (``python benchmarks/bench_tuning_kernel.py``) or under
@@ -64,6 +70,7 @@ import numpy as np
 
 from repro.cleaning import OUTLIERS, OutlierCleaning
 from repro.core import CleanMLStudy, StudyConfig
+from repro.core.runner import ErrorTypeRun, SplitWorkspace
 from repro.datasets import load_dataset
 from repro.ml import knn as knn_kernel
 from repro.ml import (
@@ -338,6 +345,7 @@ import json, resource, sys
 import numpy as np
 from repro.cleaning import OUTLIERS
 from repro.core import CleanMLStudy, StudyConfig
+from repro.core.runner import ErrorTypeRun, SplitWorkspace
 from repro.datasets import load_dataset
 from repro.ml import knn
 from tests.oracles import select_neighbors_reference
@@ -452,6 +460,63 @@ def time_knn_blocked_select(X, y, n_folds: int, rounds: int, study_rows: int) ->
     }
 
 
+def time_prediction_reuse(n_rows: int, repeats: int) -> dict:
+    """The dirty KNN model on every cleaned test set: whole vs anchored.
+
+    One Credit x outliers split, the default KNN fitted on its dirty
+    training set.  The whole arm predicts each method's cleaned test
+    set with ``predict_proba``; the anchored arm predicts the raw test
+    set once and each cleaned test set through the anchor, as
+    ``TrainedModel.evaluate`` does.  Interleaved best-of-N; every
+    probability matrix must be byte-identical.
+    """
+    config = StudyConfig(n_splits=1, cv_folds=5, models=("knn",), seed=3)
+    run = ErrorTypeRun(load_dataset("Credit", seed=3, n_rows=n_rows), OUTLIERS, config)
+    workspace = SplitWorkspace(run, 0)
+    raw_test = workspace.raw_test
+    tests = [workspace.clean_test(i) for i in range(len(workspace.methods()))]
+    encoded = [(test, workspace.dirty_source.encode(test)[0]) for test in tests]
+    X_raw = workspace.dirty_source.encode(raw_test)[0]
+    same_shape = [(test, X) for test, X in encoded if len(X) == len(X_raw)]
+    changed_rows = sum(
+        int((X.view(np.uint64) != X_raw.view(np.uint64)).any(axis=1).sum())
+        for _, X in same_shape
+    )
+    whole_seconds = anchored_seconds = float("inf")
+    identical = True
+    model = run._train(workspace.dirty_source, "knn", "dirty", 0)
+    for _ in range(repeats):
+        start = time.perf_counter()
+        whole = [model.model.predict_proba(X) for _, X in encoded]
+        whole_seconds = min(whole_seconds, time.perf_counter() - start)
+
+        model._anchor = None  # the anchor is made inside the timed arm
+        start = time.perf_counter()
+        anchored = [model._predict_proba(test, X, raw_test) for test, X in encoded]
+        anchored_seconds = min(anchored_seconds, time.perf_counter() - start)
+        identical = identical and all(
+            a.tobytes() == b.tobytes() for a, b in zip(whole, anchored)
+        )
+    n_other = len(encoded) - len(same_shape)
+    return {
+        "split": (
+            f"Credit x outliers, {n_rows} rows: {len(tests)} cleaned test sets "
+            f"of {len(X_raw)} rows ({len(same_shape)} of the raw test's shape)"
+        ),
+        "selected_rows": {
+            "whole": sum(len(X) for _, X in encoded),
+            "anchored": len(X_raw)
+            + changed_rows
+            + sum(len(X) for _, X in encoded if len(X) != len(X_raw)),
+        },
+        "other_shape_tables": n_other,
+        "whole_seconds": round(whole_seconds, 4),
+        "anchored_seconds": round(anchored_seconds, 4),
+        "speedup": round(whole_seconds / anchored_seconds, 2),
+        "prediction_reuse_bit_identical": bool(identical),
+    }
+
+
 def run_tuning_bench(tiny: bool = False) -> dict:
     config = TINY_CONFIG if tiny else KERNEL_CONFIG
     n_rows = TINY_ROWS if tiny else N_ROWS
@@ -504,6 +569,9 @@ def run_tuning_bench(tiny: bool = False) -> dict:
             rounds=1 if tiny else SELECT_ROUNDS,
             study_rows=TINY_ROWS if tiny else SELECT_ROWS,
         ),
+        "prediction_reuse": time_prediction_reuse(
+            TINY_ROWS * 2 if tiny else SELECT_ROWS, repeats=1 if tiny else 5
+        ),
         "reference_digest": reference_digest,
         "results_bit_identical": digest == reference_digest,
         "parallel_bit_identical": parallel_digest == digest,
@@ -519,6 +587,7 @@ def publish_report(report: dict) -> None:
     linear = report["linear_fit"]
     knn = report["knn_select"]
     select = report["knn_blocked_select"]
+    reuse = report["prediction_reuse"]
     faults = select["study_faults"]
     cited = report["cited_reference"]
     per_model = "  ".join(
@@ -554,6 +623,11 @@ def publish_report(report: dict) -> None:
                 f"{faults['kernel']['minflt']}, stime "
                 f"{faults['oracle']['stime_s']:.3f} -> "
                 f"{faults['kernel']['stime_s']:.3f}s",
+                f"  KNN prediction reuse: {reuse['speedup']:.2f}x on "
+                f"{reuse['split']}, selected rows "
+                f"{reuse['selected_rows']['whole']} -> "
+                f"{reuse['selected_rows']['anchored']} "
+                f"(bit-identical: {reuse['prediction_reuse_bit_identical']})",
                 f"[written to {OUTPUT_PATH}]",
             ]
         )
@@ -582,6 +656,9 @@ def check_report(report: dict) -> None:
     )
     assert report["knn_blocked_select"]["selection_bit_identical"], (
         "the blocked KNN neighbor selection diverged from one argpartition"
+    )
+    assert report["prediction_reuse"]["prediction_reuse_bit_identical"], (
+        "predicting through a same-shape anchor diverged from whole predictions"
     )
 
 

@@ -28,15 +28,44 @@ def average_path_length(n: int | np.ndarray) -> np.ndarray:
     return out
 
 
-class _IsolationNode:
-    __slots__ = ("feature", "threshold", "left", "right", "size")
+class _IsolationTree:
+    """One isolation tree as flat node arrays, the root at index 0.
 
-    def __init__(self, size: int) -> None:
-        self.feature: int | None = None
-        self.threshold = 0.0
-        self.left: "_IsolationNode | None" = None
-        self.right: "_IsolationNode | None" = None
-        self.size = size
+    ``feature`` is -1 at a leaf; ``left`` and ``right`` are child
+    indices; ``size`` is the number of subsample rows that reached the
+    node.  ``path_length`` holds, at each leaf, ``depth + c(size)`` —
+    the path length of every row that lands there, an unresolved leaf
+    adding the expected depth of a subtree of its size — computed once
+    when the tree is grown.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "size", "path_length")
+
+    def __init__(self, nodes: list[list]) -> None:
+        feature, threshold, left, right, size, depth = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=np.float64)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.size = np.array(size, dtype=np.int64)
+        leaves = self.feature < 0
+        self.path_length = np.zeros(len(nodes))
+        self.path_length[leaves] = np.array(depth)[leaves] + average_path_length(
+            np.maximum(self.size[leaves], 1)
+        )
+
+    def path_lengths(self, X: np.ndarray) -> np.ndarray:
+        """Each row's path length: descend all rows level by level."""
+        node = np.zeros(len(X), dtype=np.intp)
+        active = np.arange(len(X))
+        while len(active):
+            at = node[active]
+            feature = self.feature[at]
+            inner = feature >= 0
+            active, at, feature = active[inner], at[inner], feature[inner]
+            go_left = X[active, feature] < self.threshold[at]
+            node[active] = np.where(go_left, self.left[at], self.right[at])
+        return self.path_length[node]
 
 
 class IsolationForest:
@@ -80,42 +109,59 @@ class IsolationForest:
         # height limit from the paper: ceil(log2(subsample size))
         self._height_limit = int(np.ceil(np.log2(max(sample_size, 2))))
         self._sample_size = sample_size
-        self._trees = []
-        for _ in range(self.n_estimators):
-            rows = rng.choice(len(X), size=sample_size, replace=False)
-            self._trees.append(self._grow(X[rows], depth=0, rng=rng))
+        self._trees = [
+            self._grow(X[rng.choice(len(X), size=sample_size, replace=False)], rng)
+            for _ in range(self.n_estimators)
+        ]
         train_scores = self.score(X)
         self.threshold_ = float(
             np.quantile(train_scores, 1.0 - self.contamination)
         )
         return train_scores
 
-    def _grow(self, X: np.ndarray, depth: int, rng: np.random.Generator) -> _IsolationNode:
-        node = _IsolationNode(size=len(X))
-        if depth >= self._height_limit or len(X) <= 1:
-            return node
-        spans = X.max(axis=0) - X.min(axis=0)
-        candidates = np.nonzero(spans > 0.0)[0]
-        if len(candidates) == 0:
-            return node
-        feature = int(rng.choice(candidates))
-        low, high = X[:, feature].min(), X[:, feature].max()
-        threshold = float(rng.uniform(low, high))
-        mask = X[:, feature] < threshold
-        if not mask.any() or mask.all():
-            return node
-        node.feature = feature
-        node.threshold = threshold
-        node.left = self._grow(X[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], depth + 1, rng)
-        return node
+    def _grow(self, X: np.ndarray, rng: np.random.Generator) -> _IsolationTree:
+        """One tree, grown depth first (left subtree before right).
+
+        Nodes are numbered in that order, and the random draws follow
+        it: each split draws its feature, then its threshold, then
+        grows its left and its right subtree.
+        """
+        #: per node: feature, threshold, left, right, size, depth
+        nodes: list[list] = []
+
+        def grow(X: np.ndarray, depth: int) -> int:
+            index = len(nodes)
+            node = [-1, 0.0, -1, -1, len(X), depth]
+            nodes.append(node)
+            if depth >= self._height_limit or len(X) <= 1:
+                return index
+            spans = X.max(axis=0) - X.min(axis=0)
+            candidates = np.nonzero(spans > 0.0)[0]
+            if len(candidates) == 0:
+                return index
+            feature = int(rng.choice(candidates))
+            low, high = X[:, feature].min(), X[:, feature].max()
+            threshold = float(rng.uniform(low, high))
+            mask = X[:, feature] < threshold
+            if not mask.any() or mask.all():
+                return index
+            node[0], node[1] = feature, threshold
+            node[2] = grow(X[mask], depth + 1)
+            node[3] = grow(X[~mask], depth + 1)
+            return index
+
+        grow(X, 0)
+        return _IsolationTree(nodes)
 
     def score(self, X: np.ndarray) -> np.ndarray:
-        """Anomaly scores in (0, 1); larger = more anomalous."""
+        """Anomaly scores in (0, 1); larger = more anomalous.
+
+        The per-tree path lengths are summed in tree order.
+        """
         X = np.asarray(X, dtype=np.float64)
         depths = np.zeros(len(X))
         for tree in self._trees:
-            depths += self._path_lengths(tree, X)
+            depths += tree.path_lengths(X)
         mean_depth = depths / len(self._trees)
         c = average_path_length(np.array([self._sample_size]))[0]
         return np.power(2.0, -mean_depth / max(c, 1e-9))
@@ -125,20 +171,3 @@ class IsolationForest:
         if not hasattr(self, "threshold_"):
             raise RuntimeError("IsolationForest must be fitted first")
         return self.score(X) > self.threshold_
-
-    def _path_lengths(self, root: _IsolationNode, X: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(X))
-        self._descend(root, X, np.arange(len(X)), 0, out)
-        return out
-
-    def _descend(self, node, X, indices, depth, out) -> None:
-        if len(indices) == 0:
-            return
-        if node.feature is None:
-            # unresolved leaves get the expected extra depth for their size
-            extra = average_path_length(np.array([max(node.size, 1)]))[0]
-            out[indices] = depth + extra
-            return
-        mask = X[indices, node.feature] < node.threshold
-        self._descend(node.left, X, indices[mask], depth + 1, out)
-        self._descend(node.right, X, indices[~mask], depth + 1, out)

@@ -134,11 +134,6 @@ def clear_plan() -> None:
     install_plan(None)
 
 
-def active_plan() -> FaultPlan | None:
-    """The currently installed plan, if any."""
-    return _ACTIVE_PLAN
-
-
 def maybe_inject(kind: str, key: tuple, attempt: int, in_process: bool) -> None:
     """Fire the scheduled fault (if any) for one unit execution.
 

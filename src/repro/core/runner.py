@@ -56,6 +56,13 @@ and this module eliminates it without changing a single bit of output:
   computed (``evaluate`` is a pure function of the fitted model and the
   table), and R2/R3 are composed from the R1 pairs without evaluating
   again (:func:`merge_cell_results`);
+* an evaluation predicts only the test rows cleaning changed — a
+  model keeps an *anchor* prediction of one same-shape table of the
+  split (the raw test set for the dirty model, the cleaned test set
+  for a clean model under CD), and each other table of that row count
+  copies it and recomputes the rows whose encoded bits differ
+  (:meth:`TrainedModel.evaluate`); a same-shape prediction rounds
+  every row on its own, so the result is the whole prediction's;
 * hyper-parameter tuning iterates **fold-major** — each CV fold's
   ``(X_train, y_train, X_val, y_val)`` slices are materialized once per
   search (:class:`~repro.ml.cv_kernel.FoldPlanData`) and per-model
@@ -401,11 +408,13 @@ class _EvalMemo:
     def __init__(self) -> None:
         self._entries: dict[tuple[int, int], tuple] = {}
 
-    def evaluate(self, model: "TrainedModel", table: Table) -> float:
+    def evaluate(
+        self, model: "TrainedModel", table: Table, anchor: Table | None = None
+    ) -> float:
         key = (id(model), id(table))
         entry = self._entries.get(key)
         if entry is None or entry[0] is not model or entry[1] is not table:
-            entry = (model, table, model.evaluate(table))
+            entry = (model, table, model.evaluate(table, anchor))
             self._entries[key] = entry
             if _metrics is not None:
                 _metrics.count("runner.eval_memo.misses")
@@ -453,6 +462,8 @@ class TrainedModel:
         else:
             self._encoded = EncodedTable(train, labeler)
         X, y = self._encoded.X, self._encoded.y
+        #: (anchor table, its prediction), see :meth:`evaluate`
+        self._anchor: tuple[Table, np.ndarray] | None = None
 
         if config.search_iters > 0:
             search = RandomSearch(
@@ -486,11 +497,45 @@ class TrainedModel:
         """The feature encoder fitted on this model's training table."""
         return self._encoded.encoder
 
-    def evaluate(self, test: Table) -> float:
-        """Metric of the model on ``test`` (encoded with train statistics)."""
+    def evaluate(self, test: Table, anchor: Table | None = None) -> float:
+        """Metric of the model on ``test`` (encoded with train statistics).
+
+        ``anchor`` names another table of the split that this model
+        predicts too, with the same rows up to what cleaning rewrote:
+        the raw test set for the dirty-trained model, the cleaned test
+        set for a cleaned-train model scored under CD.  Its prediction
+        is made once and kept, and a ``test`` of the anchor's row count
+        copies it and recomputes only the rows whose encoded bits
+        differ (:meth:`~repro.ml.base.Classifier.predict_proba_rows`),
+        which equals predicting all of ``test`` bit for bit because a
+        same-shape prediction rounds each row on its own.  A ``test``
+        of another row count is predicted whole.
+        """
         X, y = self._encoded.encode(test)
-        predictions = self.model.predict(X)
+        proba = self._predict_proba(test, X, anchor)
+        predictions = np.argmax(proba, axis=1)
         return score_predictions(y, predictions, self.metric, self.positive)
+
+    def _predict_proba(
+        self, test: Table, X: np.ndarray, anchor: Table | None
+    ) -> np.ndarray:
+        if anchor is None or anchor.n_rows != test.n_rows:
+            return self.model.predict_proba(X)
+        # the anchor's encoding is read from the split's shared cache
+        # every time, never held here: a discarded encoding is not pinned
+        X_anchor = X if anchor is test else self._encoded.encode(anchor)[0]
+        if self._anchor is None or self._anchor[0] is not anchor:
+            self._anchor = (anchor, self.model.predict_proba(X_anchor))
+        anchor_proba = self._anchor[1]
+        if anchor is test:
+            return anchor_proba
+        changed = np.flatnonzero(
+            (X.view(np.uint64) != X_anchor.view(np.uint64)).any(axis=1)
+        )
+        proba = anchor_proba.copy()
+        if len(changed):
+            proba[changed] = self.model.predict_proba_rows(X, changed)
+        return proba
 
 
 def _bind_detection_cache(method: CleaningMethod, cache: DetectionCache) -> None:
@@ -651,16 +696,23 @@ class ErrorTypeRun:
         clean_test: Table,
         memo: _EvalMemo,
     ) -> MetricPair:
+        # Each model predicts every table against an anchor of the
+        # split (see TrainedModel.evaluate): the dirty model the raw
+        # test set, whose rows the cleaned test sets share up to the
+        # repaired ones, and a clean model its BD prediction, which CD
+        # then scores on the raw test set again.
+        with_cd = Scenario.CD in scenarios_for(self.error_type)
+        clean_anchor = clean_test if with_cd else None
         if scenario is Scenario.BD:
             # case B vs case D: both models on the cleaned test set
             return MetricPair(
-                before=memo.evaluate(dirty_model, clean_test),
-                after=memo.evaluate(clean_model, clean_test),
+                before=memo.evaluate(dirty_model, clean_test, anchor=raw_test),
+                after=memo.evaluate(clean_model, clean_test, anchor=clean_anchor),
             )
         # CD: the cleaned-train model on dirty vs cleaned test (C vs D)
         return MetricPair(
-            before=memo.evaluate(clean_model, raw_test),
-            after=memo.evaluate(clean_model, clean_test),
+            before=memo.evaluate(clean_model, raw_test, anchor=clean_anchor),
+            after=memo.evaluate(clean_model, clean_test, anchor=clean_anchor),
         )
 
 
@@ -826,7 +878,9 @@ class SplitWorkspace:
         for key in [key for key in self._clean_models if key[0] == index]:
             del self._clean_models[key]
         self.memo.clear()
-        if clean_test is not None and isinstance(self.dirty_source, EncodedTable):
+        # a method that repaired nothing returns the raw test table
+        # itself, whose encoding every dirty model's anchor reads
+        if clean_test is not None and clean_test is not self.raw_test:
             self.dirty_source.discard(clean_test)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
+from functools import cache
 
 import numpy as np
 
@@ -34,6 +35,18 @@ class Classifier(ABC):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability matrix of shape (n_samples, n_classes)."""
 
+    def predict_proba_rows(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Class probabilities of ``X[rows]``, bit for bit ``predict_proba(X)[rows]``.
+
+        The rows are predicted as rows of the full matrix ``X``: a
+        GEMM-based model's output row depends on the matrix's shape as
+        well as on the row itself, so predicting ``X[rows]`` on its own
+        may round differently.  This default computes every row; a model
+        whose per-row work dominates (KNN's neighbor selection) overrides
+        it to do that work on ``rows`` only.
+        """
+        return self.predict_proba(X)[rows]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class id per sample."""
         return np.argmax(self.predict_proba(X), axis=1)
@@ -42,14 +55,7 @@ class Classifier(ABC):
 
     def get_params(self) -> dict:
         """Constructor keyword arguments and their current values."""
-        signature = inspect.signature(type(self).__init__)
-        names = [
-            name
-            for name, parameter in signature.parameters.items()
-            if name != "self"
-            and parameter.kind is not inspect.Parameter.VAR_KEYWORD
-        ]
-        return {name: getattr(self, name) for name in names}
+        return {name: getattr(self, name) for name in _param_names(type(self))}
 
     def set_params(self, **params) -> "Classifier":
         """Update hyper-parameters in place; unknown names raise."""
@@ -88,6 +94,17 @@ class Classifier(ABC):
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
         return f"{type(self).__name__}({args})"
+
+
+@cache
+def _param_names(cls: type) -> tuple[str, ...]:
+    """A classifier class's constructor keyword names, read once per class."""
+    signature = inspect.signature(cls.__init__)
+    return tuple(
+        name
+        for name, parameter in signature.parameters.items()
+        if name != "self" and parameter.kind is not inspect.Parameter.VAR_KEYWORD
+    )
 
 
 def check_fit_inputs(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

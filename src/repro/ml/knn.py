@@ -15,12 +15,17 @@ Everything is bit-identical to the plain expressions kept as test
 oracles (``tests/oracles/knn.py``).  The distance arithmetic runs in
 place over cache-sized row blocks of the matmul's own buffer, with the
 same operands in the same order, and elementwise ufuncs round each
-element on its own.  The neighbor indices come from numpy's
-``argpartition``, whose order among tied distances depends on the SIMD
-target numpy dispatches to on the running CPU; a selection memo reuses
-that call's output, it never reorders it.  The selection runs over the
-same row blocks, because the full ``(n_rows, n_train)`` index matrices
-of whole-matrix calls made up most of a study's page faults.
+element on its own.  ``predict_proba_rows`` runs the matmul on the
+whole query matrix and everything after it on the requested rows only,
+which is how an evaluation recomputes just the test rows cleaning
+changed (``TrainedModel.evaluate`` in ``repro.core.runner``);
+``predict_proba`` is that call on every row.  The neighbor indices
+come from numpy's ``argpartition``, whose order among tied distances
+depends on the SIMD target numpy dispatches to on the running CPU; a
+selection memo reuses that call's output, it never reorders it.  The
+selection runs over the same row blocks, because the full ``(n_rows,
+n_train)`` index matrices of whole-matrix calls made up most of a
+study's page faults.
 """
 
 from __future__ import annotations
@@ -136,8 +141,21 @@ class KNeighborsClassifier(Classifier):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
+        return self.predict_proba_rows(X, np.arange(len(X)))
+
+    def predict_proba_rows(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``predict_proba(X)[rows]``, selecting and voting for ``rows`` only.
+
+        The matmul runs on the whole of ``X``: a same-shape product
+        rounds each output row the same way whatever the other rows
+        hold, while a product of ``X[rows]`` alone need not (the premise
+        is pinned in ``tests/test_prediction_reuse.py``).  The distance passes, the
+        neighbor selection and the vote — the per-row work that
+        dominates a prediction — then run on ``rows`` only.
+        """
+        X = np.asarray(X, dtype=np.float64)
         k = min(self.n_neighbors, len(self._X))
-        distances = self._pairwise_sq_distances(X)
+        distances = self._pairwise_sq_distances(X, rows)
         return _proba_from_distances(
             distances,
             _select_neighbors(distances, k),
@@ -146,17 +164,24 @@ class KNeighborsClassifier(Classifier):
             self.weights,
         )
 
-    def _pairwise_sq_distances(self, X: np.ndarray) -> np.ndarray:
+    def _pairwise_sq_distances(
+        self, X: np.ndarray, rows: np.ndarray | None = None
+    ) -> np.ndarray:
         """``max(|q|^2 + |t|^2 - 2 q.t, 0)`` for every (query, train) pair.
 
-        One matmul, then the elementwise passes row block by row block
-        inside the matmul's own buffer: ``2 * cross`` in place, the norm
-        sum into one scratch block, their difference back into the
-        buffer, and the clip at zero in place.  Each element sees the
-        operations of the plain expression in the same order.
+        One matmul over all of ``X``, then the elementwise passes row
+        block by row block inside the matmul's own buffer — or, when
+        ``rows`` names a proper subset of ``X``'s rows, inside a gather
+        of those rows of it: ``2 * cross`` in place, the norm sum into
+        one scratch block, their difference back into the buffer, and
+        the clip at zero in place.  Each element sees the operations of
+        the plain expression in the same order.
         """
         query_norms = np.sum(X**2, axis=1)[:, None]
         out = X @ self._X.T
+        if rows is not None and not np.array_equal(rows, np.arange(len(X))):
+            out = out[rows]
+            query_norms = query_norms[rows]
         n_rows, n_train = out.shape
         step = max(1, _BLOCK_ELEMENTS // n_train)
         scratch = np.empty((min(step, n_rows), n_train))

@@ -8,8 +8,10 @@ Fitting decomposes into per-class sufficient statistics (counts, means,
 raw variances, priors, the global variance) that depend only on
 ``(X, y)``, plus a smoothing step that is the only part touched by the
 ``var_smoothing`` hyper-parameter.  The fold-major tuning kernel caches
-the statistics once per CV fold (:class:`_NBFoldWorkspace`) so search
-candidates re-derive nothing but the smoothed variance.
+the statistics, and the validation rows' squared deviations from each
+class mean, once per CV fold (:class:`_NBFoldWorkspace`), so search
+candidates re-derive nothing but the smoothed variance and the terms
+that depend on it.
 """
 
 from __future__ import annotations
@@ -92,15 +94,26 @@ class GaussianNB(Classifier):
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        return self._proba(np.asarray(X, dtype=np.float64))
+
+    def _proba(self, X: np.ndarray, squares: list | None = None) -> np.ndarray:
+        """Class probabilities of ``X``.
+
+        ``squares[cls]``, when given, is ``(X - theta_[cls]) ** 2``
+        computed before — the one likelihood term that does not depend
+        on ``var_`` — and is used in place of computing it here; the
+        rest of the expression is evaluated in the same order either way.
+        """
         joint = np.zeros((len(X), self.n_classes_))
         for cls in range(self.n_classes_):
             if np.isneginf(self.class_log_prior_[cls]):
                 joint[:, cls] = -np.inf
                 continue
-            diff = X - self.theta_[cls]
+            if squares is None:
+                diff = X - self.theta_[cls]
             log_likelihood = -0.5 * np.sum(
-                np.log(2.0 * np.pi * self.var_[cls]) + diff**2 / self.var_[cls],
+                np.log(2.0 * np.pi * self.var_[cls])
+                + (diff**2 if squares is None else squares[cls]) / self.var_[cls],
                 axis=1,
             )
             joint[:, cls] = self.class_log_prior_[cls] + log_likelihood
@@ -117,13 +130,28 @@ class _NBFoldWorkspace(FoldWorkspace):
 
     Every candidate "fit" collapses to :meth:`GaussianNB._apply_statistics`
     — one scalar epsilon, one broadcast add, one floor — instead of a
-    full pass over the fold's rows.
+    full pass over the fold's rows, and every candidate's prediction
+    reuses the validation rows' squared deviations from each class
+    mean, which depend on the fold alone: only the ``var_`` terms are
+    recomputed, in the order ``predict_proba`` computes them.
     """
 
     def __init__(self, X_train, y_train, X_val) -> None:
         X, y, n_classes = check_fit_inputs(X_train, y_train)
         self._stats = _ClassStatistics(X, y, n_classes)
-        self._X_val = X_val
+        self._X_val = np.asarray(X_val, dtype=np.float64)
+        self._squares: list[np.ndarray | None] | None = None
+
+    def prepare(self, models) -> None:
+        # a plain cross-validation scores one candidate, which computes
+        # each class's squares once either way; holding all of them at
+        # once would only raise its peak memory
+        if len(models) > 1 and self._squares is None:
+            self._squares = [
+                (self._X_val - theta) ** 2 if count else None
+                for theta, count in zip(self._stats.theta, self._stats.counts)
+            ]
 
     def predict_val(self, model) -> np.ndarray:
-        return model._apply_statistics(self._stats).predict(self._X_val)
+        proba = model._apply_statistics(self._stats)._proba(self._X_val, self._squares)
+        return np.argmax(proba, axis=1)

@@ -7,8 +7,9 @@ distance expression, its whole-matrix neighbor selection and per-class
 vote, the eager copy-on-``take`` column, the set-based ``drop_rows``,
 the candidate-major cross-validation loop, the allocating
 LogisticRegression loop and row softmax, ZeroER's per-pair blocking
-and featurization loops, the row-major CSV reader and writer, and
-scipy's incomplete-beta Student-t tail.
+and featurization loops, the row-major CSV reader and writer, the
+isolation forest's recursive descent, and scipy's incomplete-beta
+Student-t tail.
 Production has one code path per kernel; the references live here as
 plain functions, and the tests pin each production kernel to its
 oracle bit for bit (the Student-t tail, a different algorithm, to a
@@ -21,6 +22,7 @@ bit-equality in a test, and gate it in a benchmark.
 
 from .encode import transform_reference
 from .io import read_csv_reference, write_csv_reference
+from .isolation import isolation_path_lengths_reference, isolation_score_reference
 from .knn import (
     knn_proba_reference,
     pairwise_sq_distances_reference,
@@ -40,6 +42,8 @@ __all__ = [
     "cross_val_score_reference",
     "drop_rows_reference",
     "gbt_best_split_reference",
+    "isolation_path_lengths_reference",
+    "isolation_score_reference",
     "knn_proba_reference",
     "logistic_fit_reference",
     "pair_features_reference",

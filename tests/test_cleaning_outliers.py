@@ -6,6 +6,10 @@ import pytest
 from repro.cleaning import IsolationForest, OutlierCleaning, OutlierDetector
 from repro.cleaning.isolation_forest import average_path_length
 from repro.table import Table, make_schema
+from tests.oracles import (
+    isolation_path_lengths_reference,
+    isolation_score_reference,
+)
 
 
 def make_table(values, label=None):
@@ -85,6 +89,30 @@ class TestIsolationForest:
         forest = IsolationForest(contamination=0.05, random_state=0).fit(X)
         rate = forest.predict_outliers(X).mean()
         assert rate <= 0.12  # near the contamination level
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_match_the_recursive_descent(self, seed):
+        # flat trees, precomputed leaf path lengths and the level-by-level
+        # descent must give the recursive descent's bytes, tree by tree
+        rng = np.random.default_rng(seed)
+        n_rows, n_features = int(rng.integers(2, 400)), int(rng.integers(1, 6))
+        X = rng.normal(size=(n_rows, n_features))
+        X[rng.random(X.shape) < 0.2] = 0.0  # repeated values: unresolved leaves
+        X[:, 0] = np.round(X[:, 0])
+        forest = IsolationForest(
+            n_estimators=int(rng.integers(1, 40)),
+            max_samples=int(rng.integers(1, 300)),
+            random_state=seed,
+        ).fit(X)
+        query = np.vstack([X, rng.normal(scale=4.0, size=(50, n_features))])
+        query[3] = np.nan  # NaN compares False: every split sends it right
+        for tree in forest._trees:
+            assert tree.path_lengths(query).tobytes() == (
+                isolation_path_lengths_reference(tree, query).tobytes()
+            )
+        assert forest.score(query).tobytes() == (
+            isolation_score_reference(forest, query).tobytes()
+        )
 
     def test_invalid_contamination(self):
         with pytest.raises(ValueError):

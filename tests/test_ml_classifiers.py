@@ -73,6 +73,23 @@ class TestCommonBehaviour:
         assert clone is not model
         assert clone.get_params() == params
 
+    def test_parameter_names_are_read_once_per_class(self, factory, monkeypatch):
+        import inspect
+
+        from repro.ml import base
+
+        base._param_names.cache_clear()
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(
+            inspect, "signature", lambda f: calls.append(f) or signature(f)
+        )
+        model = factory()
+        for _ in range(3):
+            model = model.clone()
+        assert model.get_params() == factory().get_params()
+        assert len(calls) == 1
+
     def test_shape_validation(self, factory):
         model = factory()
         with pytest.raises(ValueError):

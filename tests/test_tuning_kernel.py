@@ -140,6 +140,30 @@ class TestFoldWorkspaces:
             [{"var_smoothing": v} for v in (1e-10, 1e-9, 1e-6, 1e-2)],
         )
 
+    @pytest.mark.parametrize("dataset_name", ("Credit", "Restaurant", "blobs"))
+    def test_naive_bayes_shared_squares_equal_fit(self, dataset_name):
+        # announced candidates share each class's squared deviations;
+        # every candidate must still predict what a plain fit does
+        if dataset_name == "blobs":
+            X, y = make_blobs(n_per_class=30, n_classes=4, seed=6)
+            y = np.where(y == 1, 0, y)  # an empty class: the -inf prior path
+        else:
+            X, y = encoded_dataset(dataset_name)
+        fold = FoldPlanData(X, y, kfold_plan(len(y), 3, seed=5)).folds[1]
+        candidates = [
+            GaussianNB(var_smoothing=v) for v in (1e-11, 1e-9, 1e-5, 1e-2, 0.5)
+        ]
+        workspace = fold.workspace_for(GaussianNB())
+        workspace.prepare(candidates)
+        assert workspace._squares is not None
+        for candidate in candidates:
+            shared = workspace.predict_val(candidate.clone())
+            refit = candidate.clone().fit(fold.X_train, fold.y_train)
+            assert shared.tobytes() == refit.predict(fold.X_val).tobytes()
+            assert candidate.clone()._apply_statistics(workspace._stats)._proba(
+                fold.X_val, workspace._squares
+            ).tobytes() == refit.predict_proba(fold.X_val).tobytes()
+
     def test_naive_bayes_apply_statistics_equals_fit(self):
         X, y = make_blobs(n_per_class=25, n_classes=4, seed=4)
         y = y.copy()
