@@ -357,11 +357,11 @@ if arm == "oracle":
     )
 study = CleanMLStudy(StudyConfig(
     n_splits=2, cv_folds=5, search_iters=5, models=("knn", "naive_bayes"),
-    seed=1, granularity="cell",
+    seed=1,
 ))
 study.add(load_dataset("Credit", seed=1, n_rows=n_rows), OUTLIERS)
 before = resource.getrusage(resource.RUSAGE_SELF)
-study.run(n_jobs=1)
+study.run(n_jobs=1, granularity="cell")
 after = resource.getrusage(resource.RUSAGE_SELF)
 print(json.dumps({
     "minflt": after.ru_minflt - before.ru_minflt,

@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: no deadline)")
     run.add_argument("--max-retries", type=int, default=2,
                      help="retries per failing unit before a cell degrades "
-                          "to its split / a split is quarantined "
+                          "to a split unit of its split's missing cells / "
+                          "a split is quarantined "
                           "(default: 2; retrying never changes results)")
     run.add_argument("--quarantine", action="store_true",
                      help="complete the study with a failure manifest when "

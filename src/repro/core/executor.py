@@ -1,74 +1,72 @@
-"""Parallel study execution — the split-level task graph.
+"""Parallel study execution — every split as a grid of cell units.
 
 The paper's full grid (§IV-A) is thousands of model trainings, but its
 structure is embarrassingly parallel: every random draw in a study
 derives from ``derive_seed(config.seed, dataset, ..., split)``, so one
-split of one (dataset, error-type) block is a pure function of its task
-key.  This module decomposes a study into those tasks, executes them
-across a :class:`~concurrent.futures.ProcessPoolExecutor`, and merges
-the per-task :class:`~repro.core.runner.SplitResult`s deterministically.
+split of one (dataset, error-type) block — and each of its (cleaning
+method, model) cells — is a pure function of its key.  This module
+schedules those cells across a
+:class:`~concurrent.futures.ProcessPoolExecutor` and merges them
+deterministically.
 
 Determinism guarantee
 ---------------------
 ``n_jobs=k`` produces **bit-identical** :class:`RawExperiment`s (and
 hence identical flags, database rows, and persisted JSON) for every
-``k``:
+``k`` and either granularity:
 
-* each task re-derives the same seeds the sequential runner would use —
-  the split index, not the execution order, enters ``derive_seed``;
-* the dirty-side models of a split are trained once *within* its task
-  and shared across cleaning methods, exactly as the sequential runner
-  shares them;
-* the merge sorts results by split index and is keyed by spec tuple, so
-  worker completion order never reaches the output.
+* each cell re-derives the same seeds whichever unit runs it — the
+  split index, not the execution order, enters ``derive_seed``;
+* the state cells share (detector fits, encodings, dirty-side models)
+  is a pure function of the split's key, so a cell computed on a
+  rebuilt workspace equals one computed on a shared workspace;
+* :func:`~repro.core.runner.merge_cell_results` sorts a split's cells
+  by (method, model) and :func:`~repro.core.runner.merge_split_results`
+  sorts splits by index, so worker completion order never reaches the
+  output.
 
 Datasets travel once: the pool initializer broadcasts each pending
 block's ``Dataset`` (plus methods and config) to every worker when the
-pool starts, and per-task submissions carry only the small
-``(dataset, error type, split)`` key — ``n_splits``-fold re-pickling of
-the same tables is gone.
+pool starts, and per-unit submissions carry only the small
+``(dataset, error type, split)`` key and the cells to run.
 
-Two-level scheduling
---------------------
-A split is a grid of (cleaning method, model) cells, computed through a
-:class:`~repro.core.runner.SplitWorkspace` and reduced by
-:func:`~repro.core.runner.merge_cell_results`.  At
-``granularity="split"`` one task runs a whole split's cells in order
-(:meth:`~repro.core.runner.ErrorTypeRun.run_split`); when a study has
-fewer splits than the machine has cores, ``granularity="cell"``
-schedules every cell as its own sub-unit on the same pool.  Dispatch is
-split-affine (:func:`~repro.core.supervisor.next_unit_index`): a worker
-that finishes a cell takes the next cell of the same split, else the
-first split no worker holds, and only when none is left steals from the
-back of the split with the most queued cells.  Each worker shares
-per-split state — detector fits, encodings, dirty-side models — through
-its workspace, and a stolen cell rebuilds the state it is missing
-bit-identically, because every piece is a pure function of the task
-key.  The reducer sorts cells by (method, model) before accumulating,
-so the contract above extends to every ``(n_jobs, granularity)`` pair:
-byte-identical experiments, flags, and persisted JSON.
+Units
+-----
+Every unit is one split plus a tuple of its missing (method index,
+model) cells, run by one worker entry (:func:`_execute_unit`) that
+returns the cells.  At ``granularity="split"`` a ``"split"`` unit
+carries every cell its split lacks and runs them in method order on a
+workspace of its own; when a study has fewer splits than the machine
+has cores, ``granularity="cell"`` makes every cell a ``"cell"`` unit of
+its own.  Dispatch is split-affine
+(:func:`~repro.core.supervisor.next_unit_index`): a worker that
+finishes a cell takes the next cell of the same split, else the first
+split no worker holds, and only when none is left steals from the back
+of the split with the most queued cells.  One drain loop collects the
+cells per split and reduces a split with ``merge_cell_results`` once
+its last cell lands.
 
 Checkpointing
 -------------
-Pass ``checkpoint=<path>`` to record every completed task to a JSONL
-file (:mod:`repro.core.persistence`).  A rerun with the same path skips
-completed task keys and resumes with the remaining splits; resumed
-studies are bit-identical to uninterrupted ones because checkpointed
-floats round-trip exactly through JSON.  Sub-split runs additionally
-record every completed cell, so a crash mid-split resumes from the
-cells already banked rather than re-running the whole split.
+Pass ``checkpoint=<path>`` to record every completed split to a JSONL
+file (:mod:`repro.core.persistence`); the cells of ``"cell"`` units are
+banked there too as they land.  A rerun with the same path skips the
+recorded splits and, at either granularity, runs only the cells the
+ledger lacks; resumed studies are bit-identical to uninterrupted ones
+because checkpointed floats round-trip exactly through JSON.
 
 Fault tolerance
 ---------------
-Every drain loop runs through the :class:`~repro.core.supervisor.
-Supervisor`: per-unit wall-clock deadlines, deterministic
-capped-exponential-backoff retries, ``BrokenProcessPool`` resurrection
-(rebuild the pool, re-run the block broadcast, resubmit only in-flight
-keys), and a granularity fallback chain — a repeatedly failing cell
-degrades to its whole split, and a split that still fails is either
-raised (:class:`~repro.core.supervisor.StudyExecutionError`, the
-default) or — with ``SupervisorConfig(quarantine=True)`` — recorded as
-a format-4 ``failed`` ledger entry and reported through the run's
+Every unit runs through the :class:`~repro.core.supervisor.Supervisor`:
+per-unit wall-clock deadlines, deterministic capped-exponential-backoff
+retries, and ``BrokenProcessPool`` resurrection (rebuild the pool,
+re-run the block broadcast, resubmit only in-flight keys).  A cell that
+exhausts its retries degrades: its split's queued cells are discarded
+and one ``"split"`` unit runs the cells the split still lacks.  A
+``"split"`` unit that exhausts its retries is either raised
+(:class:`~repro.core.supervisor.StudyExecutionError`, the default) or —
+with ``SupervisorConfig(quarantine=True)`` — recorded as a format-4
+``failed`` ledger entry and reported through the run's
 :class:`~repro.core.supervisor.FailureManifest` while the rest of the
 study completes.  Retries and recovery never perturb results: backoff
 jitter derives from structural keys via ``derive_seed``, and a chaos
@@ -86,7 +84,6 @@ from ..cleaning.base import CleaningMethod
 from ..cleaning.registry import methods_for
 from ..datasets.base import Dataset
 from .runner import (
-    GRANULARITIES,
     CellResult,
     ErrorTypeRun,
     RawExperiment,
@@ -106,11 +103,15 @@ from .supervisor import (
     UnitFailure,
 )
 
-#: (dataset name, error type, split index) — the executor's unit of work
+#: scheduling granularities: one unit per split, or one per cell
+GRANULARITIES = ("split", "cell")
+
+#: (dataset name, error type, split index) — one split, the key of a
+#: ``"split"`` unit and of a split's ledger entry
 TaskKey = tuple[str, str, int]
 
-#: (dataset name, error type, split, method index, model) — one cell
-#: sub-unit of a split task at cell granularity
+#: (dataset name, error type, split, method index, model) — one cell,
+#: the key of a ``"cell"`` unit and of a banked cell
 CellKey = tuple[str, str, int, int, str]
 
 
@@ -121,52 +122,6 @@ class StudyBlock:
     dataset: Dataset
     error_type: str
     methods: tuple[CleaningMethod, ...] | None = None
-
-
-@dataclass(frozen=True)
-class SplitTask:
-    """One executable node of the task graph: one split of one block.
-
-    Carries everything needed to execute in isolation, so
-    :func:`execute_task` never depends on parent-process state.  The
-    pool path no longer pickles these to workers whole: each block's
-    dataset is broadcast once per worker through the pool initializer
-    (:func:`_register_blocks`) and only the small :data:`TaskKey`
-    crosses the process boundary per task.
-    """
-
-    dataset: Dataset
-    error_type: str
-    config: StudyConfig
-    methods: tuple[CleaningMethod, ...] | None
-    split: int
-
-    @property
-    def key(self) -> TaskKey:
-        return (self.dataset.name, self.error_type, self.split)
-
-
-def build_task_graph(
-    blocks: list[StudyBlock], config: StudyConfig
-) -> list[SplitTask]:
-    """Decompose queued blocks into one task per split per block."""
-    keys = [(block.dataset.name, block.error_type) for block in blocks]
-    if len(set(keys)) != len(keys):
-        raise ValueError(
-            "duplicate (dataset, error type) blocks cannot share a task "
-            f"graph: {keys}"
-        )
-    return [
-        SplitTask(
-            dataset=block.dataset,
-            error_type=block.error_type,
-            config=config,
-            methods=block.methods,
-            split=split,
-        )
-        for block in blocks
-        for split in range(config.n_splits)
-    ]
 
 
 def _scalar_attrs(obj, depth: int = 2, prefix: str = "") -> list[str]:
@@ -236,40 +191,23 @@ def study_fingerprint(blocks: list[StudyBlock], config: StudyConfig) -> str:
     return "||".join(parts)
 
 
-def execute_task(task: SplitTask) -> tuple[TaskKey, SplitResult]:
-    """Run one self-contained task (no worker registry required).
-
-    The runner deep-copies explicit method lists per split, so a task
-    always fits pristine method objects — in-process and worker-process
-    execution are indistinguishable.
-    """
-    run = ErrorTypeRun(
-        task.dataset,
-        task.error_type,
-        task.config,
-        methods=list(task.methods) if task.methods is not None else None,
-    )
-    return task.key, run.run_split(task.split)
-
-
 # -- worker-side block registry -------------------------------------------
 #
-# Shipping a block's Dataset inside every per-split task re-pickled the
-# same tables n_splits times.  Instead the pool initializer broadcasts
-# each pending block (dataset, methods, config) to every worker exactly
-# once; per-task submissions then carry only the TaskKey.  ErrorTypeRuns
+# Shipping a block's Dataset inside every unit would re-pickle the same
+# tables once per unit.  Instead the pool initializer broadcasts each
+# pending block (dataset, methods, config) to every worker exactly once;
+# unit submissions then carry only the TaskKey and cells.  ErrorTypeRuns
 # are built lazily per block per worker, so per-block setup (label
-# encoding, minority-class scan) is paid once per worker, mirroring the
-# sequential path's one-run-per-block structure.
+# encoding, minority-class scan) is paid once per worker.
 
 #: block key -> (dataset, methods) broadcast by :func:`_register_blocks`
 _WORKER_BLOCKS: dict[tuple[str, str], tuple[Dataset, tuple | None]] = {}
 #: lazily built ErrorTypeRun per registered block
 _WORKER_RUNS: dict[tuple[str, str], ErrorTypeRun] = {}
-#: lazily built SplitWorkspace per (block, split) a worker has touched,
-#: least recently used first; bounded to the most recent few so sub-unit
-#: batches of one split share state while a long study cannot pin every
-#: split's tables at once
+#: lazily built SplitWorkspace per (block, split) a worker's cell units
+#: have touched, least recently used first; bounded to the most recent
+#: few so the cells of one split share state while a long study cannot
+#: pin every split's tables at once
 _WORKER_WORKSPACES: dict[tuple[str, str, int], SplitWorkspace] = {}
 _WORKER_WORKSPACE_CAP = 2
 _WORKER_CONFIG: StudyConfig | None = None
@@ -330,23 +268,17 @@ def _unit_errors(kind: str, key: tuple):
         ) from None
 
 
-def _execute_registered(key: TaskKey) -> tuple[TaskKey, SplitResult]:
-    """Worker entry point: run one split of a broadcast block."""
-    with _unit_errors("split", key):
-        return key, _worker_run((key[0], key[1])).run_split(key[2])
-
-
 def _worker_workspace(key: TaskKey) -> SplitWorkspace:
     """The worker's shared workspace for one split (built on first touch).
 
-    Sub-units of the same split that land on this worker share detector
-    fits, encodings, and dirty-side models through it; units that land
-    elsewhere rebuild the identical state (everything in a workspace is
-    a pure function of the task key), so the cache affects time, never
-    bits.  The registry is least-recently-used: every touch moves the
-    split to the back, and a full registry evicts from the front.  Each
-    workspace holds one cleaning method's state at a time (a cell of
-    another method releases it), so a worker holds at most
+    Cell units of the same split that land on this worker share
+    detector fits, encodings, and dirty-side models through it; units
+    that land elsewhere rebuild the identical state (everything in a
+    workspace is a pure function of the task key), so the cache affects
+    time, never bits.  The registry is least-recently-used: every touch
+    moves the split to the back, and a full registry evicts from the
+    front.  Each workspace holds one cleaning method's state at a time
+    (a cell of another method releases it), so a worker holds at most
     ``_WORKER_WORKSPACE_CAP`` splits' shared state plus one method each.
     """
     workspace = _WORKER_WORKSPACES.pop(key, None)
@@ -361,18 +293,38 @@ def _worker_workspace(key: TaskKey) -> SplitWorkspace:
     return workspace
 
 
-def _execute_cell(
-    key: TaskKey, method_index: int, model: str
-) -> tuple[TaskKey, CellResult]:
-    """Worker entry point: run one (method, model) cell of a split."""
-    with _unit_errors("cell", key + (method_index, model)):
-        return key, _worker_workspace(key).cell(method_index, model)
+def _execute_unit(
+    kind: str, key: TaskKey, cells: tuple[tuple[int, str], ...]
+) -> tuple[TaskKey, list[CellResult]]:
+    """Worker entry point: run the listed (method index, model) cells of a split.
+
+    A ``"cell"`` unit lists one cell and runs it on the worker's
+    registry workspace (:func:`_worker_workspace`), which the split's
+    other cells on this worker share.  A ``"split"`` unit lists every
+    cell its split lacks and runs them in method order on a workspace of
+    its own — the registry's, taken out, if this worker holds the split
+    — which goes when the unit ends, so a worker running split units
+    holds one split's state at a time.
+    """
+    with _unit_errors(kind, key + cells[0] if kind == "cell" else key):
+        if kind == "cell":
+            workspace = _worker_workspace(key)
+        else:
+            workspace = _WORKER_WORKSPACES.pop(key, None) or SplitWorkspace(
+                _worker_run((key[0], key[1])), key[2]
+            )
+        results = [workspace.cell(index, model) for index, model in cells]
+        if kind == "split":
+            # no later unit can hit the detection cache (it keys on this
+            # split's tables): record its peak and release its entries
+            workspace.dcache.clear()
+        return key, results
 
 
 def block_method_names(block: StudyBlock, config: StudyConfig) -> list[str]:
     """The block's cleaning-method names, in split iteration order.
 
-    The parent process needs them to enumerate cell sub-units; method
+    The parent process needs them to enumerate a split's cells; method
     construction is cheap (no fitting) and deterministic, so this
     matches the fresh method lists every split builds.
     """
@@ -391,50 +343,48 @@ def block_method_names(block: StudyBlock, config: StudyConfig) -> list[str]:
 def execute_study(
     blocks: list[StudyBlock],
     config: StudyConfig,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
     checkpoint=None,
     progress=None,
-    granularity: str | None = None,
+    granularity: str = "split",
     supervisor: SupervisorConfig | None = None,
     manifest: FailureManifest | None = None,
 ) -> list[RawExperiment]:
-    """Execute a study's task graph and return merged raw experiments.
+    """Execute a study's units and return merged raw experiments.
 
     Parameters
     ----------
     blocks:
         The study's queued (dataset, error type) blocks.
     config:
-        Study protocol knobs; ``config.n_jobs`` is the default degree of
-        parallelism and ``config.granularity`` the default scheduling
-        granularity.
+        Study protocol knobs.
     n_jobs:
-        Worker processes; overrides ``config.n_jobs`` when given.  Any
-        value yields bit-identical results (see module docstring).
+        Worker processes (1 runs every unit in this process).  Any value
+        yields bit-identical results (see module docstring).
     checkpoint:
-        Optional path of a JSONL task checkpoint.  Completed task keys
-        found there are skipped; every newly completed task is appended.
-        At sub-split granularity every completed *cell* is appended too,
-        so a crash mid-split loses at most the sub-units in flight.
+        Optional path of a JSONL checkpoint.  Splits recorded there are
+        skipped and banked cells are not run again; every newly
+        completed split is appended, and so is every cell a ``"cell"``
+        unit completes, so a crash mid-split loses at most the units in
+        flight.
     progress:
         Optional ``(dataset_name, error_type)`` callback invoked once
-        per block as its tasks start; blocks fully satisfied by the
+        per block with pending splits; blocks fully satisfied by the
         checkpoint are skipped.
     granularity:
-        ``"split"`` (one task per split — the default) or ``"cell"``
-        (one sub-unit per (method, model) cell of each split).
-        Overrides ``config.granularity`` when given.  Cell granularity
-        keeps the whole pool busy when ``n_splits`` is smaller than the
-        worker count; every ``(n_jobs, granularity)`` pair produces
-        byte-identical results because cell seeds derive from
-        structural keys and the cell reducer sorts by (split, method,
+        ``"split"`` (one unit per split — the default) or ``"cell"``
+        (one unit per (method, model) cell of each split).  Cell
+        granularity keeps the whole pool busy when ``n_splits`` is
+        smaller than the worker count; every ``(n_jobs, granularity)``
+        pair produces byte-identical results because cell seeds derive
+        from structural keys and the cell reducer sorts by (method,
         model) before accumulating.
     supervisor:
         Fault-tolerance knobs (:class:`SupervisorConfig`); the default
         retries each failing unit twice with deterministic backoff and
-        raises :class:`StudyExecutionError` when retries are exhausted.
-        With ``quarantine=True`` exhausted units are recorded as
-        format-4 ``failed`` ledger entries instead and their blocks
+        raises :class:`StudyExecutionError` when a split unit exhausts
+        its retries.  With ``quarantine=True`` such splits are recorded
+        as format-4 ``failed`` ledger entries instead and their blocks
         dropped from the merged experiments.
     manifest:
         Optional :class:`FailureManifest` to fill with quarantined
@@ -448,79 +398,136 @@ def execute_study(
         load_checkpoint_state,
     )
 
-    jobs = config.n_jobs if n_jobs is None else n_jobs
-    if jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {jobs}")
-    level = config.granularity if granularity is None else granularity
-    if level not in GRANULARITIES:
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if granularity not in GRANULARITIES:
         raise ValueError(
-            f"granularity must be one of {GRANULARITIES}, got {level!r}"
+            f"granularity must be one of {GRANULARITIES}, got {granularity!r}"
+        )
+    block_keys = [(block.dataset.name, block.error_type) for block in blocks]
+    if len(set(block_keys)) != len(block_keys):
+        raise ValueError(
+            "duplicate (dataset, error type) blocks cannot share a study: "
+            f"{block_keys}"
         )
 
-    tasks = build_task_graph(blocks, config)
     fingerprint = study_fingerprint(blocks, config)
     done: dict[TaskKey, SplitResult] = {}
-    cells_done: dict[CellKey, CellResult] = {}
+    banked: dict[CellKey, CellResult] = {}
     if checkpoint is not None:
-        done, cells_done, _ = load_checkpoint_state(
+        done, banked, _ = load_checkpoint_state(
             checkpoint, fingerprint=fingerprint
         )
 
-    pending = [task for task in tasks if task.key not in done]
-    by_block: dict[tuple[str, str], list[SplitTask]] = {}
-    for task in pending:
-        by_block.setdefault((task.dataset.name, task.error_type), []).append(task)
+    # every block's grid of (method index, model) cells, and the cells
+    # each pending split has collected so far (banked ones included)
+    n_methods = {
+        block_key: len(block_method_names(block, config))
+        for block, block_key in zip(blocks, block_keys)
+    }
+    grids = {
+        block_key: [
+            (index, model)
+            for index in range(count)
+            for model in config.models
+        ]
+        for block_key, count in n_methods.items()
+    }
+    collected: dict[TaskKey, dict[tuple[int, str], CellResult]] = {}
+    for block_key in block_keys:
+        for split in range(config.n_splits):
+            key = block_key + (split,)
+            if key not in done:
+                collected[key] = {
+                    spec: banked[key + spec]
+                    for spec in grids[block_key]
+                    if key + spec in banked
+                }
 
-    def announce(block: StudyBlock) -> bool:
-        """Fire progress for a block with work; skip fully resumed ones."""
-        block_tasks = by_block.get((block.dataset.name, block.error_type))
-        if not block_tasks:
-            return False
-        if progress is not None:
-            progress(block.dataset.name, block.error_type)
-        return True
+    def lacking(key: TaskKey) -> list[tuple[int, str]]:
+        return [spec for spec in grids[key[:2]] if spec not in collected[key]]
 
-    def record(key: TaskKey, result: SplitResult) -> None:
+    def finish(key: TaskKey) -> None:
+        """Reduce a split whose cells are all collected and record it."""
+        cells = list(collected.pop(key).values())
+        result = merge_cell_results(
+            key[1], config.models, key[2], n_methods[key[:2]], cells
+        )
         done[key] = result
         if checkpoint is not None:
             append_checkpoint(checkpoint, key, result, fingerprint=fingerprint)
-
-    def record_cell(key: TaskKey, cell: CellResult) -> None:
-        cells_done[key + (cell.method_index, cell.model)] = cell
-        if checkpoint is not None:
-            append_cell_checkpoint(checkpoint, key, cell, fingerprint=fingerprint)
 
     sup_config = supervisor if supervisor is not None else SupervisorConfig()
     if manifest is None:
         manifest = FailureManifest()
     quarantined: set[TaskKey] = set()
 
-    def quarantine_split(task_key: TaskKey, failure: UnitFailure) -> None:
+    def quarantine(key: TaskKey, failure: UnitFailure) -> None:
         """Terminal failure of one split: quarantine it or abort."""
         if not sup_config.quarantine:
             raise StudyExecutionError(failure)
         manifest.failures.append(failure)
         manifest.count("quarantined")
-        quarantined.add(task_key)
+        quarantined.add(key)
+        collected.pop(key, None)
         if checkpoint is not None:
             append_failed_checkpoint(checkpoint, failure, fingerprint=fingerprint)
 
+    pending_blocks = {key[:2] for key in collected}
     # The chaos plan (if any) must also be active in the parent: torn
     # ledger appends happen here, and so do in-process units at jobs=1.
     if sup_config.fault_plan is not None:
         faults.install_plan(sup_config.fault_plan)
     try:
-        if level == "split":
-            effective_jobs = 1 if (jobs == 1 or len(pending) <= 1) else jobs
-            _run_splits_supervised(
-                blocks, config, by_block, announce, record,
-                effective_jobs, sup_config, manifest, quarantine_split,
-            )
-        else:
-            _run_sub_split(
-                blocks, config, by_block, announce, record, record_cell,
-                cells_done, jobs, sup_config, manifest, quarantine_split,
-            )
+        if progress is not None:
+            for block_key in block_keys:
+                if block_key in pending_blocks:
+                    progress(*block_key)
+        units: list[tuple[str, TaskKey, tuple[tuple[int, str], ...]]] = []
+        for key in list(collected):
+            missing = lacking(key)
+            if not missing:
+                finish(key)  # every cell banked, or a split without methods
+            elif granularity == "split":
+                units.append(("split", key, tuple(missing)))
+            else:
+                units.extend(("cell", key, (spec,)) for spec in missing)
+        # a pool pays for itself only when there is more than one unit
+        jobs = n_jobs if len(units) > 1 else 1
+        with _supervised(
+            jobs, blocks, pending_blocks, config, sup_config, manifest
+        ) as sup:
+            for kind, key, cells in units:
+                unit_key = key + cells[0] if kind == "cell" else key
+                sup.submit(kind, unit_key, _execute_unit, (kind, key, cells))
+            # record in completion order; reduce each split the moment
+            # its last cell lands
+            degraded: set[TaskKey] = set()
+            for status, unit, outcome in sup.drain():
+                key = unit.key[:3]
+                if status == "ok":
+                    for cell in outcome[1]:
+                        if unit.kind == "cell" and checkpoint is not None:
+                            append_cell_checkpoint(
+                                checkpoint, key, cell, fingerprint=fingerprint
+                            )
+                        if key in collected:
+                            collected[key][(cell.method_index, cell.model)] = cell
+                    if key in collected and not lacking(key):
+                        finish(key)
+                elif unit.kind == "split":
+                    quarantine(key, outcome)
+                elif key not in degraded:
+                    # the cell exhausted its retries: drop its split's
+                    # queued cells and run what the split still lacks
+                    # (in-flight cells included) as one split unit
+                    degraded.add(key)
+                    manifest.count("degraded_cells")
+                    sup.discard(
+                        lambda u, key=key: u.kind == "cell" and u.key[:3] == key
+                    )
+                    missing = tuple(lacking(key))
+                    sup.submit("split", key, _execute_unit, ("split", key, missing))
     except KeyboardInterrupt:
         # The supervisor's context manager has already cancelled pending
         # futures and torn the pool down; ledger appends are
@@ -539,26 +546,14 @@ def execute_study(
             faults.clear_plan()
 
     experiments: list[RawExperiment] = []
-    for block in blocks:
-        block_key = (block.dataset.name, block.error_type)
+    for block_key in block_keys:
         keys = [block_key + (split,) for split in range(config.n_splits)]
         if any(key in quarantined for key in keys):
             manifest.dropped_blocks.append(block_key)
             continue
         results = [done[key] for key in keys]
-        experiments.extend(
-            merge_split_results(block.dataset.name, block.error_type, results)
-        )
+        experiments.extend(merge_split_results(*block_key, results))
     return experiments
-
-
-def _broadcast_payload(blocks, by_block) -> list[tuple]:
-    """What the pool initializer ships: every block with pending work."""
-    return [
-        (block.dataset, block.error_type, block.methods)
-        for block in blocks
-        if by_block.get((block.dataset.name, block.error_type))
-    ]
 
 
 def _clear_worker_state() -> None:
@@ -571,16 +566,20 @@ def _clear_worker_state() -> None:
 
 
 @contextmanager
-def _supervised(jobs, blocks, by_block, config, sup_config, manifest):
+def _supervised(jobs, blocks, pending_blocks, config, sup_config, manifest):
     """A :class:`Supervisor` over the pending blocks' broadcast payload.
 
-    At ``jobs == 1`` the supervisor runs units inline in the parent, so
-    the block registry is installed here (and cleared afterwards) the
-    way the pool initializer installs it in workers — one lazily built
-    ``ErrorTypeRun`` per block, exactly the sequential path's
-    one-run-per-block structure.
+    The payload is every block with pending splits.  At ``jobs == 1``
+    the supervisor runs units inline in the parent, so the block
+    registry is installed here (and cleared afterwards) the way the pool
+    initializer installs it in workers — one lazily built
+    ``ErrorTypeRun`` per block.
     """
-    payload = _broadcast_payload(blocks, by_block)
+    payload = [
+        (block.dataset, block.error_type, block.methods)
+        for block in blocks
+        if (block.dataset.name, block.error_type) in pending_blocks
+    ]
     if jobs == 1:
         _register_blocks(payload, config)
     try:
@@ -589,154 +588,3 @@ def _supervised(jobs, blocks, by_block, config, sup_config, manifest):
     finally:
         if jobs == 1:
             _clear_worker_state()
-
-
-def _run_splits_supervised(
-    blocks, config, by_block, announce, record, jobs, sup_config, manifest,
-    quarantine_split,
-) -> None:
-    """Split-level path: one supervised unit per pending split.
-
-    With ``jobs > 1`` blocks are broadcast once through the pool
-    initializer and only task keys cross the process boundary; with
-    ``jobs == 1`` the same units run inline.  Either way the supervisor
-    owns retries/timeouts/resurrection, and a split that exhausts its
-    retries is quarantined or aborts the study via
-    ``quarantine_split``.  Results are checkpointed in completion order
-    so an interrupt loses at most the units in flight.
-    """
-    with _supervised(jobs, blocks, by_block, config, sup_config, manifest) as sup:
-        for block in blocks:
-            if not announce(block):
-                continue
-            block_tasks = by_block[(block.dataset.name, block.error_type)]
-            for task in sorted(block_tasks, key=lambda t: t.split):
-                sup.submit("split", task.key, _execute_registered, (task.key,))
-        for status, unit, outcome in sup.drain():
-            if status == "ok":
-                record(*outcome)
-            else:
-                quarantine_split(unit.key, outcome)
-
-
-def _run_sub_split(
-    blocks,
-    config,
-    by_block,
-    announce,
-    record,
-    record_cell,
-    cells_done,
-    jobs,
-    sup_config,
-    manifest,
-    quarantine_split,
-) -> None:
-    """Two-level path: decompose splits into (method, model) cell units.
-
-    Cells are dispatched across the supervised pool with split affinity
-    (see the module docstring), then each split is reassembled by
-    :func:`~repro.core.runner.merge_cell_results`, which sorts by
-    (method, model) so completion order never reaches the output; the
-    split-level merge then sorts by split exactly as before.
-    At ``jobs == 1`` the same units run inline through the supervisor.
-
-    Failure degradation runs up the hierarchy: a cell that exhausts its
-    retries degrades its whole split to one split-level unit (its queued
-    sibling cells are discarded; completed siblings stay banked in the
-    ledger).  Only a split-level unit that still fails reaches
-    ``quarantine_split``.
-    """
-    n_methods: dict[tuple[str, str], int] = {
-        (block.dataset.name, block.error_type): len(
-            block_method_names(block, config)
-        )
-        for block in blocks
-    }
-
-    # enumerate pending cells per split; splits whose cells are already
-    # all in the ledger (or that have no cells at all) reduce immediately
-    pending_cells: dict[TaskKey, list[tuple[int, str]]] = {}
-    collected: dict[TaskKey, dict[tuple[int, str], CellResult]] = {}
-
-    def finish_split(key: TaskKey) -> None:
-        record(
-            key,
-            merge_cell_results(
-                key[1],
-                config.models,
-                key[2],
-                n_methods[key[:2]],
-                list(collected[key].values()),
-            ),
-        )
-
-    for block in blocks:
-        for task in by_block.get(
-            (block.dataset.name, block.error_type), []
-        ):
-            specs = [
-                (index, model)
-                for index in range(n_methods[task.key[:2]])
-                for model in config.models
-            ]
-            have = {
-                spec: cells_done[task.key + spec]
-                for spec in specs
-                if task.key + spec in cells_done
-            }
-            collected[task.key] = have
-            remaining = [spec for spec in specs if spec not in have]
-            if remaining:
-                pending_cells[task.key] = remaining
-
-    for block in blocks:
-        announce(block)
-
-    for key in list(collected):
-        if key not in pending_cells:
-            finish_split(key)
-
-    with _supervised(jobs, blocks, by_block, config, sup_config, manifest) as sup:
-        cell_total: dict[TaskKey, int] = {}
-        for key, specs in pending_cells.items():
-            cell_total[key] = len(collected[key]) + len(specs)
-            for index, model in specs:
-                sup.submit(
-                    "cell", key + (index, model), _execute_cell, (key, index, model)
-                )
-
-        # record in completion order; reduce each split the moment its
-        # last cell lands
-        degraded: set[TaskKey] = set()
-        for status, unit, outcome in sup.drain():
-            if status == "ok":
-                if unit.kind == "cell":
-                    key, cell = outcome
-                    record_cell(key, cell)
-                    collected[key][(cell.method_index, cell.model)] = cell
-                    if (
-                        key not in degraded
-                        and len(collected[key]) == cell_total[key]
-                    ):
-                        finish_split(key)
-                else:
-                    record(*outcome)
-            elif unit.kind == "cell":
-                task_key = unit.key[:3]
-                if task_key in degraded:
-                    continue  # sibling of an already-degraded split
-                if sup_config.degrade:
-                    degraded.add(task_key)
-                    manifest.count("degraded_cells")
-                    sup.discard(
-                        lambda u, tk=task_key: u.kind == "cell"
-                        and u.key[:3] == tk
-                    )
-                    sup.submit(
-                        "split", task_key, _execute_registered, (task_key,)
-                    )
-                else:
-                    quarantine_split(task_key, outcome)
-            else:
-                quarantine_split(unit.key[:3], outcome)

@@ -7,16 +7,17 @@ cannot checkpoint is a study you will re-run.  Two formats live here:
   single JSON document, so the statistics pass (t-tests + FDR) can be
   replayed under different procedures without re-training anything, and
   results from separate runs can be merged into one database.
-* **Checkpoints** — the executor's task ledger as append-only JSONL:
-  a header line followed by one line per completed
-  (dataset, error type, split) task, interleaved (at sub-split
-  granularity) with one line per completed (method, model) cell
-  sub-unit, and — since format 4 — one ``failed`` line per unit the
-  supervisor quarantined after exhausting its retries.  Appends are
-  crash-safe by construction (a torn final line is dropped on load),
-  rewrites never happen, and ledgers written by separate processes
-  merge by key.  Floats round-trip exactly through JSON, so a resumed
-  study is bit-identical to an uninterrupted one.
+* **Checkpoints** — the executor's ledger as append-only JSONL: a
+  header line followed by one line per completed (dataset, error type,
+  split), interleaved (at cell granularity) with one line per
+  (method, model) cell a ``"cell"`` unit completed, and — since format
+  4 — one ``failed`` line per split the supervisor quarantined after
+  exhausting its retries.  A resume at either granularity skips the
+  recorded splits and runs only the cells the ledger lacks.  Appends
+  are crash-safe by construction (a torn final line is dropped on
+  load), rewrites never happen, and ledgers written by separate
+  processes merge by key.  Floats round-trip exactly through JSON, so
+  a resumed study is bit-identical to an uninterrupted one.
 
 ``FORMAT_VERSION`` is 4 since quarantine ``failed`` entries landed (the
 fault-tolerant supervisor); results files and ledgers of any other
@@ -339,8 +340,8 @@ def append_cell_checkpoint(
     ``key`` is the owning split's (dataset, error type, split) task key;
     the cell's (method index, model) completes the sub-unit identity.
     Cell entries interleave freely with split entries in one ledger —
-    the two-level executor appends each cell as it lands and the
-    reassembled split when its last cell does.
+    the executor appends each cell a ``"cell"`` unit completes as it
+    lands and the reassembled split when its last cell does.
     """
     _append_entry(
         path,

@@ -21,21 +21,20 @@ allow.
 
 Splits are independent — every random draw is seeded by
 :func:`derive_seed` on inputs that include the split index but never
-any cross-split state — so :meth:`ErrorTypeRun.run_split` doubles as
-the task body of the parallel executor (:mod:`repro.core.executor`),
-and :func:`merge_split_results` reassembles per-split results into the
-exact sequential output regardless of completion order.  Within a split
-the pass is a grid of (method, model) cells: a :class:`SplitWorkspace`
-computes each :class:`CellResult` and :func:`merge_cell_results`
-reduces them, whether the split runs as one unit or its cells are
-scheduled one by one.
+any cross-split state.  Within a split the pass is a grid of (method,
+model) cells: a :class:`SplitWorkspace` computes each
+:class:`CellResult`, the parallel executor (:mod:`repro.core.executor`)
+runs them as units of one or many cells, :func:`merge_cell_results`
+reduces a split's cells, and :func:`merge_split_results` reassembles
+per-split results into the same output regardless of completion
+order.
 
 The same purity carries the fault-tolerance contract
 (:mod:`repro.core.supervisor`): because a task body reads nothing but
 its structural key and the broadcast study definition, the supervisor
 may run it **any number of times** — retry after an exception, re-run
-after a pool kill or worker crash, re-execute a whole split after a
-cell degrades — and the surviving execution is indistinguishable from
+after a pool kill or worker crash, re-run a split's missing cells after
+a cell degrades — and the surviving execution is indistinguishable from
 a first-try success.  Task bodies must stay free of hidden mutable
 state (module globals written during a run, cross-unit caches keyed by
 anything but structural identity) or retries would stop being safe.
@@ -57,10 +56,12 @@ and this module eliminates it without changing a single bit of output:
   table), and R2/R3 are composed from the R1 pairs without evaluating
   again (:func:`merge_cell_results`);
 * an evaluation predicts only the test rows cleaning changed — a
-  model keeps an *anchor* prediction of one same-shape table of the
-  split (the raw test set for the dirty model, the cleaned test set
-  for a clean model under CD), and each other table of that row count
-  copies it and recomputes the rows whose encoded bits differ
+  model that can predict a subset of rows (KNN overrides
+  :meth:`~repro.ml.base.Classifier.predict_proba_rows`) keeps an
+  *anchor* prediction of one same-shape table of the split (the raw
+  test set for the dirty model, the cleaned test set for a clean model
+  under CD), and each other table of that row count copies it and
+  recomputes the rows whose encoded bits differ
   (:meth:`TrainedModel.evaluate`); a same-shape prediction rounds
   every row on its own, so the result is the whole prediction's;
 * hyper-parameter tuning iterates **fold-major** — each CV fold's
@@ -112,15 +113,12 @@ import numpy as np
 from ..cleaning.base import MISSING_VALUES, CleaningMethod, DetectionCache
 from ..cleaning.registry import dirty_baseline, methods_for
 from ..datasets.base import Dataset
+from ..ml.base import Classifier
 from ..ml.model_selection import RandomSearch, cross_val_score, score_predictions
 from ..ml.registry import MODEL_NAMES, make_model, search_space
 from ..table import FeatureEncoder, LabelEncoder, Table, train_test_split
 from ..table.ops import minority_class
 from .schema import MetricPair, Scenario
-
-
-#: scheduling granularities of the two-level executor
-GRANULARITIES = ("split", "cell")
 
 
 def _freeze_overrides(overrides):
@@ -164,15 +162,15 @@ class StudyConfig:
 
     Defaults follow the paper (20 splits, 70/30, alpha 0.05, BY, 5-fold
     CV); benchmarks shrink ``n_splits`` / ``cv_folds`` / the model pool
-    to stay laptop-scale, which EXPERIMENTS.md documents.
+    to stay laptop-scale.
 
     Configs are fully immutable and hashable: ``model_overrides`` may be
     passed as a plain dict but is frozen into sorted ``(model, params)``
     tuples on construction, so configs participate in equality and can
-    key executor task tables.  ``n_jobs`` controls how many worker
-    processes :meth:`~repro.core.study.CleanMLStudy.run` uses; it never
-    affects results (the executor guarantees bit-identical output for
-    any job count), so it is excluded from equality.
+    key executor task tables.  How a study is scheduled (worker count,
+    granularity) is not part of its protocol: those are arguments of
+    :meth:`~repro.core.study.CleanMLStudy.run`, since they never change
+    a bit of the results.
     """
 
     n_splits: int = 20
@@ -184,14 +182,6 @@ class StudyConfig:
     models: tuple[str, ...] = MODEL_NAMES
     include_advanced_cleaning: bool = True
     seed: int = 0
-    #: worker processes for study execution (1 = in-process sequential)
-    n_jobs: int = field(default=1, compare=False)
-    #: scheduling granularity of the two-level executor — "split" (one
-    #: task per split) or "cell" (one sub-unit per (method, model) cell
-    #: of each split).  Like ``n_jobs`` it never affects results (every
-    #: (n_jobs, granularity) pair is bit-identical), so it is excluded
-    #: from equality and the checkpoint fingerprint.
-    granularity: str = field(default="split", compare=False)
     #: per-model constructor overrides, e.g. {"random_forest":
     #: {"n_estimators": 10}} — the lever benchmarks use to stay fast;
     #: frozen to sorted ``(model, params_json)`` tuples in
@@ -203,11 +193,6 @@ class StudyConfig:
         object.__setattr__(
             self, "model_overrides", _freeze_overrides(self.model_overrides)
         )
-        if self.granularity not in GRANULARITIES:
-            raise ValueError(
-                f"granularity must be one of {GRANULARITIES}, "
-                f"got {self.granularity!r}"
-            )
 
     def fingerprint(self) -> str:
         """Stable identifier of every field that shapes per-split results.
@@ -217,7 +202,7 @@ class StudyConfig:
         reusing stale tasks.  ``n_splits`` is excluded on purpose — a
         split's result depends only on its index, so extending a study
         from 8 to 20 splits legitimately reuses the first 8 — as are
-        ``n_jobs`` and the statistics-pass knobs (``alpha``,
+        the statistics-pass knobs (``alpha``,
         ``fdr_procedure``), which never touch the raw experiments.
         """
         return "|".join(
@@ -267,11 +252,12 @@ class RawExperiment:
 class SplitResult:
     """All metric pairs one split of one (dataset, error-type) block yields.
 
-    The unit of work of the parallel executor: splits are independent by
+    What :func:`merge_cell_results` reduces a split's cells to and a
+    checkpoint ledger records per split: splits are independent by
     construction (every seed derives from the split index), so a study
     decomposes into one :class:`SplitResult` per split per block.  Each
     relation maps its spec key — the same tuples
-    :meth:`ErrorTypeRun.accumulate` uses — to the list of
+    :func:`merge_split_results` accumulates — to the list of
     :class:`MetricPair`s this split contributes (one per method that
     produces the key: usually a single pair, several when distinct
     methods share a (detection, repair) label):
@@ -280,9 +266,7 @@ class SplitResult:
     * ``r2`` keyed ``(detection, repair, scenario)``;
     * ``r3`` keyed ``(scenario,)``.
 
-    Instances are plain data (picklable) so worker processes can return
-    them across the :class:`~concurrent.futures.ProcessPoolExecutor`
-    boundary and checkpoints can serialize them.
+    Instances are plain data so checkpoints can serialize them.
     """
 
     split: int
@@ -509,7 +493,9 @@ class TrainedModel:
         differ (:meth:`~repro.ml.base.Classifier.predict_proba_rows`),
         which equals predicting all of ``test`` bit for bit because a
         same-shape prediction rounds each row on its own.  A ``test``
-        of another row count is predicted whole.
+        of another row count is predicted whole, and so is every table
+        of a model that keeps the default ``predict_proba_rows``, which
+        recomputes every row: an anchor would only add a prediction.
         """
         X, y = self._encoded.encode(test)
         proba = self._predict_proba(test, X, anchor)
@@ -519,7 +505,12 @@ class TrainedModel:
     def _predict_proba(
         self, test: Table, X: np.ndarray, anchor: Table | None
     ) -> np.ndarray:
-        if anchor is None or anchor.n_rows != test.n_rows:
+        if (
+            anchor is None
+            or anchor.n_rows != test.n_rows
+            or type(self.model).predict_proba_rows
+            is Classifier.predict_proba_rows
+        ):
             return self.model.predict_proba(X)
         # the anchor's encoding is read from the split's shared cache
         # every time, never held here: a discarded encoding is not pinned
@@ -564,7 +555,12 @@ def scenarios_for(error_type: str) -> tuple[Scenario, ...]:
 
 
 class ErrorTypeRun:
-    """One dataset x one error type: fills R1/R2/R3 accumulators."""
+    """One dataset x one error type: what every split of the block shares.
+
+    Holds the label encoding, the metric and its positive class, and
+    builds each split's fresh cleaning methods and trained models; the
+    splits themselves run as cells of a :class:`SplitWorkspace`.
+    """
 
     def __init__(
         self,
@@ -593,65 +589,6 @@ class ErrorTypeRun:
             )
         else:
             self.positive = None
-        # accumulators: spec key -> list of MetricPair
-        self._r1: dict[tuple, list[MetricPair]] = {}
-        self._r2: dict[tuple, list[MetricPair]] = {}
-        self._r3: dict[tuple, list[MetricPair]] = {}
-
-    # -- public API ----------------------------------------------------------
-
-    def run(self) -> list[RawExperiment]:
-        """Execute all splits sequentially and return the raw experiments."""
-        for split in range(self.config.n_splits):
-            self.accumulate(self.run_split(split))
-        return self.collect()
-
-    def run_split(self, split: int) -> SplitResult:
-        """Execute one split and return its metric pairs (no mutation).
-
-        This is the parallel executor's task body: every random draw is
-        seeded by :func:`derive_seed` on ``(config.seed, dataset, ...,
-        split)``, so the result is a pure function of the split index and
-        identical whether splits run in-process, out of order, or in
-        separate worker processes.
-
-        The split runs every (method, model) cell through one
-        :class:`SplitWorkspace` — the same cells the cell-granularity
-        executor schedules one by one — and reduces them with
-        :func:`merge_cell_results`, so both granularities share a single
-        per-split code path.  The workspace holds one method's state at a
-        time (a cell of the next method releases the previous one's), so
-        peak memory is one method's footprint, not the whole split's.
-        """
-        workspace = SplitWorkspace(self, split)
-        n_methods = len(workspace.methods())
-        cells = [
-            workspace.cell(index, name)
-            for index in range(n_methods)
-            for name in self.config.models
-        ]
-        # no later cell can hit the detection cache (it keys on this
-        # split's tables): record its peak and release its entries
-        workspace.dcache.clear()
-        return merge_cell_results(
-            self.error_type, self.config.models, split, n_methods, cells
-        )
-
-    def accumulate(self, result: SplitResult) -> None:
-        """Merge one split's pairs into the R1/R2/R3 accumulators.
-
-        Results must be accumulated in ascending split order so the
-        pair tuples (and hence t-tests and persisted JSON) match the
-        sequential run exactly; :func:`merge_split_results` sorts for
-        callers that receive results out of order.
-        """
-        _accumulate_split(self._r1, self._r2, self._r3, result)
-
-    def collect(self) -> list[RawExperiment]:
-        """Raw experiments from everything accumulated so far."""
-        return collect_experiments(
-            self.dataset.name, self.error_type, self._r1, self._r2, self._r3
-        )
 
     # -- internals ------------------------------------------------------------
 
@@ -722,9 +659,9 @@ class SplitWorkspace:
     """Per-(block, split) state shared by the cells of one split.
 
     Every granularity runs a split as (method, model) cells through a
-    workspace: :meth:`ErrorTypeRun.run_split` walks all of a split's
-    cells through one workspace, and the cell-granularity executor
-    schedules them as independent tasks.  A cell needs the split's 70/30
+    workspace: a split unit walks all the cells its split lacks through
+    one workspace, and cell units run them one by one on per-worker
+    workspaces (:mod:`repro.core.executor`).  A cell needs the split's 70/30
     partition, the baseline transform, detector fits, shared encodings,
     and the dirty-side model of its model name; all of those are pure
     functions of ``(dataset, error type, config, split)``, so this
@@ -905,7 +842,7 @@ def merge_cell_results(
     * **R2** composes each method's pair from R1 ingredients — the best
       dirty model's before-score and the best clean model's after-score
       are exactly the floats those models' R1 cells recorded (this is the
-      identity the sequential runner's evaluation memo exploits);
+      identity the split's evaluation memo exploits);
     * **R3** selects among R2 pairs by the recorded ``clean_val_score``,
       first-strictly-better in method order.
 
@@ -1011,23 +948,6 @@ def merge_cell_results(
     return SplitResult(split=split, r1=r1, r2=r2, r3=r3)
 
 
-def _accumulate_split(
-    r1: dict[tuple, list[MetricPair]],
-    r2: dict[tuple, list[MetricPair]],
-    r3: dict[tuple, list[MetricPair]],
-    result: SplitResult,
-) -> None:
-    """Extend the accumulators with one split's pairs.
-
-    The single accumulation routine both the sequential runner and the
-    parallel merge use — sharing it is what keeps their pair ordering
-    (and hence the bit-identity guarantee) from silently diverging.
-    """
-    for target, source in ((r1, result.r1), (r2, result.r2), (r3, result.r3)):
-        for key, pairs in source.items():
-            target.setdefault(key, []).extend(pairs)
-
-
 def collect_experiments(
     dataset: str,
     error_type: str,
@@ -1039,8 +959,7 @@ def collect_experiments(
 
     Experiment order follows accumulator insertion order, which — when
     splits are accumulated in ascending order — is the method/model
-    iteration order of split 0, i.e. exactly the sequential runner's
-    output order.
+    iteration order of split 0.
     """
     out: list[RawExperiment] = []
     for (detection, repair, model, scenario), pairs in r1.items():
@@ -1093,7 +1012,7 @@ def merge_split_results(
     Results may arrive in any order (parallel workers complete
     nondeterministically); sorting by split index before accumulation
     makes the merge a pure function of the result *set*, so the output
-    is bit-identical to the sequential runner's.
+    is bit-identical whatever the schedule.
     """
     ordered = sorted(results, key=lambda result: result.split)
     seen = [result.split for result in ordered]
@@ -1106,5 +1025,9 @@ def merge_split_results(
     r2: dict[tuple, list[MetricPair]] = {}
     r3: dict[tuple, list[MetricPair]] = {}
     for result in ordered:
-        _accumulate_split(r1, r2, r3, result)
+        for target, source in (
+            (r1, result.r1), (r2, result.r2), (r3, result.r3)
+        ):
+            for key, pairs in source.items():
+                target.setdefault(key, []).extend(pairs)
     return collect_experiments(dataset, error_type, r1, r2, r3)

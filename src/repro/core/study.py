@@ -75,9 +75,9 @@ class CleanMLStudy:
     def run(
         self,
         progress=None,
-        n_jobs: int | None = None,
+        n_jobs: int = 1,
         checkpoint=None,
-        granularity: str | None = None,
+        granularity: str = "split",
         supervisor: SupervisorConfig | None = None,
     ) -> CleanMLDatabase:
         """Execute all queued blocks and return the populated database.
@@ -85,28 +85,28 @@ class CleanMLStudy:
         ``progress`` is an optional callback ``(dataset_name, error_type)``
         invoked before each block — benchmarks use it for logging.
 
-        ``n_jobs`` sets the number of worker processes (default:
-        ``config.n_jobs``); any value produces bit-identical results —
-        the executor decomposes blocks into per-split tasks whose seeds
-        depend only on the split index, and merges them in split order
-        (see :mod:`repro.core.executor`).
+        ``n_jobs`` sets the number of worker processes (default 1, in
+        this process); any value produces bit-identical results — every
+        seed depends only on the split index and the cell, and the
+        executor merges cells and splits in a fixed order (see
+        :mod:`repro.core.executor`).
 
-        ``granularity`` sets the scheduling granularity (default:
-        ``config.granularity``): ``"split"`` runs one task per split;
-        ``"cell"`` schedules each split's (cleaning method, model) cells
-        as sub-units — the lever that keeps every worker busy when a
-        study has fewer splits than the machine has cores.  Like
-        ``n_jobs``, the choice never changes a single bit of the
-        results.
+        ``granularity`` sets the scheduling granularity: ``"split"``
+        (the default) runs one unit per split; ``"cell"`` runs each
+        split's (cleaning method, model) cells as units of their own —
+        the lever that keeps every worker busy when a study has fewer
+        splits than the machine has cores.  Like ``n_jobs``, the choice
+        never changes a single bit of the results.
 
-        ``checkpoint`` is an optional path of a task ledger: completed
-        (dataset, error type, split) tasks recorded there are skipped,
-        and every task this run completes is appended, so interrupted
-        studies resume where they stopped.
+        ``checkpoint`` is an optional path of a ledger: completed
+        (dataset, error type, split) entries recorded there are skipped,
+        banked cells are not run again, and every split this run
+        completes is appended, so interrupted studies resume where they
+        stopped.
 
         ``supervisor`` configures fault tolerance
         (:class:`~repro.core.supervisor.SupervisorConfig`): per-unit
-        timeouts, deterministic retries, cell → split degradation, and —
+        timeouts, deterministic retries, and —
         with ``quarantine=True`` — completion with a failure manifest
         (:attr:`failure_manifest`) instead of an aborted study when a
         unit keeps failing.  Recovery never changes results: a run that

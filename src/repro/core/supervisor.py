@@ -1,9 +1,9 @@
-"""Fault-tolerant execution supervisor for the study task graph.
+"""Fault-tolerant execution supervisor for a study's units.
 
-Every granularity of study work — split tasks and (method, model)
-cells — flows through one :class:`Supervisor` that owns
-submission and draining for the process pool.  Where the executor's
-drain loops used to call ``future.result()`` bare (one worker
+Every unit of study work — a split's missing (method, model) cells,
+as one ``"split"`` unit or one ``"cell"`` unit per cell — flows through
+one :class:`Supervisor` that owns submission and draining for the
+process pool.  Where the executor's drain loops used to call ``future.result()`` bare (one worker
 exception, hang, or dead process killed the whole study), the
 supervisor provides:
 
@@ -30,16 +30,13 @@ supervisor provides:
   succeed on resubmission, a real poison unit still exhausts retries);
 * **failure events, not exceptions** — a unit that exhausts
   ``max_retries`` surfaces as a ``("failed", unit, UnitFailure)`` drain
-  event.  The executor decides what that means: degrade a cell to its
-  split, quarantine the split into the ledger's failure manifest, or
-  abort the study.
+  event.  The executor decides what that means: degrade a cell to a
+  split unit of the cells its split lacks, quarantine the split into
+  the ledger's failure manifest, or abort the study.
 
-The same supervisor runs degenerate single-process studies
-(``jobs == 1``): units execute inline in the parent with the same
-retry/backoff/failure accounting, no pool involved — which is also the
-single-host half of the multi-host coordinator the ROADMAP plans, since
-a remote shard is just another drain loop over the same unit/ledger
-vocabulary.
+The same supervisor runs single-process studies (``jobs == 1``): units
+execute inline in the parent with the same retry/backoff/failure
+accounting, no pool involved.
 """
 
 from __future__ import annotations
@@ -92,10 +89,10 @@ class SupervisorConfig:
     disables deadlines).  A unit failure is retried up to
     ``max_retries`` times with delay ``min(cap, base * 2**attempt)``
     scaled by a jitter factor in ``[0.5, 1.0]`` derived from the unit's
-    structural key — deterministic, and irrelevant to results.
-    ``degrade`` enables the granularity fallback (a failing cell → the
-    whole split re-runs as one unit); ``quarantine`` lets a split that
-    still fails be recorded in the ledger's failure manifest instead of
+    structural key — deterministic, and irrelevant to results.  A cell
+    that exhausts its retries always degrades to one split unit of the
+    cells its split lacks; ``quarantine`` lets a split unit that still
+    fails be recorded in the ledger's failure manifest instead of
     aborting the study.  ``fault_plan`` installs a chaos schedule in
     every worker (and the parent, for torn ledger appends).
     """
@@ -104,7 +101,6 @@ class SupervisorConfig:
     max_retries: int = 2
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    degrade: bool = True
     quarantine: bool = False
     fault_plan: FaultPlan | None = None
 

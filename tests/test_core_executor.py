@@ -19,17 +19,21 @@ from repro.cleaning import (
 )
 from repro.core import (
     CleanMLStudy,
+    ErrorTypeRun,
     SplitResult,
+    SplitWorkspace,
     StudyBlock,
     StudyConfig,
-    build_task_graph,
+    block_method_names,
     execute_study,
-    execute_task,
+    merge_cell_results,
     merge_split_results,
     save_experiments,
     study_fingerprint,
 )
+from repro.core import executor
 from repro.core.runner import derive_seed
+from repro.core.supervisor import Supervisor
 from repro.datasets import load_dataset
 
 FAST = StudyConfig(
@@ -51,6 +55,43 @@ def make_study(config=FAST):
         methods=[ImputationCleaning("mean", "mode")],
     )
     return study
+
+
+def block_cells(block, config=FAST):
+    """Every (method index, model) cell of one block's splits, in order."""
+    n_methods = len(block_method_names(block, config))
+    return tuple(
+        (index, model) for index in range(n_methods) for model in config.models
+    )
+
+
+def split_results(study, config=FAST):
+    """Each split of the study, run by the worker entry and reduced.
+
+    Every split runs as one ``"split"`` unit of all its cells on a
+    registered block, as a worker would run it, and its cells reduce
+    through ``merge_cell_results`` as the executor reduces them.
+    """
+    blocks = study._queue
+    executor._register_blocks(
+        [(block.dataset, block.error_type, block.methods) for block in blocks],
+        config,
+    )
+    try:
+        results = {}
+        for block in blocks:
+            cells = block_cells(block, config)
+            for split in range(config.n_splits):
+                key = (block.dataset.name, block.error_type, split)
+                got_key, found = executor._execute_unit("split", key, cells)
+                assert got_key == key
+                results[key] = merge_cell_results(
+                    block.error_type, config.models, split,
+                    len(cells) // len(config.models), found,
+                )
+        return results
+    finally:
+        executor._clear_worker_state()
 
 
 @pytest.fixture(scope="module")
@@ -83,28 +124,34 @@ class TestParallelDeterminism:
             save_experiments(study.raw_experiments, path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_config_n_jobs_is_honored(self):
-        study = make_study(StudyConfig(
-            n_splits=2, cv_folds=2, models=("naive_bayes",), seed=7, n_jobs=2,
-        ))
-        reference = make_study(StudyConfig(
-            n_splits=2, cv_folds=2, models=("naive_bayes",), seed=7,
-        ))
-        study.run()
-        reference.run()
-        assert study.raw_experiments == reference.raw_experiments
-
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
             make_study().run(n_jobs=0)
 
 
 class TestTaskGraph:
-    def test_one_task_per_block_per_split(self):
-        study = make_study()
-        tasks = build_task_graph(study._queue, FAST)
-        assert len(tasks) == 2 * FAST.n_splits
-        assert len({task.key for task in tasks}) == len(tasks)
+    def test_one_task_per_block_per_split(self, monkeypatch):
+        config = StudyConfig(
+            n_splits=2, cv_folds=2, models=("naive_bayes",), seed=7
+        )
+        submitted = []
+        submit = Supervisor.submit
+
+        def spy(self, kind, key, func, args):
+            submitted.append((kind, key, args))
+            return submit(self, kind, key, func, args)
+
+        monkeypatch.setattr(Supervisor, "submit", spy)
+        study = make_study(config)
+        study.run(n_jobs=1, granularity="split")
+        assert len(submitted) == 2 * config.n_splits
+        assert len({key for _, key, _ in submitted}) == len(submitted)
+        # each split unit carries every cell of its split, in method order
+        for (kind, key, args), block in zip(
+            submitted, [b for b in study._queue for _ in range(config.n_splits)]
+        ):
+            assert kind == "split"
+            assert args == ("split", key, block_cells(block, config))
 
     def test_rejects_duplicate_blocks(self):
         dataset = load_dataset("Sensor", seed=0, n_rows=150)
@@ -112,23 +159,39 @@ class TestTaskGraph:
             StudyBlock(dataset=dataset, error_type=OUTLIERS),
             StudyBlock(dataset=dataset, error_type=OUTLIERS),
         ]
-        with pytest.raises(ValueError):
-            build_task_graph(blocks, FAST)
+        with pytest.raises(ValueError, match="duplicate"):
+            execute_study(blocks, FAST)
 
     def test_task_is_pure_function_of_key(self):
         study = make_study()
-        task = build_task_graph(study._queue, FAST)[0]
-        key_a, result_a = execute_task(task)
-        key_b, result_b = execute_task(task)
-        assert key_a == key_b and result_a == result_b
+        block = study._queue[0]
+        key = (block.dataset.name, block.error_type, 0)
+        cells = block_cells(block)
+        executor._register_blocks(
+            [(block.dataset, block.error_type, block.methods)], FAST
+        )
+        try:
+            first = executor._execute_unit("split", key, cells)
+            second = executor._execute_unit("split", key, cells)
+        finally:
+            executor._clear_worker_state()
+        assert first == second
+        # a split unit leaves no workspace in the worker's registry
+        assert executor._WORKER_WORKSPACES == {}
+        fresh = SplitWorkspace(ErrorTypeRun(
+            block.dataset, block.error_type, FAST, methods=list(block.methods)
+        ), 0)
+        assert first[1] == [fresh.cell(index, model) for index, model in cells]
 
 
 class TestOrderIndependentMerge:
     def test_shuffled_results_merge_identically(self, sequential):
         study = make_study()
-        tasks = build_task_graph(study._queue, FAST)
-        block_tasks = [t for t in tasks if t.dataset.name == "Sensor"]
-        results = [execute_task(t)[1] for t in block_tasks]
+        results = [
+            result
+            for key, result in split_results(study).items()
+            if key[0] == "Sensor"
+        ]
         forward = merge_split_results("Sensor", OUTLIERS, results)
         backward = merge_split_results("Sensor", OUTLIERS, results[::-1])
         assert forward == backward
@@ -150,13 +213,13 @@ class TestCheckpointResume:
     def test_resume_from_partial_checkpoint(self, sequential, tmp_path):
         ledger = tmp_path / "ledger.jsonl"
         study = make_study()
-        tasks = build_task_graph(study._queue, FAST)
-        # simulate an interrupted run: only half the tasks completed
+        results = list(split_results(study).items())
+        # simulate an interrupted run: only half the splits completed
         from repro.core import append_checkpoint
 
         fingerprint = study_fingerprint(study._queue, FAST)
-        for task in tasks[: len(tasks) // 2]:
-            append_checkpoint(ledger, *execute_task(task), fingerprint=fingerprint)
+        for key, result in results[: len(results) // 2]:
+            append_checkpoint(ledger, key, result, fingerprint=fingerprint)
         resumed = make_study()
         resumed.run(n_jobs=1, checkpoint=ledger)
         assert resumed.raw_experiments == sequential[0].raw_experiments
@@ -354,7 +417,10 @@ class TestStudyConfigFreeze:
         assert a == b and hash(a) == hash(b)
 
     def test_n_jobs_never_affects_equality(self):
-        assert StudyConfig(n_jobs=1) == StudyConfig(n_jobs=8)
+        # the worker count is an argument of the run, not a config field,
+        # so no two configs can differ by it
+        with pytest.raises(TypeError):
+            StudyConfig(n_jobs=8)
 
     def test_replace_refreeze_is_idempotent(self):
         from dataclasses import replace
@@ -465,8 +531,8 @@ class TestCellCheckpoints:
         assert again.raw_experiments == reference
 
     def test_cell_ledger_resumes_at_other_granularities(self, tmp_path):
-        """A partial cell ledger resumes at either granularity (a split
-        resume re-runs the unfinished split whole)."""
+        """A partial cell ledger resumes at either granularity (either
+        resume runs only the cells the ledger lacks)."""
         reference = self.reference_experiments()
         ledger = tmp_path / "ledger.jsonl"
         study = self.make_cell_study()
@@ -477,6 +543,33 @@ class TestCellCheckpoints:
             resumed = self.make_cell_study()
             resumed.run(n_jobs=1, granularity=granularity, checkpoint=ledger)
             assert resumed.raw_experiments == reference
+
+    @pytest.mark.parametrize("granularity", ["cell", "split"])
+    def test_resume_computes_only_missing_cells(
+        self, tmp_path, monkeypatch, granularity
+    ):
+        """Three of split 0's four cells banked: 1 + 4 cells run, not 8."""
+        ledger = tmp_path / "ledger.jsonl"
+        study = self.make_cell_study()
+        study.run(n_jobs=1, granularity="cell", checkpoint=ledger)
+        lines = ledger.read_text().splitlines(keepends=True)
+        assert all('"cell"' in line for line in lines[1:4])
+        ledger.write_text("".join(lines[:4]))  # header + three cells
+
+        computed = []
+        cell = SplitWorkspace.cell
+
+        def spy(workspace, index, model):
+            computed.append((workspace.split, index, model))
+            return cell(workspace, index, model)
+
+        monkeypatch.setattr(SplitWorkspace, "cell", spy)
+        resumed = self.make_cell_study()
+        resumed.run(n_jobs=1, granularity=granularity, checkpoint=ledger)
+        assert len(computed) == 5
+        assert sorted(split for split, _, _ in computed) == [0, 1, 1, 1, 1]
+        monkeypatch.undo()
+        assert resumed.raw_experiments == self.reference_experiments()
 
     def test_cell_entries_round_trip_merge_checkpoints(self, tmp_path):
         """Sub-unit entries survive append -> load -> merge across ledgers."""

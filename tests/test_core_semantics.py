@@ -10,7 +10,7 @@ import pytest
 
 from repro.cleaning import CleaningMethod
 from repro.core import (
-    ErrorTypeRun,
+    CleanMLStudy,
     Scenario,
     StudyConfig,
     derive_seed,
@@ -68,10 +68,10 @@ class TestScenarioSemantics:
         config = StudyConfig(
             n_splits=3, cv_folds=2, models=("knn",), seed=0
         )
-        run = ErrorTypeRun(
-            dataset, "mislabels", config, methods=[FlipLabelCleaning()]
-        )
-        raw = run.run()
+        study = CleanMLStudy(config)
+        study.add(dataset, "mislabels", methods=[FlipLabelCleaning()])
+        study.run()
+        raw = study.raw_experiments
         return {
             (e.level, e.scenario): e for e in raw
         }

@@ -14,7 +14,6 @@ whole-split path releases each method's state before the next, and pin
 the worker workspace registry's LRU eviction and build counter.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -67,7 +66,7 @@ BLOCKS = (
 
 #: arm -> (config, blocks, sha256 of the persisted JSON).  The digests
 #: were recorded with the dedicated whole-split runner that preceded
-#: ``run_split``'s rebuild on ``SplitWorkspace``, so a change that moves a
+#: the split's rebuild on ``SplitWorkspace`` cells, so a change that moves a
 #: byte fails even when split and cell drift together.  Beyond the plain
 #: blocks the arms cover methods sharing a (detection, repair) label,
 #: BD-only missing values, row-dropping duplicates, searched cells, and a
@@ -141,21 +140,14 @@ class TestDeterminismMatrix:
         produced = persisted_bytes(study, tmp_path, arm)
         assert hashlib.sha256(produced).hexdigest() == digest
 
-    def test_config_granularity_is_honored(self, reference):
-        study = make_study(dataclasses.replace(FAST, granularity="cell"))
-        study.run(n_jobs=2)
-        assert study.raw_experiments == reference[1]
-
     def test_granularity_never_affects_equality_or_fingerprint(self):
-        cell = StudyConfig(granularity="cell")
-        split = StudyConfig(granularity="split")
-        assert cell == split
-        assert cell.fingerprint() == split.fingerprint()
+        # the granularity is an argument of the run, not a config field,
+        # so it can reach neither equality nor the checkpoint fingerprint
+        with pytest.raises(TypeError):
+            StudyConfig(granularity="cell")
 
     def test_invalid_granularity_rejected(self):
         for name in ("block", "fold"):  # the fold granularity was removed
-            with pytest.raises(ValueError, match=r"\('split', 'cell'\)"):
-                StudyConfig(granularity=name)
             with pytest.raises(ValueError, match=r"\('split', 'cell'\)"):
                 make_study().run(n_jobs=1, granularity=name)
 
@@ -307,7 +299,7 @@ class TestSplitEviction:
     """A ``SplitWorkspace`` holds one method's state at a time.
 
     ``SplitWorkspace.cell`` releases every other method before it runs,
-    so split units (``run_split`` walks the cells in method order) and
+    so split units (the worker entry walks the cells in method order) and
     cell units (any order, on per-worker workspaces) alike peak at one
     method's footprint: no method data, cleaned test table, or clean
     model of another method survives, nor its cleaned test table in the
@@ -347,7 +339,21 @@ class TestSplitEviction:
 
         monkeypatch.setattr(SplitWorkspace, "release", release)
         monkeypatch.setattr(SplitWorkspace, "cell", cell)
-        run.run_split(0)
+        executor._register_blocks(
+            [(run.dataset, run.error_type, tuple(run._methods))], FAST
+        )
+        try:
+            executor._execute_unit(
+                "split",
+                (run.dataset.name, run.error_type, 0),
+                tuple(
+                    (index, model)
+                    for index in range(n_methods)
+                    for model in FAST.models
+                ),
+            )
+        finally:
+            executor._clear_worker_state()
         # every method but the last is released by the next one's first
         # cell; the last one's state goes with the workspace
         assert len(finished) == n_methods - 1

@@ -219,8 +219,12 @@ class TestCheckpointFormat:
             ledger, ("EEG", "outliers", 0), make_split_result(0),
             fingerprint=written.fingerprint(),
         )
-        extended = StudyConfig(models=("knn",), n_splits=20, n_jobs=4)
+        extended = StudyConfig(models=("knn",), n_splits=20)
         assert load_checkpoint(ledger, fingerprint=extended.fingerprint())
+        # the worker count is an argument of the run, not a config
+        # field, so it cannot reach the fingerprint at all
+        with pytest.raises(TypeError):
+            StudyConfig(models=("knn",), n_jobs=4)
 
     def test_unstamped_ledger_loads_without_fingerprint_check(self, tmp_path):
         ledger = tmp_path / "ledger.jsonl"

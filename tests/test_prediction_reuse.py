@@ -244,3 +244,47 @@ class TestEvaluateThroughAnchors:
             shorter
         )
         assert predicted_rows and all(n == total for n, total in predicted_rows)
+
+
+class TestWholePredictionWithoutRowOverride:
+    """A model on the default ``predict_proba_rows`` predicts each table once.
+
+    The default recomputes every row, so an anchor prediction would
+    only add a whole prediction per model and split: naive Bayes (like
+    every model but KNN) predicts each evaluated table whole instead.
+    """
+
+    def test_one_naive_bayes_prediction_per_evaluated_table(self, monkeypatch):
+        from repro.core.runner import TrainedModel
+
+        dataset = load_dataset("Credit", seed=3, n_rows=300)
+        config = StudyConfig(
+            n_splits=1, cv_folds=3, models=("naive_bayes",), seed=3
+        )
+        workspace = SplitWorkspace(ErrorTypeRun(dataset, OUTLIERS, config), 0)
+        evaluated = []  # rows of every table an evaluation scored
+        predictions = []  # rows of each prediction, per evaluation
+        evaluate = TrainedModel.evaluate
+        predict_proba = GaussianNB.predict_proba
+
+        def evaluate_spy(model, test, anchor=None):
+            evaluated.append(test.n_rows)
+            predictions.append([])
+            try:
+                return evaluate(model, test, anchor)
+            finally:
+                evaluated.append(None)  # closes the evaluation
+
+        def predict_spy(model, X):
+            # cross validation predicts too, outside any evaluation
+            if evaluated and evaluated[-1] is not None:
+                predictions[-1].append(len(X))
+            return predict_proba(model, X)
+
+        monkeypatch.setattr(TrainedModel, "evaluate", evaluate_spy)
+        monkeypatch.setattr(GaussianNB, "predict_proba", predict_spy)
+        for index in range(len(workspace.methods())):
+            workspace.cell(index, "naive_bayes")
+        rows = [n for n in evaluated if n is not None]
+        assert rows
+        assert predictions == [[n] for n in rows]

@@ -18,13 +18,15 @@ from repro.cleaning import (
     ImputationCleaning,
     OutlierCleaning,
 )
-from repro.core import CleanMLStudy, EncodedTable, StudyConfig
-from repro.core.executor import (
-    _execute_registered,
-    _register_blocks,
-    build_task_graph,
-    execute_task,
+from repro.core import (
+    CleanMLStudy,
+    EncodedTable,
+    ErrorTypeRun,
+    SplitWorkspace,
+    StudyConfig,
+    block_method_names,
 )
+from repro.core.executor import _execute_unit, _register_blocks
 from repro.datasets import load_dataset
 from repro.datasets.registry import DATASET_NAMES
 from repro.ml import kfold_plan
@@ -188,18 +190,34 @@ class TestFoldPlanMemo:
 
 class TestBlockBroadcast:
     def test_registered_execution_matches_self_contained_task(self):
+        """The worker entry on broadcast blocks == a self-contained split.
+
+        The self-contained arm builds its own run and workspace from the
+        block, with no worker registry involved.
+        """
         study = make_study()
-        tasks = build_task_graph(study._queue, FAST)
         payload = [
             (block.dataset, block.error_type, block.methods)
             for block in study._queue
         ]
         _register_blocks(payload, FAST)
         try:
-            for task in tasks:
-                key, registered = _execute_registered(task.key)
-                expected_key, expected = execute_task(task)
-                assert key == expected_key
-                assert registered == expected
+            for block in study._queue:
+                n_methods = len(block_method_names(block, FAST))
+                cells = tuple(
+                    (index, model)
+                    for index in range(n_methods)
+                    for model in FAST.models
+                )
+                run = ErrorTypeRun(
+                    block.dataset, block.error_type, FAST,
+                    methods=list(block.methods),
+                )
+                for split in range(FAST.n_splits):
+                    key = (block.dataset.name, block.error_type, split)
+                    registered = _execute_unit("split", key, cells)
+                    workspace = SplitWorkspace(run, split)
+                    expected = [workspace.cell(*cell) for cell in cells]
+                    assert registered == (key, expected)
         finally:
             _register_blocks([], FAST)

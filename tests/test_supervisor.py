@@ -26,7 +26,7 @@ from repro.core import (
     merge_checkpoints,
     save_experiments,
 )
-from repro.core.runner import SplitResult
+from repro.core.runner import SplitResult, SplitWorkspace
 from repro.core.supervisor import Supervisor, next_unit_index
 from repro.datasets import load_dataset
 
@@ -141,7 +141,6 @@ class TestRetries:
                 supervisor=SupervisorConfig(
                     max_retries=1,
                     backoff_base=0.0,
-                    degrade=False,
                     fault_plan=FaultPlan(poison=poison),
                 )
             )
@@ -202,6 +201,43 @@ class TestDegradation:
         assert produced == reference["fast"]
         assert manifest.stats["degraded_cells"] == 1
         assert not manifest.failures  # the split-level re-run succeeded
+
+    def test_degraded_split_runs_only_the_cells_it_lacks(
+        self, tmp_path, reference, monkeypatch
+    ):
+        """The poisoned cell is the only one its split unit computes.
+
+        In process the other seven cells complete before the poisoned
+        cell's retry fails, so the degraded split lacks just that cell:
+        the grid's eight cells are each computed once.
+        """
+        poison = (("cell", "Sensor", "outliers", 0, 0, "logistic_regression"),)
+        computed = []
+        cell = SplitWorkspace.cell
+
+        def spy(workspace, index, model):
+            computed.append((workspace.split, index, model))
+            return cell(workspace, index, model)
+
+        monkeypatch.setattr(SplitWorkspace, "cell", spy)
+        ledger = tmp_path / "ledger.jsonl"
+        produced, manifest = run_study(
+            tmp_path / "out.json",
+            n_jobs=1,
+            granularity="cell",
+            checkpoint=ledger,
+            supervisor=SupervisorConfig(
+                max_retries=1, backoff_base=0.0,
+                fault_plan=FaultPlan(poison=poison),
+            ),
+        )
+        assert produced == reference["fast"]
+        assert manifest.stats["degraded_cells"] == 1
+        assert len(computed) == len(set(computed)) == 8
+        # the ledger banks the seven cell units' cells, not the split
+        # unit's, and both splits
+        done, cells, _ = load_checkpoint_state(ledger)
+        assert len(done) == 2 and len(cells) == 7
 
 
 class TestQuarantine:
