@@ -49,14 +49,14 @@ def run_study():
             strict_train = strict.transform(raw_train)
             strict_test = strict.transform(raw_test)
             model = context.train(strict_train, "logistic_regression", "s", split)
-            strict_scores.append(model.evaluate(strict_test))
+            strict_scores.append(model.evaluate(*model.encode(strict_test)))
 
             leaky = method_type(*args)
             leaky.fit(dataset.dirty)  # statistics see the test split too
             leaky_train = leaky.transform(raw_train)
             leaky_test = leaky.transform(raw_test)
             model = context.train(leaky_train, "logistic_regression", "l", split)
-            leaky_scores.append(model.evaluate(leaky_test))
+            leaky_scores.append(model.evaluate(*model.encode(leaky_test)))
         outcomes[name] = (
             float(np.mean(strict_scores)),
             float(np.mean(leaky_scores)),

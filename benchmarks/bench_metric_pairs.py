@@ -38,8 +38,8 @@ def run_examples() -> str:
         clean_test = method.transform(raw_test)
         dirty_lr = context.train(raw_train, "logistic_regression", "s1d", split)
         clean_lr = context.train(clean_train, "logistic_regression", "s1c", split)
-        b_row.append(dirty_lr.evaluate(clean_test))
-        d_row.append(clean_lr.evaluate(clean_test))
+        b_row.append(dirty_lr.evaluate(*dirty_lr.encode(clean_test)))
+        d_row.append(clean_lr.evaluate(*clean_lr.encode(clean_test)))
     lines.append("Table 7/10 (s1: EEG, outliers, IQR/Mean, LR, BD)")
     lines.append("split  " + "  ".join(f"{i + 1:>6}" for i in range(len(b_row))))
     lines.append("B      " + "  ".join(f"{v:6.3f}" for v in b_row))
@@ -58,12 +58,12 @@ def run_examples() -> str:
     lines.append(
         f"best on dirty train: {best_dirty.model_name} "
         f"(val {best_dirty.val_score:.3f}) -> B = "
-        f"{best_dirty.evaluate(clean_test):.3f}"
+        f"{best_dirty.evaluate(*best_dirty.encode(clean_test)):.3f}"
     )
     lines.append(
         f"best on clean train: {best_clean.model_name} "
         f"(val {best_clean.val_score:.3f}) -> D = "
-        f"{best_clean.evaluate(clean_test):.3f}"
+        f"{best_clean.evaluate(*best_clean.encode(clean_test)):.3f}"
     )
 
     # Table 9: s3 = cleaning-method selection on top (one split shown)

@@ -89,7 +89,7 @@ def run_scaling(job_counts=JOB_COUNTS) -> dict:
         "study": "Sensor x outliers, 8 splits, 4 models, 3 methods",
         "cpu_count": cores,
         "cpu_dispatch": cpu_dispatch(),
-        "kernel": "split-execution kernel (shared encoding + evaluation memo)",
+        "kernel": "split-execution kernel (shared encoding + one method record per split)",
         "sequential_baseline_seconds": round(sequential, 3),
         "wall_time_seconds": {str(jobs): round(t, 3) for jobs, t in timings.items()},
         "results_bit_identical": True,

@@ -473,26 +473,28 @@ def time_prediction_reuse(n_rows: int, repeats: int) -> dict:
     config = StudyConfig(n_splits=1, cv_folds=5, models=("knn",), seed=3)
     run = ErrorTypeRun(load_dataset("Credit", seed=3, n_rows=n_rows), OUTLIERS, config)
     workspace = SplitWorkspace(run, 0)
-    raw_test = workspace.raw_test
-    tests = [workspace.clean_test(i) for i in range(len(workspace.methods()))]
-    encoded = [(test, workspace.dirty_source.encode(test)[0]) for test in tests]
-    X_raw = workspace.dirty_source.encode(raw_test)[0]
-    same_shape = [(test, X) for test, X in encoded if len(X) == len(X_raw)]
+    X_raw = workspace.raw_dirty
+    encoded = []  # each method record's cleaned test set, dirty-encoded
+    for index in range(len(workspace.methods())):
+        record = workspace.record(index)
+        workspace._encode_test(record)
+        encoded.append(record.X_dirty)
+    same_shape = [X for X in encoded if len(X) == len(X_raw)]
     changed_rows = sum(
         int((X.view(np.uint64) != X_raw.view(np.uint64)).any(axis=1).sum())
-        for _, X in same_shape
+        for X in same_shape
     )
     whole_seconds = anchored_seconds = float("inf")
     identical = True
-    model = run._train(workspace.dirty_source, "knn", "dirty", 0)
+    model = workspace.dirty_model("knn")
     for _ in range(repeats):
         start = time.perf_counter()
-        whole = [model.model.predict_proba(X) for _, X in encoded]
+        whole = [model.model.predict_proba(X) for X in encoded]
         whole_seconds = min(whole_seconds, time.perf_counter() - start)
 
         model._anchor = None  # the anchor is made inside the timed arm
         start = time.perf_counter()
-        anchored = [model._predict_proba(test, X, raw_test) for test, X in encoded]
+        anchored = [model._predict_proba(X, X_raw) for X in encoded]
         anchored_seconds = min(anchored_seconds, time.perf_counter() - start)
         identical = identical and all(
             a.tobytes() == b.tobytes() for a, b in zip(whole, anchored)
@@ -500,14 +502,14 @@ def time_prediction_reuse(n_rows: int, repeats: int) -> dict:
     n_other = len(encoded) - len(same_shape)
     return {
         "split": (
-            f"Credit x outliers, {n_rows} rows: {len(tests)} cleaned test sets "
+            f"Credit x outliers, {n_rows} rows: {len(encoded)} cleaned test sets "
             f"of {len(X_raw)} rows ({len(same_shape)} of the raw test's shape)"
         ),
         "selected_rows": {
-            "whole": sum(len(X) for _, X in encoded),
+            "whole": sum(len(X) for X in encoded),
             "anchored": len(X_raw)
             + changed_rows
-            + sum(len(X) for _, X in encoded if len(X) != len(X_raw)),
+            + sum(len(X) for X in encoded if len(X) != len(X_raw)),
         },
         "other_shape_tables": n_other,
         "whole_seconds": round(whole_seconds, 4),

@@ -69,8 +69,7 @@ def _priority_order(
     # train a probe model on the auto-cleaned data to score rows
     probe_train = fallback.transform(train)
     probe = context.train(probe_train, "logistic_regression", f"probe:{policy}", split)
-    X = probe.encoder.transform(probe_train.features_table())
-    y = context.labeler.transform(probe_train.labels)
+    X, y = probe.encode(probe_train)
     proba = probe.model.predict_proba(X)
 
     if policy == "loss":
@@ -144,7 +143,8 @@ def run_effort_study(
                 trained = context.train(
                     train, model, f"effort:{policy}:{budget}", split
                 )
-                curves[policy][b].append(trained.evaluate(clean_test))
+                score = trained.evaluate(*trained.encode(clean_test))
+                curves[policy][b].append(score)
 
     return [
         EffortCurve(

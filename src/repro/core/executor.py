@@ -277,8 +277,8 @@ def _worker_workspace(key: TaskKey) -> SplitWorkspace:
     workspace is a pure function of the task key), so the cache affects
     time, never bits.  The registry is least-recently-used: every touch
     moves the split to the back, and a full registry evicts from the
-    front.  Each workspace holds one cleaning method's state at a time
-    (a cell of another method releases it), so a worker holds at most
+    front.  Each workspace holds one cleaning method's record at a time
+    (a cell of another method replaces it), so a worker holds at most
     ``_WORKER_WORKSPACE_CAP`` splits' shared state plus one method each.
     """
     workspace = _WORKER_WORKSPACES.pop(key, None)

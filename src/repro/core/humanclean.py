@@ -90,8 +90,10 @@ def run_human_study(
         human_model = context.best_model(human_train, "human", split)
         pairs.append(
             MetricPair(
-                before=automatic.model.evaluate(human_test),
-                after=human_model.evaluate(human_test),
+                before=automatic.model.evaluate(
+                    *automatic.model.encode(human_test)
+                ),
+                after=human_model.evaluate(*human_model.encode(human_test)),
             )
         )
 

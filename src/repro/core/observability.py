@@ -111,17 +111,12 @@ METRIC_CLASSES = {
     # one per SplitWorkspace a cell unit's worker builds: the number of
     # workers each split's cells reached, plus LRU re-builds
     "executor.workspace_builds": SCHEDULE_DEPENDENT,
-    "runner.eval_cache.hits": SCHEDULE_DEPENDENT,
-    "runner.eval_cache.misses": SCHEDULE_DEPENDENT,
-    "runner.eval_memo.peak_entries": SCHEDULE_DEPENDENT,
-    "runner.label_cache.hits": SCHEDULE_DEPENDENT,
-    "runner.label_cache.misses": SCHEDULE_DEPENDENT,
     "tuning.fold_workspace.builds": SCHEDULE_DEPENDENT,
     "tuning.fold_workspace.candidate_predicts": SCHEDULE_DEPENDENT,
     "tuning.fold_workspace.reuses": SCHEDULE_DEPENDENT,
-    # every evaluation-memo key is one cell's (model, table) pair
-    "runner.eval_memo.hits": SCHEDULE_INVARIANT,
-    "runner.eval_memo.misses": SCHEDULE_INVARIANT,
+    # one per SplitWorkspace.cell: the study's cells, whichever worker
+    # ran them
+    "runner.cells": SCHEDULE_INVARIANT,
     # supervisor ledger, counted in the parent: one event per poisoned
     # unit or hung attempt; retries and resurrections depend on the
     # schedule because one pool kill takes down every crashing unit in

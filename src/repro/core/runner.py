@@ -47,20 +47,23 @@ and this module eliminates it without changing a single bit of output:
 * each training table is encoded **once** into an :class:`EncodedTable`
   shared by every model fitted on it (the encoder is a pure function of
   the training table, so per-model re-fits were redundant);
-* every evaluation table is encoded **once per training encoder** (the
-  :class:`EncodedTable` memoizes test encodings by table identity);
-* every ``(model, table)`` evaluation is scored **once** — an
-  :class:`_EvalMemo` caches the metric, so CD's repeated
-  ``clean_model.evaluate(clean_test)`` reuses the prediction BD already
-  computed (``evaluate`` is a pure function of the fitted model and the
-  table), and R2/R3 are composed from the R1 pairs without evaluating
-  again (:func:`merge_cell_results`);
-* an evaluation predicts only the test rows cleaning changed — a
-  model that can predict a subset of rows (KNN overrides
-  :meth:`~repro.ml.base.Classifier.predict_proba_rows`) keeps an
-  *anchor* prediction of one same-shape table of the split (the raw
-  test set for the dirty model, the cleaned test set for a clean model
-  under CD), and each other table of that row count copies it and
+* a :class:`SplitWorkspace` holds one :class:`MethodRecord` at a time —
+  the cleaning method its cells run, with that method's encoded cleaned
+  training table, its cleaned test table encoded once under the dirty
+  and once under the clean encoder, the raw test set's clean encoding
+  (CD only) and the clean models trained so far — and a cell computes
+  its three scores straight from it: case B (dirty model, cleaned test
+  set), case D (clean model, cleaned test set; the after-score of both
+  the BD and the CD pair) and case C (clean model, raw test set; CD
+  only).  R2/R3 are composed from the R1 pairs without evaluating again
+  (:func:`merge_cell_results`);
+* an evaluation predicts only the test rows cleaning changed — each
+  model keeps its prediction of one *anchor* matrix of the split (the
+  raw test set's dirty encoding for a dirty model, its cleaned test
+  set's encoding for a clean one), so a table it scores twice is
+  predicted once, and a model that can predict a subset of rows (KNN
+  overrides :meth:`~repro.ml.base.Classifier.predict_proba_rows`)
+  copies the anchor's prediction for a table of the same row count and
   recomputes the rows whose encoded bits differ
   (:meth:`TrainedModel.evaluate`); a same-shape prediction rounds
   every row on its own, so the result is the whole prediction's;
@@ -77,8 +80,7 @@ and this module eliminates it without changing a single bit of output:
   and memoizes detections per ``(fitted detector, table identity)``,
   so the SD / IQR / isolation-forest thresholds, ZeroER mixture and
   missing-cell masks are shared by every repair variant that consumes
-  them (e.g. outliers: 3 detector fits instead of 12).  The
-  correctness argument mirrors the evaluation memo's: detectors are
+  them (e.g. outliers: 3 detector fits instead of 12).  Detectors are
   pure functions of the training table (equal fingerprints ⇒
   interchangeable fits), detections are pure functions of ``(fitted
   detector, table)``, every cache entry pins its key objects alive so
@@ -107,6 +109,7 @@ import json
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -311,7 +314,7 @@ class CellResult:
 
 
 #: metrics hook, push-installed by :func:`repro.core.observability.install`
-#: (``None`` keeps the instrumented cache paths at one global load + test)
+#: (``None`` keeps the instrumented path at one global load + test)
 _metrics = None
 
 
@@ -322,105 +325,34 @@ class EncodedTable:
     table, so fitting it per model (as the pre-kernel runner did) only
     repeated identical work: one ``EncodedTable`` per training table
     gives every model the same ``(X, y)`` bits the per-model fits
-    produced.  Evaluation tables are likewise deterministic under a
-    fitted encoder, so :meth:`encode` memoizes them by table identity —
-    the entries hold strong references, which both keeps the cache
-    alive for the split and guarantees ``id()`` keys cannot be reused
-    by the allocator while cached.
+    produced.  :meth:`encode` applies the fitted encoder to an
+    evaluation table; it keeps nothing, so whoever scores a table more
+    than once holds its encoding (see :class:`MethodRecord`).
     """
 
-    def __init__(
-        self,
-        train: Table,
-        labeler: LabelEncoder,
-        label_cache: dict | None = None,
-    ) -> None:
-        self.table = train
+    def __init__(self, train: Table, labeler: LabelEncoder) -> None:
         self.labeler = labeler
         features = train.features_table()
         self.encoder = FeatureEncoder().fit(features)
         self.X = self.encoder.transform(features)
         self.y = labeler.transform(train.labels)
-        self._eval_cache: dict[int, tuple[Table, np.ndarray]] = {}
-        # label encodings don't depend on the feature encoder, so
-        # encoders of the same split can share one table -> y cache
-        self._label_cache: dict[int, tuple[Table, np.ndarray]] = (
-            label_cache if label_cache is not None else {}
-        )
-
-    def _encode_labels(self, table: Table) -> np.ndarray:
-        entry = self._label_cache.get(id(table))
-        if entry is None or entry[0] is not table:
-            entry = (table, self.labeler.transform(table.labels))
-            self._label_cache[id(table)] = entry
-            if _metrics is not None:
-                _metrics.count("runner.label_cache.misses")
-        elif _metrics is not None:
-            _metrics.count("runner.label_cache.hits")
-        return entry[1]
 
     def encode(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
         """``(X, y)`` of an evaluation table under the train-fitted encoder."""
-        entry = self._eval_cache.get(id(table))
-        if entry is None or entry[0] is not table:
-            entry = (table, self.encoder.transform(table.features_table()))
-            self._eval_cache[id(table)] = entry
-            if _metrics is not None:
-                _metrics.count("runner.eval_cache.misses")
-        elif _metrics is not None:
-            _metrics.count("runner.eval_cache.hits")
-        return entry[1], self._encode_labels(table)
-
-    def discard(self, table: Table) -> None:
-        """Drop a table's cached encodings (it will not be seen again)."""
-        self._eval_cache.pop(id(table), None)
-        self._label_cache.pop(id(table), None)
-
-
-class _EvalMemo:
-    """Per-split memo of :meth:`TrainedModel.evaluate` results.
-
-    Keyed on ``(model, table)`` identity: ``evaluate`` is a pure
-    function of the fitted model and the evaluation table, so the first
-    score computed for a pair is the score every later request would
-    recompute — this is what lets the CD scenario's repeated
-    ``clean_model.evaluate(clean_test)`` reuse the BD scenario's
-    predictions.  Entries keep strong references to both objects so the
-    ``id()`` keys stay valid for the memo's lifetime.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], tuple] = {}
-
-    def evaluate(
-        self, model: "TrainedModel", table: Table, anchor: Table | None = None
-    ) -> float:
-        key = (id(model), id(table))
-        entry = self._entries.get(key)
-        if entry is None or entry[0] is not model or entry[1] is not table:
-            entry = (model, table, model.evaluate(table, anchor))
-            self._entries[key] = entry
-            if _metrics is not None:
-                _metrics.count("runner.eval_memo.misses")
-        elif _metrics is not None:
-            _metrics.count("runner.eval_memo.hits")
-        return entry[2]
-
-    def clear(self) -> None:
-        """Release all entries (and the models/tables they pin alive)."""
-        if _metrics is not None:
-            _metrics.gauge_max("runner.eval_memo.peak_entries", len(self._entries))
-        self._entries.clear()
+        return (
+            self.encoder.transform(table.features_table()),
+            self.labeler.transform(table.labels),
+        )
 
 
 class TrainedModel:
     """A model fitted on one training table, with its validation score.
 
     Encoding is leakage-free by construction: the feature encoder is
-    fitted on the training table and reused for every evaluation table.
-    ``train`` may be a plain :class:`Table` (a private encoding is
-    built) or an :class:`EncodedTable` shared with the other models of
-    the same training table.
+    fitted on the training table and :meth:`encode` reuses it for every
+    evaluation table.  ``train`` may be a plain :class:`Table` (a
+    private encoding is built) or an :class:`EncodedTable` shared with
+    the other models of the same training table.
     """
 
     def __init__(
@@ -446,8 +378,8 @@ class TrainedModel:
         else:
             self._encoded = EncodedTable(train, labeler)
         X, y = self._encoded.X, self._encoded.y
-        #: (anchor table, its prediction), see :meth:`evaluate`
-        self._anchor: tuple[Table, np.ndarray] | None = None
+        #: (anchor matrix, its prediction), see :meth:`evaluate`
+        self._anchor: tuple[np.ndarray, np.ndarray] | None = None
 
         if config.search_iters > 0:
             search = RandomSearch(
@@ -477,51 +409,53 @@ class TrainedModel:
             self.model.fit(X, y)
 
     @property
-    def encoder(self) -> FeatureEncoder:
-        """The feature encoder fitted on this model's training table."""
-        return self._encoded.encoder
+    def reuses_rows(self) -> bool:
+        """Whether the model overrides ``predict_proba_rows`` (KNN does)."""
+        return (
+            type(self.model).predict_proba_rows
+            is not Classifier.predict_proba_rows
+        )
 
-    def evaluate(self, test: Table, anchor: Table | None = None) -> float:
-        """Metric of the model on ``test`` (encoded with train statistics).
+    def encode(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
+        """``(X, y)`` of an evaluation table under this model's encoder."""
+        return self._encoded.encode(table)
 
-        ``anchor`` names another table of the split that this model
-        predicts too, with the same rows up to what cleaning rewrote:
-        the raw test set for the dirty-trained model, the cleaned test
-        set for a cleaned-train model scored under CD.  Its prediction
-        is made once and kept, and a ``test`` of the anchor's row count
-        copies it and recomputes only the rows whose encoded bits
-        differ (:meth:`~repro.ml.base.Classifier.predict_proba_rows`),
-        which equals predicting all of ``test`` bit for bit because a
-        same-shape prediction rounds each row on its own.  A ``test``
-        of another row count is predicted whole, and so is every table
-        of a model that keeps the default ``predict_proba_rows``, which
-        recomputes every row: an anchor would only add a prediction.
+    def evaluate(
+        self, X: np.ndarray, y: np.ndarray, anchor: np.ndarray | None = None
+    ) -> float:
+        """Metric of the model on an encoded test set (see :meth:`encode`).
+
+        ``anchor`` is the encoding of a table of the split that this
+        model scores or reads more than once: the raw test set for the
+        dirty-trained model, the cleaned test set for a cleaned-train
+        model.  Its prediction is made once and kept.  An ``X`` that
+        *is* the anchor returns that prediction.  An ``X`` of the
+        anchor's row count, on a model that :attr:`reuses_rows`, copies
+        it and recomputes only the rows whose encoded bits differ, which
+        equals predicting all of ``X`` bit for bit because a same-shape
+        prediction rounds each row on its own.  Any other ``X`` is
+        predicted whole: the default ``predict_proba_rows`` recomputes
+        every row, so an anchor would only add a prediction.
         """
-        X, y = self._encoded.encode(test)
-        proba = self._predict_proba(test, X, anchor)
+        proba = self._predict_proba(X, anchor)
         predictions = np.argmax(proba, axis=1)
         return score_predictions(y, predictions, self.metric, self.positive)
 
     def _predict_proba(
-        self, test: Table, X: np.ndarray, anchor: Table | None
+        self, X: np.ndarray, anchor: np.ndarray | None
     ) -> np.ndarray:
-        if (
-            anchor is None
-            or anchor.n_rows != test.n_rows
-            or type(self.model).predict_proba_rows
-            is Classifier.predict_proba_rows
+        if anchor is None or (
+            anchor is not X
+            and (len(anchor) != len(X) or not self.reuses_rows)
         ):
             return self.model.predict_proba(X)
-        # the anchor's encoding is read from the split's shared cache
-        # every time, never held here: a discarded encoding is not pinned
-        X_anchor = X if anchor is test else self._encoded.encode(anchor)[0]
         if self._anchor is None or self._anchor[0] is not anchor:
-            self._anchor = (anchor, self.model.predict_proba(X_anchor))
+            self._anchor = (anchor, self.model.predict_proba(anchor))
         anchor_proba = self._anchor[1]
-        if anchor is test:
+        if anchor is X:
             return anchor_proba
         changed = np.flatnonzero(
-            (X.view(np.uint64) != X_anchor.view(np.uint64)).any(axis=1)
+            (X.view(np.uint64) != anchor.view(np.uint64)).any(axis=1)
         )
         proba = anchor_proba.copy()
         if len(changed):
@@ -554,12 +488,55 @@ def scenarios_for(error_type: str) -> tuple[Scenario, ...]:
     return (Scenario.BD, Scenario.CD)
 
 
-class ErrorTypeRun:
+class TrainingContext:
+    """What every model trained on one dataset shares.
+
+    The label encoding is fitted on the dirty and the clean labels, so
+    any cleaned table encodes; the f1 metric's positive class is the
+    dirty table's minority class.  :meth:`train` seeds each model from
+    the study seed, the dataset, a tag naming its training table, the
+    model and the split — never from execution order.
+    """
+
+    def __init__(self, dataset: Dataset, config: StudyConfig) -> None:
+        self.dataset = dataset
+        self.config = config
+        self.metric = dataset.metric
+        label = dataset.dirty.schema.label
+        self.labeler = LabelEncoder().fit(
+            dataset.dirty.column(label).unique()
+            + dataset.clean.column(label).unique()
+        )
+        if self.metric == "f1":
+            self.positive = int(
+                self.labeler.transform([minority_class(dataset.dirty)])[0]
+            )
+        else:
+            self.positive = None
+
+    def train(
+        self, table: Table | EncodedTable, model_name: str, tag: str, split: int
+    ) -> TrainedModel:
+        """Train one model with a deterministic derived seed."""
+        seed = derive_seed(
+            self.config.seed, self.dataset.name, tag, model_name, split
+        )
+        return TrainedModel(
+            table,
+            model_name,
+            self.config,
+            self.labeler,
+            self.metric,
+            self.positive,
+            seed,
+        )
+
+
+class ErrorTypeRun(TrainingContext):
     """One dataset x one error type: what every split of the block shares.
 
-    Holds the label encoding, the metric and its positive class, and
-    builds each split's fresh cleaning methods and trained models; the
-    splits themselves run as cells of a :class:`SplitWorkspace`.
+    Adds the block's cleaning methods to the shared training context;
+    the splits themselves run as cells of a :class:`SplitWorkspace`.
     """
 
     def __init__(
@@ -573,24 +550,9 @@ class ErrorTypeRun:
             raise ValueError(
                 f"{dataset.name} does not carry error type {error_type!r}"
             )
-        self.dataset = dataset
+        super().__init__(dataset, config)
         self.error_type = error_type
-        self.config = config
         self._methods = methods
-        self.metric = dataset.metric
-        label_column = dataset.dirty.column(dataset.dirty.schema.label)
-        self.labeler = LabelEncoder().fit(
-            label_column.unique()
-            + dataset.clean.column(dataset.clean.schema.label).unique()
-        )
-        if self.metric == "f1":
-            self.positive = int(
-                self.labeler.transform([minority_class(dataset.dirty)])[0]
-            )
-        else:
-            self.positive = None
-
-    # -- internals ------------------------------------------------------------
 
     def _fresh_methods(self) -> list[CleaningMethod]:
         # explicit method lists are deep-copied per split so every split
@@ -606,54 +568,32 @@ class ErrorTypeRun:
             random_state=self.config.seed,
         )
 
-    def _train(
-        self,
-        train: EncodedTable,
-        model_name: str,
-        role: str,
-        split: int,
-    ) -> TrainedModel:
-        seed = derive_seed(self.config.seed, self.dataset.name, role, model_name, split)
-        return TrainedModel(
-            train,
-            model_name,
-            self.config,
-            self.labeler,
-            self.metric,
-            self.positive,
-            seed,
-        )
-
-    def _metric_pair(
-        self,
-        scenario: Scenario,
-        dirty_model: TrainedModel,
-        clean_model: TrainedModel,
-        raw_test: Table,
-        clean_test: Table,
-        memo: _EvalMemo,
-    ) -> MetricPair:
-        # Each model predicts every table against an anchor of the
-        # split (see TrainedModel.evaluate): the dirty model the raw
-        # test set, whose rows the cleaned test sets share up to the
-        # repaired ones, and a clean model its BD prediction, which CD
-        # then scores on the raw test set again.
-        with_cd = Scenario.CD in scenarios_for(self.error_type)
-        clean_anchor = clean_test if with_cd else None
-        if scenario is Scenario.BD:
-            # case B vs case D: both models on the cleaned test set
-            return MetricPair(
-                before=memo.evaluate(dirty_model, clean_test, anchor=raw_test),
-                after=memo.evaluate(clean_model, clean_test, anchor=clean_anchor),
-            )
-        # CD: the cleaned-train model on dirty vs cleaned test (C vs D)
-        return MetricPair(
-            before=memo.evaluate(clean_model, raw_test, anchor=clean_anchor),
-            after=memo.evaluate(clean_model, clean_test, anchor=clean_anchor),
-        )
-
 
 # -- per-split cells (every granularity) ---------------------------------
+
+@dataclass
+class MethodRecord:
+    """The one cleaning method a :class:`SplitWorkspace` holds.
+
+    Everything the method's cells share: the fitted method, its cleaned
+    training table encoded once, its cleaned test table, and the clean
+    models trained so far.  The test-side fields — the cleaned test
+    set's labels, its encodings under the dirty and the clean encoder,
+    and the raw test set's clean encoding (CD only) — stay ``None``
+    until the method's first cell has trained its models, so no test
+    encoding is held while training runs.
+    """
+
+    index: int
+    method: CleaningMethod
+    train: EncodedTable
+    test: Table
+    models: dict[str, TrainedModel] = field(default_factory=dict)
+    y: np.ndarray | None = None
+    X_dirty: np.ndarray | None = None
+    X_clean: np.ndarray | None = None
+    X_raw: np.ndarray | None = None
+
 
 class SplitWorkspace:
     """Per-(block, split) state shared by the cells of one split.
@@ -672,14 +612,14 @@ class SplitWorkspace:
     of cells across workers produce byte-identical results (pinned by
     ``tests/test_intra_split.py``).
 
-    The split-level :class:`~repro.cleaning.base.DetectionCache` and
-    evaluation memo live here with per-workspace scope: within one
-    worker's batch they deduplicate exactly as a whole-split run does,
-    and across workers they are rebuilt identically because detections
-    and evaluations are pure.  The workspace holds one method's state at
-    a time: :meth:`cell` first releases every other method it holds, so
-    split units and cell units alike peak at one method's footprint.
-    A cell of a released method rebuilds the identical state.
+    The split-level :class:`~repro.cleaning.base.DetectionCache` lives
+    here with per-workspace scope: within one worker's batch it
+    deduplicates exactly as a whole-split run does, and across workers
+    it is rebuilt identically because detections are pure.  The
+    workspace holds one method at a time, as one :class:`MethodRecord`
+    (see :meth:`record`), so split units and cell units alike peak at
+    one method's footprint; a cell of a replaced method rebuilds the
+    identical record.
 
     Rebuilds are cheap on the columnar core: ``train_test_split``
     produces zero-copy view tables over the dataset's buffers, and the
@@ -702,19 +642,28 @@ class SplitWorkspace:
         baseline = dirty_baseline(run.error_type)
         _bind_detection_cache(baseline, self.dcache)
         baseline.fit(self.raw_train)
-        dirty_train = baseline.transform(self.raw_train)
-        self.memo = _EvalMemo()
-        self.label_cache: dict = {}
         self.dirty_source = EncodedTable(
-            dirty_train, run.labeler, label_cache=self.label_cache
+            baseline.transform(self.raw_train), run.labeler
         )
+        self.with_cd = Scenario.CD in scenarios_for(run.error_type)
         self._methods: list[CleaningMethod] | None = None
-        #: method index -> (fitted method, clean training source)
-        self._method_data: dict[int, tuple] = {}
-        #: method index -> cleaned test table
-        self._clean_tests: dict[int, Table] = {}
         self._dirty_models: dict[str, TrainedModel] = {}
-        self._clean_models: dict[tuple[int, str], TrainedModel] = {}
+        self._record: MethodRecord | None = None
+
+    @cached_property
+    def raw_labels(self) -> np.ndarray:
+        """The raw test set's encoded labels."""
+        return self.run.labeler.transform(self.raw_test.labels)
+
+    @cached_property
+    def raw_dirty(self) -> np.ndarray:
+        """The raw test set's dirty encoding, every dirty model's anchor.
+
+        Made on first use: only a cleaned test set of the raw test set's
+        row count reads it, so a split whose repairs all delete rows
+        never makes it.
+        """
+        return self.dirty_source.encoder.transform(self.raw_test.features_table())
 
     def methods(self) -> list[CleaningMethod]:
         """The split's fresh method objects, in iteration order."""
@@ -722,73 +671,91 @@ class SplitWorkspace:
             self._methods = self.run._fresh_methods()
         return self._methods
 
-    def method_data(self, index: int) -> tuple:
-        """(fitted method, clean training source) of one method."""
-        data = self._method_data.get(index)
-        if data is None:
+    def record(self, index: int) -> MethodRecord:
+        """The record of method ``index``, replacing any other method's."""
+        if self._record is None or self._record.index != index:
+            # no reference to the old record may outlive this line: it
+            # goes before the new method fits and encodes
+            self._record = None
             method = self.methods()[index]
             _bind_detection_cache(method, self.dcache)
             method.fit(self.raw_train)
-            clean_train = method.transform(self.raw_train)
-            clean_source = EncodedTable(
-                clean_train, self.run.labeler, label_cache=self.label_cache
+            self._record = MethodRecord(
+                index,
+                method,
+                EncodedTable(method.transform(self.raw_train), self.run.labeler),
+                method.transform(self.raw_test),
             )
-            data = (method, clean_source)
-            self._method_data[index] = data
-        return data
-
-    def clean_test(self, index: int) -> Table:
-        """One method's cleaned test table (transform is pure; lazy)."""
-        table = self._clean_tests.get(index)
-        if table is None:
-            method, _ = self.method_data(index)
-            table = method.transform(self.raw_test)
-            self._clean_tests[index] = table
-        return table
+        return self._record
 
     def dirty_model(self, name: str) -> TrainedModel:
         model = self._dirty_models.get(name)
         if model is None:
-            model = self.run._train(self.dirty_source, name, "dirty", self.split)
+            model = self.run.train(self.dirty_source, name, "dirty", self.split)
             self._dirty_models[name] = model
         return model
 
     def clean_model(self, index: int, name: str) -> TrainedModel:
-        key = (index, name)
-        model = self._clean_models.get(key)
+        record = self.record(index)
+        model = record.models.get(name)
         if model is None:
-            method, clean_source = self.method_data(index)
-            model = self.run._train(
-                clean_source, name, f"clean:{method.name}", self.split
+            model = self.run.train(
+                record.train, name, f"clean:{record.method.name}", self.split
             )
-            self._clean_models[key] = model
+            record.models[name] = model
         return model
+
+    def _encode_test(self, record: MethodRecord) -> None:
+        """Fill the record's test-side fields once its first models are trained."""
+        raw, clean = self.raw_test, record.train.encoder
+        if record.test is raw:
+            # a method that repairs nothing returns the raw test table
+            # itself: one clean encoding serves both the D and C cases
+            record.y, record.X_dirty = self.raw_labels, self.raw_dirty
+            record.X_clean = record.X_raw = clean.transform(raw.features_table())
+            return
+        record.X_clean, record.y = record.train.encode(record.test)
+        record.X_dirty = self.dirty_source.encoder.transform(
+            record.test.features_table()
+        )
+        if self.with_cd:
+            record.X_raw = clean.transform(raw.features_table())
 
     def cell(self, index: int, name: str) -> CellResult:
         """Run one (method, model) cell and return its contribution.
 
-        Any other method's state is released first (see :meth:`release`).
+        Three evaluations score it: case B (the dirty model on the
+        cleaned test set), case D (the clean model on it, the after
+        score of both pairs) and, under CD, case C (the clean model on
+        the raw test set).  Each model evaluates against its anchor
+        (:meth:`TrainedModel.evaluate`): the dirty model the raw test
+        set, whose rows a cleaned test set of its row count shares up to
+        the repaired ones, and the clean model its cleaned test set.
         """
-        for held in [held for held in self._method_data if held != index]:
-            self.release(held)
-        method, _ = self.method_data(index)
-        clean_test = self.clean_test(index)
+        record = self.record(index)
         dirty = self.dirty_model(name)
         clean = self.clean_model(index, name)
-        pairs = tuple(
-            (
-                scenario,
-                self.run._metric_pair(
-                    scenario,
-                    dirty_model=dirty,
-                    clean_model=clean,
-                    raw_test=self.raw_test,
-                    clean_test=clean_test,
-                    memo=self.memo,
-                ),
-            )
-            for scenario in scenarios_for(self.run.error_type)
-        )
+        if record.y is None:
+            self._encode_test(record)
+        dirty_anchor = None
+        if record.test.n_rows == self.raw_test.n_rows and (
+            dirty.reuses_rows or record.test is self.raw_test
+        ):
+            dirty_anchor = self.raw_dirty
+        before = dirty.evaluate(record.X_dirty, record.y, dirty_anchor)
+        after = clean.evaluate(record.X_clean, record.y, record.X_clean)
+        pairs = [(Scenario.BD, MetricPair(before=before, after=after))]
+        if self.with_cd:
+            if record.X_raw is record.X_clean:  # the raw test set, cleaned as is
+                before = after
+            else:
+                before = clean.evaluate(
+                    record.X_raw, self.raw_labels, record.X_clean
+                )
+            pairs.append((Scenario.CD, MetricPair(before=before, after=after)))
+        if _metrics is not None:
+            _metrics.count("runner.cells")
+        method = record.method
         return CellResult(
             split=self.split,
             method_index=index,
@@ -798,27 +765,8 @@ class SplitWorkspace:
             model=name,
             dirty_val_score=dirty.val_score,
             clean_val_score=clean.val_score,
-            pairs=pairs,
+            pairs=tuple(pairs),
         )
-
-    def release(self, index: int) -> None:
-        """Evict one method's state; :meth:`cell` calls it on a method switch.
-
-        Every memo/cache key that involves the method's cleaned tables or
-        clean models is per-method, so nothing evicted here can hit for
-        another method; the dirty-side models, encodings, and detector
-        fits that every method shares stay.  A later cell of the method
-        simply rebuilds the identical state.
-        """
-        self._method_data.pop(index, None)
-        clean_test = self._clean_tests.pop(index, None)
-        for key in [key for key in self._clean_models if key[0] == index]:
-            del self._clean_models[key]
-        self.memo.clear()
-        # a method that repaired nothing returns the raw test table
-        # itself, whose encoding every dirty model's anchor reads
-        if clean_test is not None and clean_test is not self.raw_test:
-            self.dirty_source.discard(clean_test)
 
 
 def merge_cell_results(
@@ -841,8 +789,7 @@ def merge_cell_results(
     * **R1** pairs are the cells' own pairs;
     * **R2** composes each method's pair from R1 ingredients — the best
       dirty model's before-score and the best clean model's after-score
-      are exactly the floats those models' R1 cells recorded (this is the
-      identity the split's evaluation memo exploits);
+      are exactly the floats those models' R1 cells recorded;
     * **R3** selects among R2 pairs by the recorded ``clean_val_score``,
       first-strictly-better in method order.
 

@@ -4,8 +4,9 @@ The mixed-error (§VII-A), robust-ML (§VII-B) and human-cleaning (§VII-C)
 comparisons all need the same primitive the R3 relation uses: given a
 training/test split and a space of cleaning methods, pick the cleaning
 method and model with the best validation score and report the cleaned
-test metric.  :class:`EvaluationContext` bundles the per-dataset state
-(label encoding, metric, positive class) those studies share.
+test metric.  :class:`EvaluationContext` adds that selection to the
+runner's per-dataset :class:`~repro.core.runner.TrainingContext` (label
+encoding, metric, positive class, seeded training).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from dataclasses import dataclass
 
 from ..cleaning.base import CleaningMethod
 from ..datasets.base import Dataset
-from ..table import LabelEncoder, Table
-from ..table.ops import minority_class
-from .runner import StudyConfig, TrainedModel, derive_seed
+from ..table import Table
+from .runner import TrainedModel, TrainingContext
 
 
 @dataclass
@@ -30,41 +30,8 @@ class BestCleaned:
     test_metric: float
 
 
-class EvaluationContext:
+class EvaluationContext(TrainingContext):
     """Per-dataset evaluation state shared across splits and studies."""
-
-    def __init__(self, dataset: Dataset, config: StudyConfig) -> None:
-        self.dataset = dataset
-        self.config = config
-        self.metric = dataset.metric
-        label = dataset.dirty.schema.label
-        self.labeler = LabelEncoder().fit(
-            dataset.dirty.column(label).unique()
-            + dataset.clean.column(label).unique()
-        )
-        if self.metric == "f1":
-            self.positive = int(
-                self.labeler.transform([minority_class(dataset.dirty)])[0]
-            )
-        else:
-            self.positive = None
-
-    def train(
-        self, table: Table, model_name: str, tag: str, split: int
-    ) -> TrainedModel:
-        """Train one model with a deterministic derived seed."""
-        seed = derive_seed(
-            self.config.seed, self.dataset.name, tag, model_name, split
-        )
-        return TrainedModel(
-            table,
-            model_name,
-            self.config,
-            self.labeler,
-            self.metric,
-            self.positive,
-            seed,
-        )
 
     def best_model(
         self,
@@ -104,7 +71,7 @@ class EvaluationContext:
                     model=model,
                     clean_train=clean_train,
                     clean_test=clean_test,
-                    test_metric=model.evaluate(clean_test),
+                    test_metric=model.evaluate(*model.encode(clean_test)),
                 )
         assert best is not None
         return best

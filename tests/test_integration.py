@@ -39,9 +39,9 @@ class TestKnownAnswerOutliers:
             clean_test = method.transform(raw_test)
             dirty_model = context.train(raw_train, "knn", "d", split)
             clean_model = context.train(clean_train, "knn", "c", split)
-            improvements.append(
-                clean_model.evaluate(clean_test) - dirty_model.evaluate(clean_test)
-            )
+            after = clean_model.evaluate(*clean_model.encode(clean_test))
+            before = dirty_model.evaluate(*dirty_model.encode(clean_test))
+            improvements.append(after - before)
         assert np.mean(improvements) > 0.02
 
 

@@ -7,14 +7,16 @@ index, method name, model name), never execution order, and the cell
 reducer sorts by (split, method, model) before accumulating.  These
 tests pin that contract across the full matrix, pin the sub-unit seed
 enumeration against collisions (mirroring the split-level pin), prove
-the granularity-aware caches — the per-workspace ``DetectionCache`` and
-evaluation memo — cannot change results whether a split's cells run
-batched in one worker or scattered across many, pin that the
-whole-split path releases each method's state before the next, and pin
+the per-workspace state — the ``DetectionCache`` and the method
+record — cannot change results whether a split's cells run batched in
+one worker or scattered across many, pin that a workspace frees each
+method's record when the next method's cell arrives, and pin
 the worker workspace registry's LRU eviction and build counter.
 """
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -36,7 +38,8 @@ from repro.core import (
     observing,
     save_experiments,
 )
-from repro.core.runner import derive_seed
+from repro.core import runner
+from repro.core.runner import EncodedTable, derive_seed
 from repro.datasets import load_dataset
 
 N_JOBS = (1, 2, 4)
@@ -287,24 +290,46 @@ class TestCacheSemantics:
 
 
 def live_methods(workspace):
-    """Indices of the methods a workspace holds any state of."""
-    return (
-        set(workspace._method_data)
-        | set(workspace._clean_tests)
-        | {index for index, _ in workspace._clean_models}
+    """Indices of the methods a workspace holds a record of."""
+    record = workspace._record
+    return set() if record is None else {record.index}
+
+
+def record_parts(record, workspace):
+    """Weak references to everything a method record alone keeps alive.
+
+    The raw test set's labels and dirty encoding belong to the workspace
+    (a record of a method that repairs nothing shares them), and the
+    fitted method stays in the workspace's method list.
+    """
+    shared = (
+        workspace.raw_test,
+        vars(workspace).get("raw_dirty"),
+        vars(workspace).get("raw_labels"),
     )
+    parts = (
+        record, record.train, record.train.X, record.test,
+        record.X_dirty, record.X_clean, record.X_raw, *record.models.values(),
+    )
+    return [
+        weakref.ref(part)
+        for part in parts
+        if part is not None and all(part is not other for other in shared)
+    ]
 
 
 class TestSplitEviction:
-    """A ``SplitWorkspace`` holds one method's state at a time.
+    """A ``SplitWorkspace`` holds one method record at a time.
 
-    ``SplitWorkspace.cell`` releases every other method before it runs,
-    so split units (the worker entry walks the cells in method order) and
-    cell units (any order, on per-worker workspaces) alike peak at one
-    method's footprint: no method data, cleaned test table, or clean
-    model of another method survives, nor its cleaned test table in the
-    dirty encoding's evaluation cache.  A cell of a released method
-    rebuilds the identical state.
+    ``SplitWorkspace.record`` replaces the held record when a cell of
+    another method arrives, so split units (the worker entry walks the
+    cells in method order) and cell units (any order, on per-worker
+    workspaces) alike peak at one method's footprint.  A replaced record
+    is freed at once, by reference counting: nothing the workspace keeps
+    (dirty models and their anchors, the detection cache) refers to it,
+    and it refers back to nothing, so no reference cycle waits for the
+    cyclic garbage collector.  A cell of a replaced method rebuilds the
+    identical record.
     """
 
     def build_run(self):
@@ -316,32 +341,45 @@ class TestSplitEviction:
 
     def test_workspace_never_holds_two_methods(self, monkeypatch):
         run, n_methods = self.build_run()
-        finished = []
-        workspaces = []
-        original_release = SplitWorkspace.release
+        replaced = []
+        workspaces = set()
+        pending = []  # weak references to the record being replaced
+        last = []  # weak references to the workspace and its last record
+        original_record = SplitWorkspace.record
         original_cell = SplitWorkspace.cell
 
-        def release(self, index):
+        def record(self, index):
+            held = self._record
+            if held is None or held.index == index:
+                return original_record(self, index)
             # a method's state only grows while its cells run, so the
-            # moment before its release is the workspace's peak
-            assert live_methods(self) == {index}
-            finished.append(self._clean_tests[index])
-            original_release(self, index)
-            assert live_methods(self) == set() and self.memo._entries == {}
-            source = self.dirty_source
-            for cache in (source._eval_cache, source._label_cache):
-                for table, _ in cache.values():
-                    assert all(table is not done for done in finished)
+            # moment before its replacement is the workspace's peak
+            assert held.models.keys() == set(FAST.models)
+            pending[:] = record_parts(held, self)
+            del held
+            replaced.append(index)
+            return original_record(self, index)
+
+        class CheckedEncodedTable(EncodedTable):
+            def __init__(self, *args):
+                # the replaced record is gone before the next method's
+                # training table is encoded
+                assert [part() for part in pending] == [None] * len(pending)
+                super().__init__(*args)
 
         def cell(self, index, name):
-            workspaces.append(self)
-            return original_cell(self, index, name)
+            result = original_cell(self, index, name)
+            workspaces.add(id(self))
+            last[:] = [weakref.ref(self), *record_parts(self._record, self)]
+            return result
 
-        monkeypatch.setattr(SplitWorkspace, "release", release)
+        monkeypatch.setattr(SplitWorkspace, "record", record)
         monkeypatch.setattr(SplitWorkspace, "cell", cell)
+        monkeypatch.setattr(runner, "EncodedTable", CheckedEncodedTable)
         executor._register_blocks(
             [(run.dataset, run.error_type, tuple(run._methods))], FAST
         )
+        gc.disable()  # a reference cycle would outlive the replacement
         try:
             executor._execute_unit(
                 "split",
@@ -352,13 +390,14 @@ class TestSplitEviction:
                     for model in FAST.models
                 ),
             )
+            # the unit's workspace goes when it ends, with its last record
+            assert [part() for part in last] == [None] * len(last)
         finally:
+            gc.enable()
             executor._clear_worker_state()
-        # every method but the last is released by the next one's first
-        # cell; the last one's state goes with the workspace
-        assert len(finished) == n_methods - 1
-        assert len({id(workspace) for workspace in workspaces}) == 1
-        assert live_methods(workspaces[0]) == {n_methods - 1}
+        # every method but the first replaces the one before it
+        assert replaced == list(range(1, n_methods))
+        assert len(workspaces) == 1
 
     @pytest.mark.parametrize(
         "order", ["in_order", "reversed", "repeated", "interleaved"]
@@ -390,12 +429,12 @@ class TestSplitEviction:
         model = FAST.models[0]
         workspace = SplitWorkspace(run, split=0)
         first = workspace.cell(0, model)
-        evicted = workspace._method_data[0]
+        evicted = workspace._record
         workspace.cell(1, model)
         assert 0 not in live_methods(workspace)
         again = workspace.cell(0, model)
         assert again == first
-        assert workspace._method_data[0] is not evicted  # rebuilt, not kept
+        assert workspace._record is not evicted  # rebuilt, not kept
 
 
 class TestWorkerWorkspaces:

@@ -1,10 +1,10 @@
 """Tests for same-shape row reuse at evaluation time.
 
 ``TrainedModel.evaluate`` keeps one anchor prediction per model (the
-raw test set for the dirty-trained model, the cleaned test set for a
-cleaned-train model scored under CD) and predicts a later table of the
-same shape by copying the anchor and recomputing only the rows whose
-encoded bits differ, through ``Classifier.predict_proba_rows``.  That
+raw test set's dirty encoding for the dirty-trained model, the cleaned
+test set's encoding for a cleaned-train model) and predicts a later
+matrix of the same shape by copying the anchor and recomputing only the
+rows whose encoded bits differ, through ``Classifier.predict_proba_rows``.  That
 is bit-identical to predicting the whole table only because a
 same-shape prediction rounds each row on its own, whatever the other
 rows hold: for KNN and the linear models that is a property of the
@@ -18,7 +18,8 @@ import pytest
 
 from repro.cleaning import OUTLIERS
 from repro.core import StudyConfig
-from repro.core.runner import ErrorTypeRun, SplitWorkspace
+from repro.core.runner import ErrorTypeRun, SplitWorkspace, TrainedModel
+from repro.core.schema import Scenario
 from repro.datasets import load_dataset
 from repro.ml import GaussianNB, KNeighborsClassifier, LogisticRegression
 from repro.ml.base import Classifier
@@ -207,84 +208,88 @@ class TestEvaluateThroughAnchors:
         return calls
 
     def test_scores_equal_whole_predictions(self, workspace, predicted_rows):
-        raw_test = workspace.raw_test
+        X_raw, y_raw = workspace.raw_dirty, workspace.raw_labels
         for index in range(len(workspace.methods())):
             cell = workspace.cell(index, "knn")
-            clean_test = workspace.clean_test(index)
+            record = workspace.record(index)
+            X, y = record.X_dirty, record.y
             for name in self.MODELS:
                 dirty = workspace.dirty_model(name)
                 clean = workspace.clean_model(index, name)
-                assert dirty.evaluate(clean_test, anchor=raw_test) == dirty.evaluate(
-                    clean_test
-                )
-                assert clean.evaluate(raw_test, anchor=clean_test) == clean.evaluate(
-                    raw_test
-                )
-            assert cell.pairs  # the cell ran through the anchors
+                assert dirty.evaluate(X, y, anchor=X_raw) == dirty.evaluate(X, y)
+                assert clean.evaluate(
+                    record.X_raw, y_raw, anchor=record.X_clean
+                ) == clean.evaluate(record.X_raw, y_raw)
+            knn = workspace.dirty_model("knn")
+            assert dict(cell.pairs)[Scenario.BD].before == knn.evaluate(X, y)
         assert any(n < total for n, total in predicted_rows), (
             "no evaluation recomputed a subset of the rows"
         )
 
-    def test_anchor_holds_no_encoding(self, workspace):
-        # the anchor keeps its table and prediction; the encoding stays
-        # the split's shared cache entry, which release never drops
+    def test_dirty_anchor_is_the_raw_test_encoding(self, workspace):
+        # the dirty model's anchor is the workspace's raw-test encoding,
+        # which outlives every method record
         for index in range(len(workspace.methods())):
             workspace.cell(index, "knn")
-        X_raw = workspace.dirty_source.encode(workspace.raw_test)[0]
         anchor, proba = workspace.dirty_model("knn")._anchor
-        assert anchor is workspace.raw_test
+        assert anchor is workspace.raw_dirty
         assert proba.shape == (workspace.raw_test.n_rows, 2)
         workspace.cell(0, "knn")
-        assert workspace.dirty_source.encode(workspace.raw_test)[0] is X_raw
+        assert workspace.dirty_model("knn")._anchor[0] is anchor
 
     def test_other_row_counts_take_the_full_path(self, workspace, predicted_rows):
         dirty = workspace.dirty_model("knn")
-        shorter = workspace.raw_test.take(np.arange(workspace.raw_test.n_rows - 3))
-        assert dirty.evaluate(shorter, anchor=workspace.raw_test) == dirty.evaluate(
-            shorter
+        X_raw = workspace.raw_dirty
+        shorter, y = X_raw[:-3], workspace.raw_labels[:-3]
+        assert dirty.evaluate(shorter, y, anchor=X_raw) == dirty.evaluate(
+            shorter, y
         )
         assert predicted_rows and all(n == total for n, total in predicted_rows)
 
 
 class TestWholePredictionWithoutRowOverride:
-    """A model on the default ``predict_proba_rows`` predicts each table once.
+    """A model on the default ``predict_proba_rows`` predicts each pair once.
 
-    The default recomputes every row, so an anchor prediction would
-    only add a whole prediction per model and split: naive Bayes (like
-    every model but KNN) predicts each evaluated table whole instead.
+    Naive Bayes predicts every table whole, and still each (model,
+    table) pair of a split is predicted once: a model keeps its
+    prediction of its anchor, so a table it scores twice — when a method
+    repairs nothing and returns the raw test table itself, the dirty
+    model's raw test set across such methods and the clean model's C
+    case, which is then its D case — is predicted once.
     """
 
     def test_one_naive_bayes_prediction_per_evaluated_table(self, monkeypatch):
-        from repro.core.runner import TrainedModel
-
         dataset = load_dataset("Credit", seed=3, n_rows=300)
         config = StudyConfig(
             n_splits=1, cv_folds=3, models=("naive_bayes",), seed=3
         )
         workspace = SplitWorkspace(ErrorTypeRun(dataset, OUTLIERS, config), 0)
-        evaluated = []  # rows of every table an evaluation scored
-        predictions = []  # rows of each prediction, per evaluation
+        evaluating = []
+        predictions = []  # rows of each prediction made while evaluating
         evaluate = TrainedModel.evaluate
         predict_proba = GaussianNB.predict_proba
 
-        def evaluate_spy(model, test, anchor=None):
-            evaluated.append(test.n_rows)
-            predictions.append([])
+        def evaluate_spy(model, *args, **kwargs):
+            evaluating.append(model)
             try:
-                return evaluate(model, test, anchor)
+                return evaluate(model, *args, **kwargs)
             finally:
-                evaluated.append(None)  # closes the evaluation
+                evaluating.pop()
 
         def predict_spy(model, X):
             # cross validation predicts too, outside any evaluation
-            if evaluated and evaluated[-1] is not None:
-                predictions[-1].append(len(X))
+            if evaluating:
+                predictions.append(len(X))
             return predict_proba(model, X)
 
         monkeypatch.setattr(TrainedModel, "evaluate", evaluate_spy)
         monkeypatch.setattr(GaussianNB, "predict_proba", predict_spy)
+        pairs = set()  # (model, table) of every case B, C and D
+        raw = "raw test"
         for index in range(len(workspace.methods())):
             workspace.cell(index, "naive_bayes")
-        rows = [n for n in evaluated if n is not None]
-        assert rows
-        assert predictions == [[n] for n in rows]
+            repairs_nothing = workspace.record(index).test is workspace.raw_test
+            test = raw if repairs_nothing else index
+            pairs |= {("dirty", test), (index, test), (index, raw)}
+        assert ("dirty", raw) in pairs  # some method repairs nothing
+        assert len(predictions) == len(pairs)

@@ -1,7 +1,7 @@
-"""Tests for the split-execution kernel (shared encoding + memoized eval).
+"""Tests for the split-execution kernel (shared encodings, method records).
 
 The kernel's contract is that it is a *pure optimization*: shared
-``EncodedTable``s, the evaluation memo, vectorized encoder transforms,
+``EncodedTable``s, the workspace's method record, vectorized encoder transforms,
 the memoized fold plans, and the executor's block broadcast must all be
 invisible in the output.  These tests pin that contract — the vectorized
 encoder against its per-row oracle across every registry dataset, and
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.cleaning import (
+    DUPLICATES,
     MISSING_VALUES,
     OUTLIERS,
     ImputationCleaning,
@@ -24,6 +25,7 @@ from repro.core import (
     ErrorTypeRun,
     SplitWorkspace,
     StudyConfig,
+    TrainedModel,
     block_method_names,
 )
 from repro.core.executor import _execute_unit, _register_blocks
@@ -144,16 +146,83 @@ class TestKernelIsAPureOptimization:
         """
         assert_matches_golden(make_searched_study, GOLDEN["searched"], tmp_path)
 
-    def test_encoded_table_is_shared_and_memoized(self):
+    def test_encoded_table_is_shared_and_uncached(self):
         dataset = load_dataset("Sensor", seed=0, n_rows=120)
         labeler = LabelEncoder().fit(dataset.dirty.labels)
         encoded = EncodedTable(dataset.dirty, labeler)
-        test_table = dataset.clean
-        x1, y1 = encoded.encode(test_table)
-        x2, y2 = encoded.encode(test_table)
-        assert x1 is x2 and y1 is y2  # memo hit, not a re-encode
         fresh = FeatureEncoder().fit(dataset.dirty.features_table())
-        assert np.array_equal(x1, fresh.transform(test_table.features_table()))
+        X, y = encoded.encode(dataset.clean)
+        assert np.array_equal(X, fresh.transform(dataset.clean.features_table()))
+        assert np.array_equal(y, labeler.transform(dataset.clean.labels))
+        # nothing is kept: whoever scores a table twice holds its encoding
+        assert encoded.encode(dataset.clean)[0] is not X
+        config = StudyConfig(cv_folds=2, models=("naive_bayes",))
+        models = [
+            TrainedModel(encoded, name, config, labeler, "accuracy", None, 0)
+            for name in ("naive_bayes", "knn")
+        ]
+        assert all(model._encoded is encoded for model in models)
+        with pytest.raises(ValueError, match="different label encoder"):
+            TrainedModel(
+                encoded, "knn", config, LabelEncoder().fit(dataset.dirty.labels),
+                "accuracy", None, 0,
+            )
+
+
+class TestMethodRecordEncodings:
+    """A method record encodes what its cells score, no more than the
+    evaluation memo and the identity-keyed encoding caches did.
+
+    ``TRANSFORMS`` is the number of ``FeatureEncoder.transform`` calls
+    one method-order pass over a split made with those caches (seed 5,
+    150 rows, 300 for Restaurant).
+    """
+
+    TRANSFORMS = {
+        ("Credit", OUTLIERS): 50,
+        ("Restaurant", DUPLICATES): 9,
+        ("Titanic", MISSING_VALUES): 23,
+    }
+
+    @staticmethod
+    def run_split(name, error_type, monkeypatch):
+        config = StudyConfig(
+            n_splits=1, cv_folds=2, models=("knn", "naive_bayes"), seed=5
+        )
+        rows = 300 if error_type == DUPLICATES else 150
+        run = ErrorTypeRun(load_dataset(name, seed=0, n_rows=rows), error_type, config)
+        calls = []
+        transform = FeatureEncoder.transform
+
+        def spy(encoder, table):
+            calls.append(table.n_rows)
+            return transform(encoder, table)
+
+        monkeypatch.setattr(FeatureEncoder, "transform", spy)
+        workspace = SplitWorkspace(run, 0)
+        for index in range(len(workspace.methods())):
+            for model in config.models:
+                workspace.cell(index, model)
+        return workspace, calls
+
+    @pytest.mark.parametrize(
+        "block", sorted(TRANSFORMS), ids="{0[0]}-{0[1]}".format
+    )
+    def test_transforms_equal_the_caches(self, block, monkeypatch):
+        _, calls = self.run_split(*block, monkeypatch)
+        assert len(calls) == self.TRANSFORMS[block]
+
+    def test_duplicates_split_never_dirty_encodes_its_raw_test_set(
+        self, monkeypatch
+    ):
+        workspace, _ = self.run_split("Restaurant", DUPLICATES, monkeypatch)
+        n_raw = workspace.raw_test.n_rows
+        assert all(
+            workspace.record(index).test.n_rows < n_raw
+            for index in range(len(workspace.methods()))
+        )
+        # KNN reuses rows, but no cleaned test set has the raw one's shape
+        assert "raw_dirty" not in vars(workspace)
 
 
 class TestFoldPlanMemo:
