@@ -67,7 +67,9 @@ def run_examples() -> str:
     )
 
     # Table 9: s3 = cleaning-method selection on top (one split shown)
-    methods = methods_for("outliers", include_advanced=False)
+    methods = methods_for(
+        "outliers", include_advanced=False, random_state=CONFIG.seed
+    )
     best = context.best_cleaned(raw_train, raw_test, methods, 0, tag="s3")
     lines.append("")
     lines.append("Table 9 (s3: cleaning-method selection, split 1)")

@@ -28,7 +28,9 @@ def main() -> None:
     print(f"dataset: {dataset.name} (imbalanced -> metric = {dataset.metric})\n")
 
     context = EvaluationContext(dataset, config)
-    methods = methods_for("outliers", include_advanced=False)
+    methods = methods_for(
+        "outliers", include_advanced=False, random_state=config.seed
+    )
 
     # Table-9 style walk-through of a single split
     seed = derive_seed(0, "selection-example", 0)

@@ -113,7 +113,6 @@ METRIC_CLASSES = {
     "executor.workspace_builds": SCHEDULE_DEPENDENT,
     "tuning.fold_workspace.builds": SCHEDULE_DEPENDENT,
     "tuning.fold_workspace.candidate_predicts": SCHEDULE_DEPENDENT,
-    "tuning.fold_workspace.reuses": SCHEDULE_DEPENDENT,
     # one per SplitWorkspace.cell: the study's cells, whichever worker
     # ran them
     "runner.cells": SCHEDULE_INVARIANT,

@@ -68,8 +68,8 @@ and this module eliminates it without changing a single bit of output:
   (:meth:`TrainedModel.evaluate`); a same-shape prediction rounds
   every row on its own, so the result is the whole prediction's;
 * hyper-parameter tuning iterates **fold-major** — each CV fold's
-  ``(X_train, y_train, X_val, y_val)`` slices are materialized once per
-  search (:class:`~repro.ml.cv_kernel.FoldPlanData`) and per-model
+  ``(X_train, y_train, X_val, y_val)`` slices are gathered once per
+  search (:func:`~repro.ml.cv_kernel.evaluate_candidates`) and per-model
   :class:`~repro.ml.cv_kernel.FoldWorkspace`s serve every random-search
   candidate from candidate-invariant precomputation (KNN's fold
   distance matrix, naive Bayes' class statistics, CART root argsorts)

@@ -71,13 +71,6 @@ class ExperimentRow:
         """Copy of the row with a different flag (FDR pass)."""
         return replace(self, flag=flag)
 
-    @property
-    def cleaning_method(self) -> str:
-        """Human-readable detection/repair identifier."""
-        if self.detection is None:
-            return "selected"
-        return f"{self.detection}/{self.repair}"
-
 
 #: relation names in paper order
 R1, R2, R3 = "R1", "R2", "R3"

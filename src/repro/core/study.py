@@ -62,14 +62,6 @@ class CleanMLStudy:
         )
         return self
 
-    def add_population(
-        self, datasets: list[Dataset], error_type: str
-    ) -> "CleanMLStudy":
-        """Queue every dataset of an error-type population."""
-        for dataset in datasets:
-            self.add(dataset, error_type)
-        return self
-
     # -- execution --------------------------------------------------------------
 
     def run(

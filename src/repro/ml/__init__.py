@@ -2,11 +2,7 @@
 
 from .base import Classifier, check_fit_inputs, one_hot, softmax
 from .boosting import AdaBoostClassifier
-from .cv_kernel import (
-    FoldPlanData,
-    FoldWorkspace,
-    evaluate_candidates,
-)
+from .cv_kernel import FoldWorkspace, evaluate_candidates
 from .forest import RandomForestClassifier
 from .gbt import XGBoostClassifier
 from .knn import KNeighborsClassifier
@@ -36,7 +32,6 @@ __all__ = [
     "AdaBoostClassifier",
     "Classifier",
     "DecisionTreeClassifier",
-    "FoldPlanData",
     "FoldWorkspace",
     "GaussianNB",
     "KNNRegressor",

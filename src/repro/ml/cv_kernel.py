@@ -9,14 +9,13 @@ statistics, and the CART root split's per-feature argsorts are all pure
 functions of the fold, not of the hyper-parameters under test.  The
 candidate-major loop recomputed every one of them ``c`` times.
 
-This module turns the loop inside out.  A :class:`FoldPlanData` materializes
-each fold's slices exactly once per search; :func:`evaluate_candidates`
-then iterates **fold-major** — for each fold, every candidate is scored
-against that fold's shared data — so a per-model :class:`FoldWorkspace`
-can hoist the candidate-invariant precomputation out of the candidate
-loop.  Models opt in through
-:meth:`~repro.ml.base.Classifier.make_fold_workspace`; models without a
-workspace still share the materialized fold slices.
+This module turns the loop inside out.  :func:`evaluate_candidates` is
+one plain loop over the folds: each fold's slices are gathered once,
+the model's :class:`FoldWorkspace` is built once from them, every
+candidate is scored against that shared data, and the fold's slices and
+workspace are freed before the next fold is sliced.  Models opt in
+through :meth:`~repro.ml.base.Classifier.make_fold_workspace`; models
+without a workspace still share the fold's slices.
 
 Correctness contract (the same discipline as the split-execution and
 cleaning kernels): the kernel is a **pure optimization**.  Every
@@ -69,165 +68,62 @@ class FoldWorkspace(ABC):
         """
 
 
-class FoldData:
-    """One fold's slices plus its per-model workspaces.
-
-    The fold keeps a reference to the full ``(X, y)`` pair plus the
-    fold's index arrays — the view-table analogue for encoded matrices —
-    and gathers each slice on first access.  The slice arrays are marked
-    read-only: they are shared by every candidate (and pinned inside
-    fitted models, e.g. KNN's training matrix), so an accidental
-    in-place mutation would silently corrupt every later candidate's
-    scores.  A gather is a pure function of ``(X, y, indices)``, so a
-    released-and-rematerialized slice holds exactly the same bits, which
-    is what lets :meth:`release_data` return a scored fold's memory.
-    """
-
-    __slots__ = (
-        "_X",
-        "_y",
-        "_train_idx",
-        "_val_idx",
-        "_X_train",
-        "_y_train",
-        "_X_val",
-        "_y_val",
-        "_workspaces",
-    )
-
-    def __init__(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        train_idx: np.ndarray,
-        val_idx: np.ndarray,
-    ) -> None:
-        self._X = X
-        self._y = y
-        self._train_idx = train_idx
-        self._val_idx = val_idx
-        self._X_train = self._y_train = self._X_val = self._y_val = None
-        self._workspaces: dict[type, FoldWorkspace | None] = {}
-
-    def _slice(self, attr: str, source: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        out = getattr(self, attr)
-        if out is None:
-            out = source[idx]
-            out.setflags(write=False)
-            setattr(self, attr, out)
-        return out
-
-    @property
-    def X_train(self) -> np.ndarray:
-        return self._slice("_X_train", self._X, self._train_idx)
-
-    @property
-    def y_train(self) -> np.ndarray:
-        return self._slice("_y_train", self._y, self._train_idx)
-
-    @property
-    def X_val(self) -> np.ndarray:
-        return self._slice("_X_val", self._X, self._val_idx)
-
-    @property
-    def y_val(self) -> np.ndarray:
-        return self._slice("_y_val", self._y, self._val_idx)
-
-    def release_data(self) -> None:
-        """Drop materialized slices.
-
-        After a fold is scored its slices are dead weight; a later
-        access simply re-gathers the identical bits from ``(X, y)``.
-        """
-        self._X_train = self._y_train = None
-        self._X_val = self._y_val = None
-
-    def workspace_for(self, model) -> FoldWorkspace | None:
-        """This fold's workspace for ``model``'s family (None = opt-out).
-
-        Built lazily from the search's prototype model and cached per
-        classifier type, so one workspace serves every candidate clone.
-        """
-        key = type(model)
-        if key not in self._workspaces:
-            if _metrics is not None:
-                _metrics.count("tuning.fold_workspace.builds")
-            self._workspaces[key] = model.make_fold_workspace(
-                self.X_train, self.y_train, self.X_val
-            )
-        elif _metrics is not None:
-            _metrics.count("tuning.fold_workspace.reuses")
-        return self._workspaces[key]
-
-    def release_workspaces(self) -> None:
-        """Drop cached workspaces (distance matrices, argsorts, ...)."""
-        self._workspaces.clear()
-
-
-class FoldPlanData:
-    """Each fold's ``(X_train, y_train, X_val, y_val)`` sliced at most once.
-
-    The candidate-major loop re-applied the fancy-index slicing for
-    every (candidate, fold) pair; the values are a pure function of
-    ``(X, y, fold indices)``, so one materialization per fold serves
-    all candidates.  The folds are *lazy* (:class:`FoldData`): the plan
-    holds one shared ``(X, y)`` pair and each fold's index arrays, and a
-    fold's slices exist only between first access and
-    :meth:`FoldData.release_data` — peak memory is one fold's slices,
-    not k folds' worth.  ``folds`` is a sequence of ``(train_idx,
-    val_idx)`` pairs, e.g. from
-    :func:`repro.ml.model_selection.kfold_plan`.
-    """
-
-    def __init__(self, X: np.ndarray, y: np.ndarray, folds) -> None:
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.int64)
-        self.folds = tuple(
-            FoldData(X, y, train_idx, val_idx) for train_idx, val_idx in folds
-        )
-
-
-def evaluate_candidates(model, candidates, plan: FoldPlanData, score) -> list[float]:
+def evaluate_candidates(model, candidates, X, y, folds, score) -> list[float]:
     """Mean validation score of every candidate, iterated fold-major.
 
     ``model`` is the search's prototype; ``candidates`` is a sequence of
-    parameter-override dicts; ``score`` maps ``(y_true, y_pred)`` to a
-    float.  Bit-identity with the candidate-major loop holds because the
-    loop order is the only thing that moves: each (candidate, fold) pair
-    still gets a fresh ``model.clone(**params)`` (clone-of-prototype and
-    clone-of-clone build identical instances), the fold slices hold the
-    same bits the per-candidate fancy indexing produced, workspaces are
-    bound to bit-identity by their contract, and the per-candidate mean
+    parameter-override dicts; ``X`` and ``y`` are the float64 / int64
+    arrays the folds index; ``folds`` is a sequence of ``(train_idx,
+    val_idx)`` pairs, e.g. from :func:`repro.ml.model_selection.kfold_plan`;
+    ``score`` maps ``(y_true, y_pred)`` to a float.  Bit-identity with
+    the candidate-major loop holds because the loop order is the only
+    thing that moves: each (candidate, fold) pair still gets a fresh
+    ``model.clone(**params)`` (clone-of-prototype and clone-of-clone
+    build identical instances), the fold slices hold the same bits the
+    per-candidate fancy indexing produced, workspaces are bound to
+    bit-identity by their contract, and the per-candidate mean
     accumulates fold scores in the same ascending-fold order.
-
-    Workspaces are released as soon as their fold's candidates are
-    scored, so peak memory holds one fold's precomputation (e.g. one
-    KNN distance matrix), not the whole plan's.
     """
-    per_fold: list[list[float]] = []
-    for fold in plan.folds:
-        clones = [model.clone(**params) for params in candidates]
-        workspace = fold.workspace_for(model)
-        if workspace is not None:
-            workspace.prepare(clones)
-            if _metrics is not None:
-                # every candidate scored through the workspace is one
-                # reuse of the fold's candidate-invariant precomputation
-                _metrics.count(
-                    "tuning.fold_workspace.candidate_predicts", len(clones)
-                )
-        scores: list[float] = []
-        for candidate in clones:
-            if workspace is not None:
-                predictions = workspace.predict_val(candidate)
-            else:
-                candidate.fit(fold.X_train, fold.y_train)
-                predictions = candidate.predict(fold.X_val)
-            scores.append(score(fold.y_val, predictions))
-        fold.release_workspaces()
-        fold.release_data()
-        per_fold.append(scores)
+    per_fold = [
+        _score_fold(model, candidates, X, y, train_idx, val_idx, score)
+        for train_idx, val_idx in folds
+    ]
     return [
         float(np.mean([scores[i] for scores in per_fold]))
         for i in range(len(candidates))
     ]
+
+
+def _score_fold(model, candidates, X, y, train_idx, val_idx, score) -> list[float]:
+    """Every candidate's score on one fold.
+
+    The fold's slices are gathered once and marked read-only: every
+    candidate shares them (and fitted models pin them, e.g. KNN's
+    training matrix), so an in-place write would corrupt every later
+    candidate's score.  The slices and the model's workspace (a KNN
+    distance matrix, CART root argsorts, ...) are locals, freed when
+    this returns, so peak memory holds one fold's worth, not the plan's.
+    """
+    X_train, y_train = X[train_idx], y[train_idx]
+    X_val, y_val = X[val_idx], y[val_idx]
+    for array in (X_train, y_train, X_val, y_val):
+        array.setflags(write=False)
+    clones = [model.clone(**params) for params in candidates]
+    if _metrics is not None:
+        _metrics.count("tuning.fold_workspace.builds")
+    workspace = model.make_fold_workspace(X_train, y_train, X_val)
+    if workspace is not None:
+        workspace.prepare(clones)
+        if _metrics is not None:
+            # every candidate scored through the workspace is one reuse
+            # of the fold's candidate-invariant precomputation
+            _metrics.count("tuning.fold_workspace.candidate_predicts", len(clones))
+    scores = []
+    for candidate in clones:
+        if workspace is not None:
+            predictions = workspace.predict_val(candidate)
+        else:
+            candidate.fit(X_train, y_train)
+            predictions = candidate.predict(X_val)
+        scores.append(score(y_val, predictions))
+    return scores

@@ -4,8 +4,9 @@ The CleanML protocol (§IV-A step 3) performs "hyper-parameter tunings
 using standard random search and 5-fold cross validation".  The search
 budget is configurable so laptop-scale study runs stay tractable.
 
-Tuning runs **fold-major**: the shared fold plan is materialized once
-(:class:`~repro.ml.cv_kernel.FoldPlanData`), and per-model
+Tuning runs **fold-major** through
+:func:`~repro.ml.cv_kernel.evaluate_candidates`: each fold of the plan
+(:func:`kfold_plan`) is sliced once, and per-model
 :class:`~repro.ml.cv_kernel.FoldWorkspace`s hoist candidate-invariant
 work — KNN's distance matrix, naive Bayes' class statistics, CART root
 argsorts — out of the candidate loop, bit-identical to the
@@ -14,45 +15,29 @@ candidate-major loop kept as a test oracle (``tests/oracles/tuning.py``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from ..table.split import kfold_indices
 from .base import Classifier
-from .cv_kernel import FoldPlanData, evaluate_candidates
+from .cv_kernel import evaluate_candidates
 from .metrics import accuracy, f1_score
 
 
 def kfold_plan(
     n_rows: int, n_folds: int, seed: int | None
-) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Memoized k-fold (train, validation) index pairs.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (train, validation) index pairs of one cross-validation.
 
-    Fold indices are a pure function of ``(n_rows, n_folds, seed)`` —
-    exactly what :func:`kfold_indices` derives from a fresh
-    ``default_rng(seed)`` — so repeated requests for the same inputs
-    return one shared plan.  :class:`RandomSearch` passes its plan to
-    every candidate explicitly via ``folds=``; the cache here only
-    needs to serve *recent* same-input calls, and runner CV seeds are
-    distinct by construction, so it is kept deliberately tiny rather
-    than letting dead fold arrays accumulate for the process lifetime.
-    Cached index arrays are marked read-only (an in-place mutation
-    would silently corrupt every later consumer of the shared plan);
-    ``seed=None`` keeps the uncached entropy-seeded behavior.
+    ``n_folds`` is capped at ``n_rows``; k >= 2 folds are exactly what
+    :func:`kfold_indices` draws from a fresh ``default_rng(seed)``.
+    Fewer than two folds degenerate to one fold that trains and
+    validates on every row.
     """
-    if seed is None:
-        return tuple(kfold_indices(n_rows, n_folds, np.random.default_rng()))
-    return _kfold_plan_cached(int(n_rows), int(n_folds), int(seed))
-
-
-@lru_cache(maxsize=8)
-def _kfold_plan_cached(n_rows: int, n_folds: int, seed: int):
-    pairs = tuple(kfold_indices(n_rows, n_folds, np.random.default_rng(seed)))
-    for train_idx, val_idx in pairs:
-        train_idx.setflags(write=False)
-        val_idx.setflags(write=False)
-    return pairs
+    n_folds = min(n_folds, n_rows)
+    if n_folds < 2:
+        rows = np.arange(n_rows)
+        return [(rows, rows)]
+    return kfold_indices(n_rows, n_folds, np.random.default_rng(seed))
 
 
 def score_predictions(
@@ -74,36 +59,26 @@ def cross_val_score(
     metric: str = "accuracy",
     positive: int | None = None,
     seed: int | None = None,
-    folds: tuple | list | None = None,
 ) -> float:
     """Mean validation score over k folds (model refitted per fold).
 
     Folds that end up with a single class in training are still fitted —
     the models tolerate one-class training and predict that class.
 
-    ``folds`` — precomputed ``(train_idx, val_idx)`` pairs, e.g. from
-    :func:`kfold_plan` — skips fold derivation entirely; when omitted,
-    folds are derived from ``seed`` through the memoized plan, which is
-    identical to drawing them from a fresh ``default_rng(seed)``.
-
-    Scoring runs through the fold-major kernel (shared fold slices and
-    the model's fold workspace).  The model passed in is never fitted —
-    every fold (and the degenerate ``n_folds < 2`` train-equals-validation
-    fallback) scores a fresh clone.
+    Folds come from :func:`kfold_plan`, and scoring runs through the
+    fold-major kernel (shared fold slices and the model's fold
+    workspace).  The model passed in is never fitted — every fold (and
+    the degenerate ``n_folds < 2`` train-equals-validation fold) scores
+    a fresh clone.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if folds is None:
-        n_folds = min(n_folds, len(y))
-        if n_folds < 2:
-            probe = model.clone()
-            probe.fit(X, y)
-            return score_predictions(y, probe.predict(X), metric, positive)
-        folds = kfold_plan(len(y), n_folds, seed)
     return evaluate_candidates(
         model,
         [{}],
-        FoldPlanData(X, y, folds),
+        X,
+        y,
+        kfold_plan(len(y), n_folds, seed),
         lambda y_true, y_pred: score_predictions(y_true, y_pred, metric, positive),
     )[0]
 
@@ -165,8 +140,8 @@ class RandomSearch:
         deliberately replaced the older per-candidate fold draws, so
         searched scores differ from pre-kernel releases by design.
 
-        Candidate scoring itself iterates **fold-major** through the
-        shared :class:`~repro.ml.cv_kernel.FoldPlanData` so per-model
+        Candidate scoring itself iterates **fold-major**
+        (:func:`~repro.ml.cv_kernel.evaluate_candidates`) so per-model
         workspaces amortize candidate-invariant work; the resulting
         scores — and hence ``best_params_`` / ``best_score_``, picked
         by the same first-strictly-better scan in candidate order —
@@ -176,8 +151,9 @@ class RandomSearch:
         y = np.asarray(y, dtype=np.int64)
         # one generator yields the default-parameters candidate plus
         # ``n_iter`` samples, and its next 31-bit draw seeds the shared
-        # fold plan (drawn even on the degenerate ``n_folds < 2`` path;
-        # the generator is local, so the extra draw is unobservable)
+        # fold plan (drawn even when fewer than two folds leave it
+        # unused; the generator is local, so the extra draw is
+        # unobservable)
         rng = np.random.default_rng(self.seed)
         candidates = [dict()]
         if self.space and self.n_iter > 0:
@@ -186,30 +162,16 @@ class RandomSearch:
             ]
         fold_seed = int(rng.integers(0, 2**31 - 1))
 
-        n_folds = min(self.n_folds, len(y))
-        if n_folds >= 2:
-            scores = evaluate_candidates(
-                self.model,
-                candidates,
-                FoldPlanData(X, y, kfold_plan(len(y), n_folds, fold_seed)),
-                lambda y_true, y_pred: score_predictions(
-                    y_true, y_pred, self.metric, self.positive
-                ),
-            )
-        else:
-            # degenerate plan: each candidate trains and validates on
-            # all of (X, y)
-            scores = [
-                cross_val_score(
-                    self.model.clone(**params),
-                    X,
-                    y,
-                    n_folds=n_folds,
-                    metric=self.metric,
-                    positive=self.positive,
-                )
-                for params in candidates
-            ]
+        scores = evaluate_candidates(
+            self.model,
+            candidates,
+            X,
+            y,
+            kfold_plan(len(y), self.n_folds, fold_seed),
+            lambda y_true, y_pred: score_predictions(
+                y_true, y_pred, self.metric, self.positive
+            ),
+        )
 
         # first strictly better score wins: ties keep the earliest candidate
         best_score = -np.inf

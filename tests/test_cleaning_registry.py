@@ -52,6 +52,38 @@ class TestRegistry:
         with pytest.raises(ValueError):
             methods_for("typos")
 
+    def test_seeded_isolation_forests_detect_identically(self):
+        # the Table-9 walk-throughs pass their config seed: two method
+        # lists built with one seed must flag the same cells.  On a
+        # small uniform table, which cells the forest flags depends on
+        # its seed.
+        rng = np.random.default_rng(0)
+        table = Table.from_dict(
+            make_schema(numeric=["a", "b"], label="y"),
+            {
+                "a": rng.uniform(size=40).tolist(),
+                "b": rng.uniform(size=40).tolist(),
+                "y": ["p", "n"] * 20,
+            },
+        )
+
+        def isolation_masks(seed):
+            return [
+                np.concatenate(
+                    list(method.fit(table).detector.detect(table).cell_masks.values())
+                )
+                for method in methods_for(
+                    OUTLIERS, include_advanced=False, random_state=seed
+                )
+                if method.detection == "IF"
+            ]
+
+        first, second = isolation_masks(5), isolation_masks(5)
+        assert len(first) == 3 and first[0].any()
+        for mask, again in zip(first, second):
+            assert np.array_equal(mask, again)
+        assert not np.array_equal(first[0], isolation_masks(6)[0])
+
     def test_dirty_baseline_semantics(self):
         assert dirty_baseline(MISSING_VALUES).repair == "Deletion"
         assert isinstance(dirty_baseline(OUTLIERS), IdentityCleaning)

@@ -24,7 +24,7 @@ import pytest
 
 import repro.ml.knn as knn
 from repro.datasets import DATASET_NAMES
-from repro.ml import FoldPlanData, KNeighborsClassifier, kfold_plan, search_space
+from repro.ml import KNeighborsClassifier, kfold_plan, search_space
 from repro.ml.knn import _KNNFoldWorkspace
 from tests.oracles import (
     knn_proba_reference,
@@ -196,9 +196,8 @@ class TestWideAndRegistry:
     @pytest.mark.parametrize("dataset_name", DATASET_NAMES)
     def test_registry_cv_folds(self, dataset_name):
         X, y = encoded_dataset(dataset_name)
-        plan = FoldPlanData(X, y, kfold_plan(len(y), 5, seed=0))
-        for fold in plan.folds[:2]:
-            assert_same_predictions(fold.X_train, fold.y_train, fold.X_val)
+        for train_idx, val_idx in kfold_plan(len(y), 5, seed=0)[:2]:
+            assert_same_predictions(X[train_idx], y[train_idx], X[val_idx])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

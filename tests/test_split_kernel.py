@@ -236,25 +236,13 @@ class TestFoldPlanMemo:
             assert np.array_equal(ptrain, dtrain)
             assert np.array_equal(pval, dval)
 
-    def test_plan_is_cached_per_inputs(self):
-        a = kfold_plan(40, 4, seed=9)
-        b = kfold_plan(40, 4, seed=9)
-        assert a is b  # same lru_cache entry
-        c = kfold_plan(40, 4, seed=10)
-        assert any(
-            not np.array_equal(x[1], y[1]) for x, y in zip(a, c)
-        )
-
-    def test_cross_val_score_folds_equal_seed_path(self):
-        from repro.ml import LogisticRegression, cross_val_score
-        from tests.conftest import make_blobs
-
-        X, y = make_blobs(seed=3)
-        by_seed = cross_val_score(LogisticRegression(), X, y, n_folds=3, seed=5)
-        by_plan = cross_val_score(
-            LogisticRegression(), X, y, folds=kfold_plan(len(y), 3, 5)
-        )
-        assert by_seed == by_plan
+    def test_fewer_than_two_folds_is_one_all_rows_fold(self):
+        for n_rows, n_folds in ((6, 1), (1, 5), (0, 5)):
+            ((train_idx, val_idx),) = kfold_plan(n_rows, n_folds, seed=4)
+            assert np.array_equal(train_idx, np.arange(n_rows))
+            assert np.array_equal(val_idx, np.arange(n_rows))
+        # more folds than rows caps at one row per validation fold
+        assert len(kfold_plan(3, 5, seed=4)) == 3
 
 
 class TestBlockBroadcast:

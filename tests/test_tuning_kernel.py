@@ -8,11 +8,16 @@ must be **invisible in the output** — identical ``best_params_`` /
 (``tests/oracles/tuning.py``) for every registry model, and
 bit-identical predictions from every workspace against a from-scratch
 refit.  The satellites ride along: the degenerate ``n_folds < 2`` path
-no longer mutates the caller's model, cached fold plans are read-only,
+no longer mutates the caller's model, candidates see read-only fold
+slices, a fold's workspace is freed before the next fold's is built,
 KNN's vectorized vote is pinned against its per-class loop oracle, and
 the vectorized CART and XGBoost split searches are pinned against their
 per-feature oracles at every node they visit.
 """
+
+import gc
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +29,6 @@ from repro.ml import (
     MODEL_NAMES,
     AdaBoostClassifier,
     DecisionTreeClassifier,
-    FoldPlanData,
     GaussianNB,
     KNeighborsClassifier,
     LogisticRegression,
@@ -32,6 +36,7 @@ from repro.ml import (
     RandomSearch,
     XGBoostClassifier,
     cross_val_score,
+    evaluate_candidates,
     kfold_plan,
     make_model,
     search_space,
@@ -64,6 +69,17 @@ def encoded_dataset(name: str, n_rows: int = 140):
         table.column(table.schema.label).unique()
     ).transform(table.labels)
     return X, y
+
+
+def fold_slices(X, y, fold):
+    """One fold's ``(X_train, y_train, X_val, y_val)``, indexed directly."""
+    train_idx, val_idx = fold
+    return SimpleNamespace(
+        X_train=X[train_idx],
+        y_train=y[train_idx],
+        X_val=X[val_idx],
+        y_val=y[val_idx],
+    )
 
 
 class TestSearchParity:
@@ -111,12 +127,13 @@ class TestFoldWorkspaces:
 
     def fold(self, seed=0):
         X, y = make_blobs(n_per_class=40, n_classes=3, seed=seed)
-        folds = kfold_plan(len(y), 3, seed=7)
-        return FoldPlanData(X, y, folds).folds[0]
+        return fold_slices(X, y, kfold_plan(len(y), 3, seed=7)[0])
 
     def assert_workspace_matches_refit(self, prototype, candidates, fold=None):
         fold = fold or self.fold()
-        workspace = fold.workspace_for(prototype)
+        workspace = prototype.make_fold_workspace(
+            fold.X_train, fold.y_train, fold.X_val
+        )
         assert workspace is not None
         for params in candidates:
             shared = workspace.predict_val(prototype.clone(**params))
@@ -149,11 +166,13 @@ class TestFoldWorkspaces:
             y = np.where(y == 1, 0, y)  # an empty class: the -inf prior path
         else:
             X, y = encoded_dataset(dataset_name)
-        fold = FoldPlanData(X, y, kfold_plan(len(y), 3, seed=5)).folds[1]
+        fold = fold_slices(X, y, kfold_plan(len(y), 3, seed=5)[1])
         candidates = [
             GaussianNB(var_smoothing=v) for v in (1e-11, 1e-9, 1e-5, 1e-2, 0.5)
         ]
-        workspace = fold.workspace_for(GaussianNB())
+        workspace = GaussianNB().make_fold_workspace(
+            fold.X_train, fold.y_train, fold.X_val
+        )
         workspace.prepare(candidates)
         assert workspace._squares is not None
         for candidate in candidates:
@@ -253,8 +272,13 @@ class TestFoldWorkspaces:
 
     def test_logistic_regression_has_no_workspace(self):
         fold = self.fold()
-        assert fold.workspace_for(LogisticRegression()) is None
-        # models without a workspace still fit fine on the shared slices
+        assert (
+            LogisticRegression().make_fold_workspace(
+                fold.X_train, fold.y_train, fold.X_val
+            )
+            is None
+        )
+        # models without a workspace are fitted on the fold's slices
         model = LogisticRegression()
         model.fit(fold.X_train, fold.y_train)
         assert model.predict(fold.X_val).shape == fold.y_val.shape
@@ -420,34 +444,91 @@ class TestVectorizedSplitIsTheReference:
 
 
 class TestFoldPlanDataSharing:
-    def test_fold_slices_are_read_only(self):
-        X, y = make_blobs(seed=6)
-        plan = FoldPlanData(X, y, kfold_plan(len(y), 3, seed=2))
-        for fold in plan.folds:
-            for array in (fold.X_train, fold.y_train, fold.X_val, fold.y_val):
-                assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            plan.folds[0].X_train[0, 0] = 0.0
+    """What every candidate of a fold sees: one read-only slicing."""
 
-    def test_fold_slices_match_fancy_indexing(self):
+    @staticmethod
+    def spy_on_folds(monkeypatch, model_class):
+        """Record the arrays ``model_class``'s fold workspaces are built from."""
+        production = model_class.make_fold_workspace
+        seen = []
+
+        def recording(self, X_train, y_train, X_val):
+            seen.append((X_train, y_train, X_val))
+            return production(self, X_train, y_train, X_val)
+
+        monkeypatch.setattr(model_class, "make_fold_workspace", recording)
+        return seen
+
+    def test_fold_slices_are_read_only(self, monkeypatch):
+        # KNN scores every candidate through its workspace; LR has none,
+        # so each candidate is fitted on the slices and predicts them
+        X, y = make_blobs(seed=6)
+        seen = self.spy_on_folds(monkeypatch, KNeighborsClassifier)
+        fitted = []
+        production_fit = LogisticRegression.fit
+
+        def fit(model, X_train, y_train):
+            fitted.append((X_train, y_train))
+            return production_fit(model, X_train, y_train)
+
+        monkeypatch.setattr(LogisticRegression, "fit", fit)
+        validated = []
+
+        def score(y_true, y_pred):
+            validated.append(y_true)
+            return float(np.mean(y_true == y_pred))
+
+        folds = kfold_plan(len(y), 3, seed=2)
+        for model in (KNeighborsClassifier(), LogisticRegression()):
+            evaluate_candidates(model, [{}, {}], X, y, folds, score)
+        assert (len(seen), len(fitted), len(validated)) == (3, 6, 12)
+        for array in [a for group in seen + fitted for a in group] + validated:
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            seen[0][0][0, 0] = 0.0
+
+    def test_fold_slices_match_fancy_indexing(self, monkeypatch):
         X, y = make_blobs(seed=6)
         folds = kfold_plan(len(y), 4, seed=3)
-        plan = FoldPlanData(X, y, folds)
-        for fold, (train_idx, val_idx) in zip(plan.folds, folds):
-            assert np.array_equal(fold.X_train, X[train_idx])
-            assert np.array_equal(fold.y_val, y[val_idx])
+        seen = self.spy_on_folds(monkeypatch, KNeighborsClassifier)
+        cross_val_score(KNeighborsClassifier(), X, y, n_folds=4, seed=3)
+        assert len(seen) == len(folds)
+        for (X_train, y_train, X_val), (train_idx, val_idx) in zip(seen, folds):
+            assert np.array_equal(X_train, X[train_idx])
+            assert np.array_equal(y_train, y[train_idx])
+            assert np.array_equal(X_val, X[val_idx])
 
-    def test_cached_kfold_plan_is_read_only(self):
-        for train_idx, val_idx in kfold_plan(60, 5, seed=11):
-            assert not train_idx.flags.writeable
-            assert not val_idx.flags.writeable
-        with pytest.raises(ValueError):
-            kfold_plan(60, 5, seed=11)[0][0][0] = 0
+    @pytest.mark.parametrize("model_name", ["knn", "naive_bayes"])
+    def test_fold_workspace_freed_before_next_fold_builds(
+        self, monkeypatch, model_name
+    ):
+        # with the cyclic collector off, only reference counting can
+        # free a fold: its workspace and slices must be gone by the time
+        # the next fold's workspace is built, so peak memory holds one
+        # fold's precomputation, not the whole plan's
+        X, y = make_blobs(n_per_class=30, seed=4)
+        model_class = type(make_model(model_name))
+        production = model_class.make_fold_workspace
+        built = []
 
-    def test_unseeded_plan_stays_writable(self):
-        # seed=None bypasses the cache, so freezing is not required
-        train_idx, _ = kfold_plan(30, 3, seed=None)[0]
-        train_idx[0] = train_idx[0]  # must not raise
+        def tracked(self, X_train, y_train, X_val):
+            assert all(ref() is None for ref in built)
+            workspace = production(self, X_train, y_train, X_val)
+            built.extend(
+                weakref.ref(obj) for obj in (workspace, X_train, y_train, X_val)
+            )
+            return workspace
+
+        monkeypatch.setattr(model_class, "make_fold_workspace", tracked)
+        search = RandomSearch(
+            make_model(model_name), search_space(model_name), n_iter=3, seed=1
+        )
+        gc.disable()
+        try:
+            search.fit(X, y)
+        finally:
+            gc.enable()
+        assert len(built) == 4 * 5
 
 
 class TestDegenerateFoldPath:
@@ -466,6 +547,26 @@ class TestDegenerateFoldPath:
         score = cross_val_score(model, X, y, n_folds=1, seed=0)
         probe = model.clone().fit(X, y)
         assert score == float(np.mean(probe.predict(X) == y))
+
+    @pytest.mark.parametrize("model_name", MODEL_NAMES)
+    def test_single_fold_search_matches_reference(self, model_name):
+        # one fold that trains and validates on every row, through the
+        # same loop (and workspace) as k >= 2 folds
+        X, y = make_blobs(n_per_class=15, n_classes=3, seed=12)
+
+        def make_search():
+            return RandomSearch(
+                make_model(model_name, seed=3),
+                search_space(model_name),
+                n_iter=2,
+                n_folds=1,
+                seed=17,
+            )
+
+        kernel = make_search().fit(X, y)
+        reference = random_search_reference(make_search(), X, y)
+        assert kernel.best_params_ == reference.best_params_
+        assert kernel.best_score_ == reference.best_score_
 
 
 class TestKNNVote:
